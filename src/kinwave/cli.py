@@ -8,22 +8,21 @@ minimization), ``nash`` (equilibrium search).  Exit codes: 0 success,
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import click
 import numpy as np
 
 from .curves import write_curve_csv
-from .errors import KinwaveError, ScenarioError
+from .errors import ConfigurationError, KinwaveError, ScenarioError
 from .flux import ArcDescriptor, FluxDescriptor
 from .loading import DepartureProfile, network_load
 from .network import (CostFunction, GroupDescriptor, Network, compute_bounds,
                       validate_assumptions)
-from .solvers import nash_gap, solve_global, solve_nash, total_cost
+from .solvers import solve_global, solve_nash, total_cost
 
 _FLUX_KEYS = {
     "greenshields": {"v_free", "rho_jam"},
@@ -34,7 +33,6 @@ _COST_KEYS = {
     "affine": {"a", "b"},
     "quadratic": {"a", "b", "c"},
     "vickrey": {"target", "early_rate", "late_rate", "smoothing"},
-    "vickrey_required": {"target", "early_rate", "late_rate"},
 }
 _SOLVER_KEYS = {"bins", "dt", "tol", "damping", "max_iter", "restarts", "seed"}
 _SOLVER_DEFAULTS = {
@@ -68,7 +66,33 @@ def _number(obj, key, where):
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ScenarioError(f"{where}.{key}: expected a number, got {v!r}")
+    if not abs(v) <= sys.float_info.max:     # NaN, infinities, ints too big for a float
+        raise ScenarioError(f"{where}.{key}: expected a finite number, got {v!r}")
     return float(v)
+
+
+def _list(obj, key, where):
+    v = obj[key]
+    if not isinstance(v, list):
+        raise ScenarioError(f"{where}.{key}: expected a list, got {v!r}")
+    return v
+
+
+def _finite_array(obj, key, where):
+    try:
+        a = np.asarray(obj[key], dtype=float)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ScenarioError(f"{where}.{key}: {e}") from e
+    if not np.all(np.isfinite(a)):
+        raise ScenarioError(f"{where}.{key}: expected finite numbers")
+    return a
+
+
+def _node(obj, key, where, node_set):
+    v = obj[key]
+    if not isinstance(v, str) or v not in node_set:
+        raise ScenarioError(f"{where}.{key}: unknown node {v!r}")
+    return v
 
 
 def _parse_flux(obj, where):
@@ -87,11 +111,8 @@ def _parse_flux(obj, where):
                 _number(obj, "v_free", where), _number(obj, "w_back", where),
                 _number(obj, "rho_jam", where),
             )
-        pts = obj["breakpoints"]
-        if not isinstance(pts, list):
-            raise ScenarioError(f"{where}.breakpoints: expected a list of [density, flow]")
-        return FluxDescriptor.sampled(pts)
-    except KinwaveError as e:
+        return FluxDescriptor.sampled(_finite_array(obj, "breakpoints", where))
+    except ConfigurationError as e:
         raise ScenarioError(f"{where}: {e}") from e
 
 
@@ -107,14 +128,15 @@ def _parse_cost(obj, where):
             _number(obj, "a", where), _number(obj, "b", where), _number(obj, "c", where)
         )
     if kind == "vickrey":
-        _require_keys(obj, _COST_KEYS["vickrey_required"] | {"kind"}, {"smoothing"}, where)
+        _require_keys(obj, {"kind", "target", "early_rate", "late_rate"}, {"smoothing"},
+                      where)
         smoothing = _number(obj, "smoothing", where) if "smoothing" in obj else 0.05
         try:
             return CostFunction.vickrey(
                 _number(obj, "target", where), _number(obj, "early_rate", where),
                 _number(obj, "late_rate", where), smoothing,
             )
-        except KinwaveError as e:
+        except ConfigurationError as e:
             raise ScenarioError(f"{where}: {e}") from e
     raise ScenarioError(f"{where}.kind: unknown cost kind {kind!r}")
 
@@ -145,15 +167,13 @@ def parse_scenario(path) -> Scenario:
     node_set = set(nodes)
 
     arcs = []
-    for i, a in enumerate(doc["arcs"]):
+    for i, a in enumerate(_list(doc, "arcs", "scenario")):
         where = f"arcs[{i}]"
         _require_keys(a, {"from", "to", "length", "flux"}, set(), where)
-        for end in ("from", "to"):
-            if a[end] not in node_set:
-                raise ScenarioError(f"{where}.{end}: unknown node {a[end]!r}")
         try:
             arcs.append(
-                ArcDescriptor(a["from"], a["to"], _number(a, "length", where),
+                ArcDescriptor(_node(a, "from", where, node_set),
+                              _node(a, "to", where, node_set), _number(a, "length", where),
                               _parse_flux(a["flux"], where + ".flux"))
             )
         except KinwaveError as e:
@@ -162,19 +182,17 @@ def parse_scenario(path) -> Scenario:
             raise ScenarioError(f"{where}: {e}") from e
 
     groups = []
-    for i, g in enumerate(doc["groups"]):
+    for i, g in enumerate(_list(doc, "groups", "scenario")):
         where = f"groups[{i}]"
         _require_keys(
             g, {"size", "origin", "destination", "departure_cost", "arrival_cost"},
             set(), where,
         )
-        for end in ("origin", "destination"):
-            if g[end] not in node_set:
-                raise ScenarioError(f"{where}.{end}: unknown node {g[end]!r}")
         try:
             groups.append(
                 GroupDescriptor(
-                    _number(g, "size", where), g["origin"], g["destination"],
+                    _number(g, "size", where), _node(g, "origin", where, node_set),
+                    _node(g, "destination", where, node_set),
                     _parse_cost(g["departure_cost"], where + ".departure_cost"),
                     _parse_cost(g["arrival_cost"], where + ".arrival_cost"),
                 )
@@ -187,10 +205,9 @@ def parse_scenario(path) -> Scenario:
     solver = dict(_SOLVER_DEFAULTS)
     if "solver" in doc:
         _require_keys(doc["solver"], set(), _SOLVER_KEYS, "solver")
-        for key, v in doc["solver"].items():
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ScenarioError(f"solver.{key}: expected a number, got {v!r}")
-            solver[key] = v
+        for key in doc["solver"]:
+            _number(doc["solver"], key, "solver")
+        solver.update(doc["solver"])
     for key in ("bins", "dt", "tol", "damping"):
         if solver[key] <= 0:
             raise ScenarioError(f"solver.{key}: must be positive")
@@ -209,10 +226,7 @@ def parse_scenario(path) -> Scenario:
     if "profile" in doc:
         p = doc["profile"]
         _require_keys(p, {"start", "bin_width", "rates"}, set(), "profile")
-        try:
-            rates = np.asarray(p["rates"], dtype=float)
-        except (TypeError, ValueError) as e:
-            raise ScenarioError(f"profile.rates: {e}") from e
+        rates = _finite_array(p, "rates", "profile")
         try:
             profile = DepartureProfile(
                 _number(p, "start", "profile"), _number(p, "bin_width", "profile"), rates
@@ -289,17 +303,13 @@ def _common_options(f):
 
 
 def _setup(scenario_path, out_dir, bins, tol, seed):
-    threads = os.environ.get("KINWAVE_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     scenario = parse_scenario(scenario_path)
     if bins is not None:
         if bins <= 0:
             raise ScenarioError("--bins must be positive")
         scenario.solver["bins"] = bins
     if tol is not None:
-        if tol <= 0:
+        if not tol > 0:
             raise ScenarioError("--tol must be positive")
         scenario.solver["tol"] = tol
     if seed is not None:
@@ -314,131 +324,116 @@ def main():
     """Kinematic-wave network loading and departure-time equilibria."""
 
 
-@main.command()
-@_common_options
-def validate(scenario_path, out_dir, bins, tol, seed, dump_curves, emit_plot_data):
-    """Check structural assumptions and report solver bounds."""
-    t0 = time.perf_counter()
-    try:
-        scenario, out = _setup(scenario_path, out_dir, bins, tol, seed)
+def _command(body):
+    """Register ``body(scenario, out, dump_curves, emit_plot_data)`` as a
+    command; its return value is the exit code.  Input errors exit 2 before
+    ``timing.json`` is written."""
+
+    @main.command(name=body.__name__, help=body.__doc__)
+    @_common_options
+    def run(scenario_path, out_dir, bins, tol, seed, dump_curves, emit_plot_data):
+        t0 = time.perf_counter()
         try:
-            bounds = compute_bounds(scenario.network)
-            bounds_info = {
-                "t_max": bounds.t_max, "t0": bounds.t0, "kappa": bounds.kappa,
-                "horizon": bounds.horizon, "delta_min": bounds.delta_min,
-            }
-            window = (-bounds.t0, bounds.t0)
+            scenario, out = _setup(scenario_path, out_dir, bins, tol, seed)
+            code = body(scenario, out, dump_curves, emit_plot_data)
         except KinwaveError as e:
-            bounds_info = {"error": str(e)}
-            window = (-1.0, 1.0)
-        report = validate_assumptions(scenario.network, window)
-        doc = {
-            "assumptions": report.as_dict(),
-            "bounds": bounds_info,
-            "paths": ["->".join(p.nodes) for p in scenario.network.paths],
-        }
-        _write_json(out / "report.json", doc)
-        click.echo(json.dumps(doc, indent=2, sort_keys=True))
-    except KinwaveError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
-    _write_json(out / "timing.json", {"wall_time_s": time.perf_counter() - t0})
-    sys.exit(0 if report.passed and "error" not in bounds_info else 1)
+            click.echo(f"error: {e}", err=True)
+            sys.exit(2)
+        _write_json(out / "timing.json", {"wall_time_s": time.perf_counter() - t0})
+        sys.exit(code)
+
+    return run
 
 
-@main.command()
-@_common_options
-def load(scenario_path, out_dir, bins, tol, seed, dump_curves, emit_plot_data):
-    """Run network loading on the scenario's embedded departure profile."""
-    t0 = time.perf_counter()
-    try:
-        scenario, out = _setup(scenario_path, out_dir, bins, tol, seed)
-        if scenario.profile is None:
-            raise ScenarioError("load requires a 'profile' section in the scenario")
-        loading = network_load(scenario.network, scenario.profile,
-                               dt=scenario.solver["dt"])
-        J = total_cost(scenario.network, scenario.profile, loading=loading)
-        doc = {
-            "total_cost": J,
-            "end_time": loading.end_time,
-            "windows": loading.windows,
-            "arrival_totals": [
-                loading.arrival_total(k) for k in range(len(scenario.network.groups))
-            ],
-        }
-        _write_json(out / "report.json", doc)
-        _write_json(out / "profile.json", _profile_dict(scenario.profile))
+def _write_results(scenario, out, doc, profile, dump_curves, emit_plot_data,
+                   loading=None):
+    """Write report.json and profile.json, then the requested curve files,
+    loading ``profile`` for them unless ``loading`` is given."""
+    _write_json(out / "report.json", doc)
+    _write_json(out / "profile.json", _profile_dict(profile))
+    if dump_curves or emit_plot_data:
+        if loading is None:
+            loading = network_load(scenario.network, profile, dt=scenario.solver["dt"])
         if dump_curves:
             _dump_curves(loading, out)
         if emit_plot_data:
             _emit_plot_data(loading, out)
-        click.echo(f"total_cost {J:.12g}")
+
+
+@_command
+def validate(scenario, out, dump_curves, emit_plot_data):
+    """Check structural assumptions and report solver bounds."""
+    try:
+        bounds = compute_bounds(scenario.network)
+        bounds_info = {
+            "t_max": bounds.t_max, "t0": bounds.t0, "kappa": bounds.kappa,
+            "horizon": bounds.horizon, "delta_min": bounds.delta_min,
+        }
+        window = (-bounds.t0, bounds.t0)
     except KinwaveError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
-    _write_json(out / "timing.json", {"wall_time_s": time.perf_counter() - t0})
-    sys.exit(0)
+        bounds_info = {"error": str(e)}
+        window = (-1.0, 1.0)
+    report = validate_assumptions(scenario.network, window)
+    doc = {
+        "assumptions": report.as_dict(),
+        "bounds": bounds_info,
+        "paths": ["->".join(p.nodes) for p in scenario.network.paths],
+    }
+    _write_json(out / "report.json", doc)
+    click.echo(json.dumps(doc, indent=2, sort_keys=True))
+    return 0 if report.passed and "error" not in bounds_info else 1
 
 
-@main.command()
-@_common_options
-def opt(scenario_path, out_dir, bins, tol, seed, dump_curves, emit_plot_data):
+@_command
+def load(scenario, out, dump_curves, emit_plot_data):
+    """Run network loading on the scenario's embedded departure profile."""
+    if scenario.profile is None:
+        raise ScenarioError("load requires a 'profile' section in the scenario")
+    loading = network_load(scenario.network, scenario.profile, dt=scenario.solver["dt"])
+    J = total_cost(scenario.network, scenario.profile, loading=loading)
+    doc = {
+        "total_cost": J,
+        "end_time": loading.end_time,
+        "windows": loading.windows,
+        "arrival_totals": [
+            loading.arrival_total(k) for k in range(len(scenario.network.groups))
+        ],
+    }
+    _write_results(scenario, out, doc, scenario.profile, dump_curves, emit_plot_data,
+                   loading)
+    click.echo(f"total_cost {J:.12g}")
+    return 0
+
+
+@_command
+def opt(scenario, out, dump_curves, emit_plot_data):
     """Search for a departure pattern minimizing the aggregate cost."""
-    t0 = time.perf_counter()
-    try:
-        scenario, out = _setup(scenario_path, out_dir, bins, tol, seed)
-        cfg = scenario.solver
-        profile, J = solve_global(
-            scenario.network, bins=cfg["bins"], tol=cfg["tol"],
-            max_iter=cfg["max_iter"], restarts=cfg["restarts"], dt=cfg["dt"],
-            seed=cfg["seed"],
-        )
-        converged = cfg["max_iter"] > 0
-        doc = {"total_cost": J, "converged": converged, "solver": cfg}
-        _write_json(out / "report.json", doc)
-        _write_json(out / "profile.json", _profile_dict(profile))
-        if dump_curves or emit_plot_data:
-            loading = network_load(scenario.network, profile, dt=cfg["dt"])
-            if dump_curves:
-                _dump_curves(loading, out)
-            if emit_plot_data:
-                _emit_plot_data(loading, out)
-        click.echo(f"total_cost {J:.12g}")
-    except KinwaveError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
-    _write_json(out / "timing.json", {"wall_time_s": time.perf_counter() - t0})
-    sys.exit(0 if converged else 1)
+    cfg = scenario.solver
+    profile, J = solve_global(
+        scenario.network, bins=cfg["bins"], tol=cfg["tol"],
+        max_iter=cfg["max_iter"], restarts=cfg["restarts"], dt=cfg["dt"],
+        seed=cfg["seed"],
+    )
+    converged = cfg["max_iter"] > 0
+    doc = {"total_cost": J, "converged": converged, "solver": cfg}
+    _write_results(scenario, out, doc, profile, dump_curves, emit_plot_data)
+    click.echo(f"total_cost {J:.12g}")
+    return 0 if converged else 1
 
 
-@main.command()
-@_common_options
-def nash(scenario_path, out_dir, bins, tol, seed, dump_curves, emit_plot_data):
+@_command
+def nash(scenario, out, dump_curves, emit_plot_data):
     """Search for a Nash-equilibrium departure pattern."""
-    t0 = time.perf_counter()
-    try:
-        scenario, out = _setup(scenario_path, out_dir, bins, tol, seed)
-        cfg = scenario.solver
-        profile, report = solve_nash(
-            scenario.network, bins=cfg["bins"], tol=cfg["tol"],
-            max_iter=cfg["max_iter"], damping=cfg["damping"], dt=cfg["dt"],
-        )
-        J = total_cost(scenario.network, profile, dt=cfg["dt"])
-        doc = {"equilibrium": report.as_dict(), "total_cost": J, "solver": cfg}
-        _write_json(out / "report.json", doc)
-        _write_json(out / "profile.json", _profile_dict(profile))
-        if dump_curves or emit_plot_data:
-            loading = network_load(scenario.network, profile, dt=cfg["dt"])
-            if dump_curves:
-                _dump_curves(loading, out)
-            if emit_plot_data:
-                _emit_plot_data(loading, out)
-        click.echo(f"gap {report.gap:.12g} total_cost {J:.12g}")
-    except KinwaveError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
-    _write_json(out / "timing.json", {"wall_time_s": time.perf_counter() - t0})
-    sys.exit(0 if report.converged else 1)
+    cfg = scenario.solver
+    profile, report = solve_nash(
+        scenario.network, bins=cfg["bins"], tol=cfg["tol"],
+        max_iter=cfg["max_iter"], damping=cfg["damping"], dt=cfg["dt"],
+    )
+    J = total_cost(scenario.network, profile, dt=cfg["dt"])
+    doc = {"equilibrium": report.as_dict(), "total_cost": J, "solver": cfg}
+    _write_results(scenario, out, doc, profile, dump_curves, emit_plot_data)
+    click.echo(f"gap {report.gap:.12g} total_cost {J:.12g}")
+    return 0 if report.converged else 1
 
 
 if __name__ == "__main__":

@@ -285,22 +285,3 @@ class ArcDescriptor:
     def __repr__(self):
         return f"Arc({self.from_node}->{self.to_node}, L={self.length:g}, {self.flux.kind})"
 
-
-def eval_flux(flux: FluxDescriptor, rho):
-    """F(rho) for rho in [0, rho_jam]."""
-    return flux.flow(rho)
-
-
-def inverse_g(flux: FluxDescriptor, u):
-    """Density on the increasing branch with F(rho) = u, for u in [0, F_max]."""
-    return flux.density(u)
-
-
-def legendre(flux: FluxDescriptor, p):
-    """Conjugate g*(p) of the flow-to-density map."""
-    return flux.conjugate(p)
-
-
-def h_kernel(flux: FluxDescriptor, length, s):
-    """Shift kernel h(s) = -length * g*(-s/length)."""
-    return flux.kernel(length, s)

@@ -114,15 +114,10 @@ class LoadingResult:
         """Causality, capacity, composition, and conservation checks."""
         G = max(1.0, self.network.total_demand)
         for key, comp in self.arc_flows.items():
-            ts = np.unique(np.concatenate((comp.entry.t, comp.exit.t)))
-            if np.any(comp.exit(ts) > comp.entry(ts) + tol * G):
-                raise LoadingError(f"exit exceeds entry on arc {key}")
-            if comp.exit.max_slope > comp.arc.flux.f_max + 1e-9:
-                raise LoadingError(f"exit slope exceeds capacity on arc {key}")
-            if abs(comp.exit.total - comp.entry.total) > tol * G:
-                raise LoadingError(f"mass not conserved on arc {key}")
+            comp.validate(tol * G / max(1.0, comp.entry.total))
             parts = [c for (k, p, kk), c in self.comp_exit.items() if kk == key]
             if parts:
+                ts = np.unique(np.concatenate((comp.entry.t, comp.exit.t)))
                 s = sum(c(ts) for c in parts)
                 if np.max(np.abs(s - comp.exit(ts))) > tol * G:
                     raise LoadingError(f"exit compositions do not sum on arc {key}")

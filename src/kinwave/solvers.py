@@ -254,19 +254,27 @@ def solve_nash(network: Network, *, bins=64, tol=1e-3, max_iter=5000,
     return best_profile, best_report
 
 
-def _project_box_simplex(v, total, cap):
-    """Projection onto {0 <= x <= cap, sum x = total} by bisection on the
-    Lagrange shift."""
-    lo = float(np.min(v)) - cap - 1.0
-    hi = float(np.max(v)) + 1.0
-    for _ in range(100):
-        theta = 0.5 * (lo + hi)
-        s = np.clip(v - theta, 0.0, cap).sum()
-        if s > total:
-            lo = theta
-        else:
-            hi = theta
-    return np.clip(v - 0.5 * (lo + hi), 0.0, cap)
+def _project_box_simplex(v, total, cap=np.inf):
+    """Euclidean projection of v onto {0 <= x <= cap, sum x = total}.
+
+    Exact: s(theta) = sum clip(v - theta, 0, cap) is piecewise linear and
+    nonincreasing with kinks at v - cap and v, so walk the sorted kinks to
+    the segment where s crosses ``total`` and solve for theta on it
+    (Condat, Math. Prog. 2016).  No feasible x exceeds ``total``, so an
+    infinite cap acts as cap = total.  Needs total <= cap * len(v).
+    """
+    if total <= 0:
+        return np.zeros_like(v)
+    cap = min(cap, total)
+    kinks = np.concatenate((v, v - cap))
+    order = np.argsort(kinks)[::-1]
+    k = kinks[order]
+    # walking theta down, passing v_i frees cell i and passing v_i - cap caps it
+    active = np.cumsum(np.where(order < v.size, 1, -1))
+    s = np.concatenate(([0.0], np.cumsum(-np.diff(k) * active[:-1])))
+    j = min(int(np.searchsorted(s, total)), k.size - 1)
+    theta = k[j - 1] - (total - s[j - 1]) / active[j - 1]
+    return np.clip(v - theta, 0.0, cap)
 
 
 def _swap_step(network, profile, costs, damping, cap):
@@ -292,13 +300,7 @@ def _swap_step(network, profile, costs, damping, cap):
         split = new.reshape(len(ps), -1)
         for j, p in enumerate(ps):
             rates[k, p] = split[j] / width
-    out = DepartureProfile(profile.start, width, rates)
-    # restore exact per-group mass lost to the finite bisection
-    for k, g in enumerate(network.groups):
-        m = out.rates[k].sum() * width
-        if m > 0 and g.size > 0:
-            out.rates[k] *= g.size / m
-    return out
+    return DepartureProfile(profile.start, width, rates)
 
 
 def _attach_diagnostics(network, profile, report, bounds):
@@ -323,19 +325,6 @@ def _attach_diagnostics(network, profile, report, bounds):
 # ---------------------------------------------------------------------
 # Global-optimum solver: projected finite-difference descent
 # ---------------------------------------------------------------------
-
-
-def _project_simplex(v, total):
-    """Euclidean projection of v onto {x >= 0, sum x = total}."""
-    if total <= 0:
-        return np.zeros_like(v)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - total
-    idx = np.arange(1, len(v) + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
 
 
 def solve_global(network: Network, *, bins=16, tol=1e-6, max_iter=100,
@@ -418,7 +407,7 @@ def solve_global(network: Network, *, bins=16, tol=1e-6, max_iter=100,
             improved = False
             while lr > 1e-12:
                 trial = [
-                    _project_simplex((m - lr * g).ravel(), network.groups[k].size)
+                    _project_box_simplex((m - lr * g).ravel(), network.groups[k].size)
                     .reshape(m.shape)
                     for k, (m, g) in enumerate(zip(masses, grad))
                 ]

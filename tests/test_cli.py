@@ -196,3 +196,48 @@ class TestNashRoundTrip:
         assert reload_report["total_cost"] == pytest.approx(
             report["total_cost"], abs=1e-9
         )
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def edit(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+    return edit
+
+
+NAN, INF = float("nan"), float("inf")
+FAULTY_DOCS = {
+    "nan-length": (_set("arcs", 0, "length", NAN), "arcs[0].length"),
+    "inf-v-free": (_set("arcs", 0, "flux", "v_free", INF), "arcs[0].flux.v_free"),
+    "nan-size": (_set("groups", 0, "size", NAN), "groups[0].size"),
+    "inf-size": (_set("groups", 0, "size", INF), "groups[0].size"),
+    "huge-int-length": (_set("arcs", 0, "length", 10**400), "arcs[0].length"),
+    "groups-not-list": (_set("groups", 3), "scenario.groups"),
+    "arcs-not-list": (_set("arcs", "x"), "scenario.arcs"),
+    "node-not-string": (_set("arcs", 0, "from", ["a"]), "arcs[0].from"),
+    "nan-max-iter": (_set("solver", {"max_iter": NAN}), "solver.max_iter"),
+    "inf-bins": (_set("solver", {"bins": INF}), "solver.bins"),
+    "nan-profile-rate": (_set("profile", {"start": 0.0, "bin_width": 1.0,
+                                          "rates": [[[NAN]]]}), "profile.rates"),
+    "huge-int-profile-rate": (_set("profile", {"start": 0.0, "bin_width": 1.0,
+                                               "rates": [[[10**400]]]}), "profile.rates"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "nash"])
+@pytest.mark.parametrize("case", sorted(FAULTY_DOCS))
+def test_faulty_scenario_exits_2_with_location(tmp_path, command, case):
+    edit, where = FAULTY_DOCS[case]
+    doc = minimal_doc()
+    edit(doc)
+    path = write_scenario(tmp_path / "s.json", doc)
+    res = CliRunner().invoke(main, [command, "--scenario", path,
+                                    "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert where in res.output
+    assert not (tmp_path / "o" / "report.json").exists()

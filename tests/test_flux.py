@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from kinwave import (ArcDescriptor, CapacityError, ConfigurationError, DomainError,
                      FluxDescriptor)
-from kinwave.flux import eval_flux, h_kernel, inverse_g, legendre
 
 from oracles import greenshields_conjugate_grid, greenshields_density
 
@@ -20,19 +19,19 @@ ALL_KINDS = [GS, TRI, SAMPLED]
 
 class TestEvalFlux:
     def test_zero_density(self):
-        assert eval_flux(GS, 0.0) == 0.0
+        assert GS.flow(0.0) == 0.0
 
     def test_greenshields_vertex(self):
-        assert eval_flux(GS, 0.5) == pytest.approx(0.25, abs=1e-12)
+        assert GS.flow(0.5) == pytest.approx(0.25, abs=1e-12)
 
     def test_triangular_free_branch(self):
-        assert eval_flux(TRI, 0.25) == pytest.approx(0.25, abs=1e-12)
+        assert TRI.flow(0.25) == pytest.approx(0.25, abs=1e-12)
 
     def test_out_of_domain(self):
         with pytest.raises(DomainError):
-            eval_flux(GS, 1.5)
+            GS.flow(1.5)
         with pytest.raises(DomainError):
-            eval_flux(GS, -0.1)
+            GS.flow(-0.1)
 
     def test_capacity_values(self):
         assert GS.f_max == pytest.approx(0.25)
@@ -47,20 +46,20 @@ class TestEvalFlux:
 
 class TestInverseG:
     def test_at_zero(self):
-        assert inverse_g(GS, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert GS.density(0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_at_capacity(self):
-        assert inverse_g(GS, 0.25) == pytest.approx(0.5, abs=1e-9)
+        assert GS.density(0.25) == pytest.approx(0.5, abs=1e-9)
 
     def test_interior_against_bisection(self):
-        assert inverse_g(GS, 0.16) == pytest.approx(
+        assert GS.density(0.16) == pytest.approx(
             greenshields_density(0.16), abs=1e-9
         )
-        assert inverse_g(GS, 0.16) == pytest.approx(0.2, abs=1e-9)
+        assert GS.density(0.16) == pytest.approx(0.2, abs=1e-9)
 
     def test_over_capacity(self):
         with pytest.raises(CapacityError):
-            inverse_g(GS, 0.3)
+            GS.density(0.3)
 
     @pytest.mark.parametrize("flux", ALL_KINDS)
     def test_roundtrip_g_of_F(self, flux):
@@ -72,19 +71,19 @@ class TestInverseG:
 
 class TestLegendre:
     def test_at_zero_pace(self):
-        assert legendre(GS, 0.0) == 0.0
+        assert GS.conjugate(0.0) == 0.0
 
     def test_below_free_flow_pace(self):
-        assert legendre(GS, 1.0) == pytest.approx(
+        assert GS.conjugate(1.0) == pytest.approx(
             greenshields_conjugate_grid(1.0), abs=1e-8
         )
-        assert legendre(GS, 1.0) == 0.0
+        assert GS.conjugate(1.0) == 0.0
 
     def test_above_free_flow_pace(self):
-        assert legendre(GS, 2.0) == pytest.approx(
+        assert GS.conjugate(2.0) == pytest.approx(
             greenshields_conjugate_grid(2.0), abs=1e-6
         )
-        assert legendre(GS, 2.0) == pytest.approx(0.125, abs=1e-12)
+        assert GS.conjugate(2.0) == pytest.approx(0.125, abs=1e-12)
 
     @pytest.mark.parametrize("flux", ALL_KINDS)
     def test_monotone_and_nonnegative(self, flux):
@@ -114,19 +113,19 @@ class TestLegendre:
 
 class TestHKernel:
     def test_zero_on_support(self):
-        assert h_kernel(GS, 1.0, -0.5) == 0.0
+        assert GS.kernel(1.0, -0.5) == 0.0
 
     def test_matches_conjugate_grid(self):
-        assert h_kernel(GS, 1.0, -2.0) == pytest.approx(
+        assert GS.kernel(1.0, -2.0) == pytest.approx(
             -greenshields_conjugate_grid(2.0), abs=1e-6
         )
-        assert h_kernel(GS, 1.0, -2.0) == pytest.approx(-0.125, abs=1e-12)
+        assert GS.kernel(1.0, -2.0) == pytest.approx(-0.125, abs=1e-12)
 
     @pytest.mark.parametrize("flux", ALL_KINDS)
     def test_zero_at_minus_mu(self, flux):
         L = 1.3
         mu = L * flux.free_flow_pace
-        assert h_kernel(flux, L, -mu) == pytest.approx(0.0, abs=1e-12)
+        assert flux.kernel(L, -mu) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("flux", ALL_KINDS)
     def test_concavity(self, flux):

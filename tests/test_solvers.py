@@ -1,11 +1,14 @@
 """Cost evaluation, equilibrium gap, and the two solvers on small instances."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinwave import (ArcDescriptor, ConfigurationError, CostFunction,
                      DepartureProfile, FluxDescriptor, GroupDescriptor, Network,
                      arrival_time_path, cost_profile, nash_gap, network_load,
                      per_driver_times, solve_global, solve_nash, total_cost)
+from kinwave.solvers import _project_box_simplex
 
 from oracles import riemann_cost, scalar_best_cost
 
@@ -184,3 +187,28 @@ class TestSolveGlobal:
         bad = DepartureProfile(0.0, 1.0, np.full((1, 1, 1), 0.3))
         with pytest.raises(ConfigurationError):
             solve_global(net, bins=4, init=bad)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 600), seed=st.integers(0, 2**32 - 1),
+       capped=st.booleans(), empty=st.booleans())
+def test_project_box_simplex_kkt(n, seed, capped, empty):
+    """Feasible, of the form clip(v - theta, 0, cap) for one theta, and
+    carrying the full mass up to rounding."""
+    rng = np.random.default_rng(seed)
+    total = 0.0 if empty else float(rng.uniform(0.01, 10.0))
+    v = rng.normal(size=n) * max(total, 1.0)
+    cap = total / n * rng.uniform(1.0, 5.0) if capped else np.inf
+    x = _project_box_simplex(v, total, cap)
+    assert np.all(x >= 0.0) and np.all(x <= cap)
+    assert abs(x.sum() - total) <= 1e-12 * total
+    # KKT form: x = clip(v - theta, 0, cap) for one theta; try the theta
+    # each cell strictly inside its box implies, and the edges that the
+    # cells at 0 and at cap allow
+    thetas = list((v - x)[(x > 0.0) & (x < cap)])
+    if np.any(x == 0.0):
+        thetas.append(np.max(v[x == 0.0]))
+    if np.any(x == cap):
+        thetas.append(np.min((v - cap)[x == cap]))
+    err = np.abs(np.clip(v - np.array(thetas)[:, None], 0.0, cap) - x).max(axis=1)
+    assert err.min() <= 1e-12 * max(1.0, np.max(np.abs(v)))
