@@ -211,11 +211,10 @@ def parse_scenario(path) -> Scenario:
     for key in ("bins", "dt", "tol", "damping"):
         if solver[key] <= 0:
             raise ScenarioError(f"solver.{key}: must be positive")
-    for key in ("max_iter", "restarts", "seed"):
+    for key in ("bins", "max_iter", "restarts", "seed"):
         if solver[key] < 0 or solver[key] != int(solver[key]):
             raise ScenarioError(f"solver.{key}: must be a nonnegative integer")
         solver[key] = int(solver[key])
-    solver["bins"] = int(solver["bins"])
 
     try:
         network = Network(nodes, arcs, groups)
@@ -243,7 +242,8 @@ def parse_scenario(path) -> Scenario:
 
 
 def _write_json(path, obj):
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _profile_dict(profile):

@@ -67,8 +67,13 @@ class CumulativeCurve:
             raise DomainError("need len(times) == len(rates) + 1")
         if np.any(rates < 0):
             raise DomainError("rates must be nonnegative")
-        v = np.concatenate(([0.0], np.cumsum(rates * np.diff(times))))
-        return cls(times, v).simplify()
+        widths = np.diff(times)
+        if np.any(widths <= 0):
+            raise DomainError("breakpoint times must be strictly increasing")
+        v = np.concatenate(([0.0], np.cumsum(rates * widths)))
+        keep = np.ones(len(times), dtype=bool)
+        keep[1:-1] = rates[1:] != rates[:-1]    # an edge between equal rates is collinear
+        return cls(times[keep], v[keep]).simplify()
 
     @classmethod
     def combine(cls, curves):
@@ -128,28 +133,31 @@ class CumulativeCurve:
     # -- transforms ---------------------------------------------------
 
     def simplify(self):
-        """Drop interior breakpoints that are (numerically) collinear."""
+        """Drop interior breakpoints that are (numerically) collinear, in one O(n) pass.
+
+        Left to right, point i goes when |cross(a, i, i+1)| <= _REL * scale *
+        (t[i+1] - t[a]), a being the last kept point and scale = max(1, max|v|).
+        Only the points after a dropped one need the Python loop.
+        """
         t, v = self.t, self.v
-        scale = max(1.0, float(np.abs(v).max()))
-        # repeated vectorized passes: dropping a point can expose new
-        # collinearity, but a fixpoint is reached in very few rounds
-        while len(t) > 2:
-            cross = (t[1:-1] - t[:-2]) * (v[2:] - v[:-2]) - (t[2:] - t[:-2]) * (
-                v[1:-1] - v[:-2]
-            )
-            span = np.maximum(t[2:] - t[:-2], 1e-300)
-            drop = np.abs(cross) <= _REL * scale * span
-            if not np.any(drop):
-                break
-            # never drop two adjacent points in one pass (each test assumes
-            # its neighbours survive)
-            drop[1:] &= ~drop[:-1]
-            keep = np.ones(len(t), dtype=bool)
-            keep[1:-1] = ~drop
-            t, v = t[keep], v[keep]
-        if t is self.t:
+        tol = _REL * max(1.0, float(np.abs(v).max()))
+        cross = (t[1:-1] - t[:-2]) * (v[2:] - v[:-2]) - (t[2:] - t[:-2]) * (v[1:-1] - v[:-2])
+        span = np.maximum(t[2:] - t[:-2], 1e-300)
+        cands = np.flatnonzero(np.abs(cross) <= tol * span)   # anchors a with a+1 droppable
+        if not len(cands):
             return self
-        return CumulativeCurve(t, v, validate=False)
+        tl, vl, keep, i = t.tolist(), v.tolist(), np.ones(len(t), dtype=bool), 0
+        for a in cands.tolist():
+            if a < i:
+                continue    # a+1 was already tested against an earlier anchor
+            i, ta, va = a + 1, tl[a], vl[a]
+            while i < len(tl) - 1:
+                cr = (tl[i] - ta) * (vl[i + 1] - va) - (tl[i + 1] - ta) * (vl[i] - va)
+                if abs(cr) > tol * max(tl[i + 1] - ta, 1e-300):
+                    break   # i is kept and anchors the points after it
+                keep[i] = False
+                i += 1
+        return CumulativeCurve(t[keep], v[keep], validate=False)
 
     def truncate(self, T):
         """Freeze the curve at time T (constant extension afterwards)."""

@@ -37,8 +37,8 @@ class FluxDescriptor:
         if kind == "greenshields":
             a = float(self.params["v_free"])
             R = float(self.params["rho_jam"])
-            if a <= 0 or R <= 0:
-                raise ConfigurationError("greenshields needs v_free > 0 and rho_jam > 0")
+            if not (0 < a < np.inf and 0 < R < np.inf):
+                raise ConfigurationError("greenshields needs finite v_free > 0, rho_jam > 0")
             self.rho_jam = R
             self.rho_star = R / 2.0
             self.f_max = a * R / 4.0
@@ -48,8 +48,8 @@ class FluxDescriptor:
             a = float(self.params["v_free"])
             w = float(self.params["w_back"])
             R = float(self.params["rho_jam"])
-            if a <= 0 or w <= 0 or R <= 0:
-                raise ConfigurationError("triangular needs positive v_free, w_back, rho_jam")
+            if not all(0 < x < np.inf for x in (a, w, R)):
+                raise ConfigurationError("triangular needs finite v_free, w_back, rho_jam > 0")
             self.rho_jam = R
             self.rho_star = w * R / (a + w)
             self.f_max = a * self.rho_star
@@ -77,8 +77,8 @@ class FluxDescriptor:
 
     def _init_sampled(self, breakpoints):
         pts = np.asarray(breakpoints, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
-            raise ConfigurationError("sampled flux needs >= 3 (density, flow) breakpoints")
+        if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3 or not np.isfinite(pts).all():
+            raise ConfigurationError("sampled flux needs >= 3 finite (density, flow) points")
         rho, q = pts[:, 0], pts[:, 1]
         if not np.all(np.diff(rho) > 0):
             raise ConfigurationError("sampled flux densities must be strictly increasing")
@@ -265,9 +265,9 @@ class ArcDescriptor:
     flux: FluxDescriptor
 
     def __post_init__(self):
-        if self.length <= 0:
+        if not 0 < self.length < np.inf:
             raise ConfigurationError(
-                f"arc {self.from_node}->{self.to_node} must have positive length"
+                f"arc {self.from_node}->{self.to_node} must have finite positive length"
             )
 
     @property

@@ -179,7 +179,7 @@ def network_load(network: Network, profile: DepartureProfile, *, dt=1e-3,
             path_arcs[(k, p)] = arcs
             for hop, arc in enumerate(arcs):
                 feeders[arc.key].append((k, p, hop))
-            result.departures[(k, p)] = profile.departure_curve(k, p).simplify()
+            result.departures[(k, p)] = profile.departure_curve(k, p)
 
     if not path_arcs:
         t0 = profile.start

@@ -24,6 +24,8 @@ class CostFunction:
     def __init__(self, kind, params):
         self.kind = kind
         self.params = dict(params)
+        if not all(np.isfinite(float(x)) for x in self.params.values()):
+            raise ConfigurationError(f"{kind} cost parameters must be finite")
         if kind == "vickrey":
             e = self.params["early_rate"]
             l = self.params["late_rate"]
@@ -109,8 +111,8 @@ class GroupDescriptor:
     arrival_cost: CostFunction
 
     def __post_init__(self):
-        if self.size < 0:
-            raise ConfigurationError("group size must be nonnegative")
+        if not 0 <= self.size < np.inf:
+            raise ConfigurationError("group size must be finite and nonnegative")
         if self.origin == self.destination:
             raise ConfigurationError("group origin and destination must differ")
 
@@ -162,8 +164,8 @@ class SolverBounds:
     delta_min: float   # shortest free-flow traversal time over all arcs
 
     def __post_init__(self):
-        if min(self.t_max, self.t0, self.kappa, self.horizon, self.delta_min) <= 0:
-            raise ConfigurationError("all solver bounds must be positive")
+        if not all(0 < x < np.inf for x in vars(self).values()):
+            raise ConfigurationError("all solver bounds must be finite and positive")
         total = self.horizon - self.t0
         if total < -1e-9 * max(1.0, self.horizon):
             raise ConfigurationError("horizon must equal t0 + G/kappa")

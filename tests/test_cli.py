@@ -220,6 +220,7 @@ FAULTY_DOCS = {
     "node-not-string": (_set("arcs", 0, "from", ["a"]), "arcs[0].from"),
     "nan-max-iter": (_set("solver", {"max_iter": NAN}), "solver.max_iter"),
     "inf-bins": (_set("solver", {"bins": INF}), "solver.bins"),
+    "fractional-bins": (_set("solver", {"bins": 2.5}), "solver.bins"),
     "nan-profile-rate": (_set("profile", {"start": 0.0, "bin_width": 1.0,
                                           "rates": [[[NAN]]]}), "profile.rates"),
     "huge-int-profile-rate": (_set("profile", {"start": 0.0, "bin_width": 1.0,

@@ -1,4 +1,6 @@
 """Cumulative curves and single-arc evolution against brute-force oracles."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from kinwave import (ArcDescriptor, CumulativeCurve, DomainError, ExitComputation,
                      FluxDescriptor, exit_time, lax_hopf_exit,
                      modulus_of_continuity)
+from kinwave.curves import _REL
 
 from oracles import brute_lax_hopf, greenshields_density
 
@@ -21,6 +24,55 @@ SAMPLED_ARC = ArcDescriptor(
 def steady_travel_time(u):
     """L * g(u) / u for the unit Greenshields arc."""
     return greenshields_density(u) / u
+
+
+def fixpoint_simplify(t, v):
+    """Reference rule: repeated vectorised passes until no point is droppable.
+
+    Each pass tests every interior point against its current neighbours and
+    drops the first point of each run of droppable points.  A run of n
+    collinear points therefore takes n passes.
+    """
+    scale = max(1.0, float(np.abs(v).max()))
+    while len(t) > 2:
+        cross = (t[1:-1] - t[:-2]) * (v[2:] - v[:-2]) - (t[2:] - t[:-2]) * (
+            v[1:-1] - v[:-2]
+        )
+        span = np.maximum(t[2:] - t[:-2], 1e-300)
+        drop = np.abs(cross) <= _REL * scale * span
+        if not np.any(drop):
+            break
+        drop[1:] &= ~drop[:-1].copy()
+        keep = np.ones(len(t), dtype=bool)
+        keep[1:-1] = ~drop
+        t, v = t[keep], v[keep]
+    return t, v
+
+
+def exact_left_inverse(curve, beta):
+    """inf{ t : curve(t) >= beta }, in exact rational arithmetic on the breakpoints."""
+    b = Fraction(beta)
+    t = [Fraction(x) for x in curve.t]
+    v = [Fraction(x) for x in curve.v]
+    j = next(i for i, vi in enumerate(v) if vi >= b)
+    if j == 0:
+        return t[0]
+    return t[j - 1] + (b - v[j - 1]) / (v[j] - v[j - 1]) * (t[j] - t[j - 1])
+
+
+# runs of one rate, up to 600 bins in all.  RATE_RUNS rates are multiples
+# of 1/8, zero included, so every rate change is far above the simplify
+# tolerance; ANY_RATE_RUNS may change the rate by as little as that
+# tolerance, where merging equal-rate bins first may keep a breakpoint
+# that simplifying every bin edge would drop.
+RATE_RUNS = st.lists(st.tuples(st.integers(0, 24).map(lambda k: k / 8.0),
+                               st.integers(1, 120)), min_size=1, max_size=12)
+ANY_RATE_RUNS = st.lists(st.tuples(st.floats(0.0, 3.0), st.integers(1, 120)),
+                         min_size=1, max_size=12)
+
+
+def step_rates(runs):
+    return np.repeat([r for r, _ in runs], [n for _, n in runs])[:600]
 
 
 class TestCumulativeCurve:
@@ -70,12 +122,14 @@ class TestCumulativeCurve:
             return
         beta = data.draw(st.floats(0.0, 1.0)) * c.total
         t = c.inverse(beta)
-        # oracle: first grid time where the curve reaches beta
-        grid = np.linspace(c.t[0], c.t[-1], 20001)
-        vals = c(grid)
-        idx = np.argmax(vals >= beta)
-        assert t <= grid[idx] + 1e-3
+        assert abs(t - float(exact_left_inverse(c, beta))) <= 1e-3
         assert c(t) >= beta - 1e-9
+
+    def test_inverse_subnormal_rate(self):
+        # a grid oracle rounds 0.5001 * 5e-324 up to 5e-324 and would put
+        # the crossing at 0.5001; the exact crossing is the end of bin 0
+        c = CumulativeCurve.from_step_rates([0.0, 1.0, 2.0], [5e-324, 1.0])
+        assert c.inverse(5e-324) == exact_left_inverse(c, 5e-324) == 1.0
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())
@@ -88,6 +142,75 @@ class TestCumulativeCurve:
         )
         s = c.simplify()
         grid = np.linspace(-1.0, n + 1.0, 307)
+        assert np.max(np.abs(s(grid) - c(grid))) <= 1e-9 * max(1.0, c.total)
+
+    @settings(max_examples=200, deadline=None)
+    @given(RATE_RUNS, st.floats(1e-3, 10.0), st.floats(-10.0, 10.0), st.floats(1e-3, 2.0))
+    def test_from_step_rates_matches_fixpoint(self, runs, scale, start, width):
+        rates = scale * step_rates(runs)
+        times = start + width * np.arange(len(rates) + 1)
+        full = CumulativeCurve(
+            times, np.concatenate(([0.0], np.cumsum(rates * np.diff(times))))
+        )
+        t, v = fixpoint_simplify(full.t, full.v)
+        c = CumulativeCurve.from_step_rates(times, rates)
+        assert np.array_equal(c.t, t) and np.array_equal(c.v, v)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ANY_RATE_RUNS, st.floats(-10.0, 10.0), st.floats(1e-3, 2.0))
+    def test_from_step_rates_contract(self, runs, start, width):
+        rates = step_rates(runs)
+        times = start + width * np.arange(len(rates) + 1)
+        exact = np.concatenate(([0.0], np.cumsum(rates * np.diff(times))))
+        c = CumulativeCurve.from_step_rates(times, rates)
+        assert c.t[0] == times[0] and c.t[-1] == times[-1] and c.v[-1] == exact[-1]
+        assert np.all(np.isin(c.t, times))
+        assert np.max(np.abs(c(times) - exact)) <= 1e-9 * max(1.0, exact[-1])
+
+    @pytest.mark.parametrize("arc", [GS_ARC, TRI_ARC, SAMPLED_ARC])
+    def test_simplify_matches_fixpoint_on_exits(self, arc, monkeypatch):
+        inputs, simplify = [], CumulativeCurve.simplify
+
+        def recording(curve):
+            inputs.append((curve.t, curve.v))
+            return simplify(curve)
+
+        monkeypatch.setattr(CumulativeCurve, "simplify", recording)
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            rates = rng.uniform(0.0, 1.5 * arc.flux.f_max, size=3)
+            entry = CumulativeCurve.from_step_rates(np.linspace(0.0, 1.5, 4), rates)
+            lax_hopf_exit(entry, arc, dt=1e-3)
+        monkeypatch.undo()
+        dropped = 0
+        for t, v in inputs:
+            s = CumulativeCurve(t, v, validate=False).simplify()
+            ref_t, ref_v = fixpoint_simplify(t, v)
+            assert np.array_equal(s.t, ref_t) and np.array_equal(s.v, ref_v)
+            dropped += len(t) - len(s.t)
+        assert dropped > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_simplify_contract(self, data):
+        # arbitrary curves, near-collinear ones included: the one-pass rule
+        # may keep other points than the fixpoint rule here, so only the
+        # contract is checked
+        n = data.draw(st.integers(1, 60))
+        gaps = data.draw(st.lists(st.floats(1e-6, 5.0), min_size=n - 1, max_size=n - 1))
+        t = np.concatenate(([0.0], np.cumsum(gaps)))
+        slope = data.draw(st.floats(0.0, 3.0))
+        noise = data.draw(st.lists(st.sampled_from([0.0, 1e-13, 1e-12, 1e-9, 0.5]),
+                                   min_size=n, max_size=n))
+        v = np.maximum.accumulate(np.maximum(slope * t + np.array(noise), 0.0))
+        v -= v[0]
+        c = CumulativeCurve(t, v)
+        s = c.simplify()
+        assert s.t[0] == c.t[0] and s.t[-1] == c.t[-1]
+        assert s.v[0] == c.v[0] and s.v[-1] == c.v[-1]
+        idx = np.searchsorted(c.t, s.t)
+        assert np.array_equal(c.t[idx], s.t) and np.array_equal(c.v[idx], s.v)
+        grid = np.concatenate((c.t, np.linspace(-1.0, c.t[-1] + 1.0, 101)))
         assert np.max(np.abs(s(grid) - c(grid))) <= 1e-9 * max(1.0, c.total)
 
     def test_truncate_and_shift(self):

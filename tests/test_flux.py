@@ -15,6 +15,7 @@ SAMPLED = FluxDescriptor.sampled(
     [[0.0, 0.0], [0.2, 0.18], [0.5, 0.25], [0.8, 0.12], [1.0, 0.0]]
 )
 ALL_KINDS = [GS, TRI, SAMPLED]
+NAN, INF = float("nan"), float("inf")
 
 
 class TestEvalFlux:
@@ -162,6 +163,23 @@ class TestValidation:
     def test_arc_requires_positive_length(self):
         with pytest.raises(ConfigurationError):
             ArcDescriptor("a", "b", 0.0, TRI)
+
+    @pytest.mark.parametrize("make", [
+        lambda: FluxDescriptor.greenshields(NAN, 1.0),
+        lambda: FluxDescriptor.greenshields(1.0, INF),
+        lambda: FluxDescriptor.triangular(1.0, NAN, 1.0),
+        lambda: FluxDescriptor.triangular(INF, 1.0, 1.0),
+        lambda: FluxDescriptor.sampled([[0, 0], [0.5, NAN], [1, 0]]),
+        lambda: FluxDescriptor.sampled([[0, 0], [0.5, 0.25], [INF, 0]]),
+    ], ids=["gs-nan", "gs-inf", "tri-nan", "tri-inf", "sampled-nan", "sampled-inf"])
+    def test_flux_rejects_non_finite(self, make):
+        with pytest.raises(ConfigurationError):
+            make()
+
+    @pytest.mark.parametrize("length", [NAN, INF])
+    def test_arc_rejects_non_finite_length(self, length):
+        with pytest.raises(ConfigurationError):
+            ArcDescriptor("a", "b", length, TRI)
 
     def test_arc_mu(self):
         arc = ArcDescriptor("a", "b", 2.0, GS)

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from kinwave import (ArcDescriptor, ConfigurationError, CostFunction, FluxDescriptor,
-                     GroupDescriptor, Network, compute_bounds, enumerate_paths,
-                     max_travel_time, validate_assumptions)
+                     GroupDescriptor, Network, SolverBounds, compute_bounds,
+                     enumerate_paths, max_travel_time, validate_assumptions)
 from kinwave.network import scan_window
 
 from oracles import count_simple_paths
 
 TRI = FluxDescriptor.triangular(1.0, 1.0, 1.0)
 GS = FluxDescriptor.greenshields(1.0, 1.0)
+NAN, INF = float("nan"), float("inf")
 
 
 def simple_group(size=0.1, origin="a", destination="b", psi=None):
@@ -66,6 +67,18 @@ class TestCostFunction:
         with pytest.raises(ConfigurationError):
             CostFunction("exp", {})
 
+    @pytest.mark.parametrize("make", [
+        lambda: CostFunction.affine(NAN, -1.0),
+        lambda: CostFunction.quadratic(0.0, 1.0, INF),
+        lambda: CostFunction.vickrey(1.0, NAN, 0.4),
+        lambda: CostFunction.vickrey(NAN, 0.2, 0.4),
+        lambda: CostFunction.vickrey(1.0, 0.2, 0.4, smoothing=INF),
+    ], ids=["affine-nan", "quadratic-inf", "vickrey-rate-nan", "vickrey-target-nan",
+            "vickrey-smoothing-inf"])
+    def test_rejects_non_finite_parameters(self, make):
+        with pytest.raises(ConfigurationError):
+            make()
+
 
 class TestNetworkConstruction:
     def test_duplicate_arc(self):
@@ -84,6 +97,20 @@ class TestNetworkConstruction:
     def test_same_origin_destination(self):
         with pytest.raises(ConfigurationError):
             simple_group(origin="a", destination="a")
+
+    @pytest.mark.parametrize("size", [NAN, INF])
+    def test_group_rejects_non_finite_size(self, size):
+        with pytest.raises(ConfigurationError):
+            simple_group(size=size)
+
+
+@pytest.mark.parametrize("field", ["t_max", "t0", "kappa", "horizon", "delta_min"])
+@pytest.mark.parametrize("bad", [NAN, INF])
+def test_solver_bounds_reject_non_finite(field, bad):
+    values = {"t_max": 1.0, "t0": 1.0, "kappa": 1.0, "horizon": 2.0, "delta_min": 1.0}
+    SolverBounds(**values)
+    with pytest.raises(ConfigurationError):
+        SolverBounds(**dict(values, **{field: bad}))
 
 
 class TestEnumeratePaths:
