@@ -20,6 +20,8 @@ from .errors import DomainError, LoadingError
 from .flux import ArcDescriptor
 
 _REL = 1e-12
+# growths (x1.5 each) of the grid exit's horizon past its a-priori drain bound
+_MAX_HORIZON_GROWTHS = 8
 
 
 class CumulativeCurve:
@@ -267,27 +269,43 @@ def _exact_minplus(entry: CumulativeCurve, arc: ArcDescriptor) -> CumulativeCurv
     return CumulativeCurve(ts, vs, validate=False).simplify()
 
 
-def _monge_row_minima(ts, taus, U, objective):
+def _monge_row_minima(ts, taus, U, kernel):
     """Row minima of A[r, c] = U[c] + K(ts[r] - taus[c]) by divide and conquer.
 
     Valid because the kernel is convex, making A inverse-Monge; the
-    (leftmost) minimizing column is then nondecreasing in the row index.
+    leftmost minimizing column is then nondecreasing in the row index.
+    Each interval (r0, r1, c0, c1) solves its middle row rm over columns
+    [c0, c1) and hands rows [r0, rm) the columns up to that row's argmin
+    and rows (rm, r1) the columns from it.  The recursion runs one level at
+    a time: the level's intervals are laid out as flat (row, col) cells, at
+    most len(ts) + len(taus) of them, and ``kernel`` is called once,
+    elementwise, on all their ts[r] - taus[c], so about log2 len(ts) calls
+    in all.  Each segment's leftmost minimum is the first cell equal to its
+    ``np.minimum.reduceat`` value, and ``vals`` is read from that cell, so
+    ties and signed zeros come out as ``np.argmin`` per row gives them.
+    The kernel must not return NaN.
     """
     n = len(ts)
     vals = np.empty(n)
     args = np.empty(n, dtype=int)
-    stack = [(0, n, 0, len(taus))]
-    while stack:
-        r0, r1, c0, c1 = stack.pop()
-        if r0 >= r1:
-            continue
+    r0, r1 = np.array([0]), np.array([n])
+    c0, c1 = np.array([0]), np.array([len(taus)])
+    while len(r0):
         rm = (r0 + r1) // 2
-        row = objective(ts[rm], taus[c0:c1], U[c0:c1])
-        j = int(np.argmin(row))
-        vals[rm] = row[j]
-        args[rm] = c0 + j
-        stack.append((r0, rm, c0, c0 + j + 1))
-        stack.append((rm + 1, r1, c0 + j, c1))
+        lens = c1 - c0
+        starts = np.concatenate(([0], np.cumsum(lens[:-1])))
+        cols = np.repeat(c0 - starts, lens) + np.arange(starts[-1] + lens[-1])
+        flat = kernel(np.repeat(ts[rm], lens) - taus[cols]) + U[cols]
+        seg_min = np.minimum.reduceat(flat, starts)
+        hits = np.flatnonzero(flat == np.repeat(seg_min, lens))
+        first = hits[np.searchsorted(hits, starts)]
+        j = cols[first]
+        vals[rm] = flat[first]
+        args[rm] = j
+        r0, r1 = np.concatenate((r0, rm + 1)), np.concatenate((rm, r1))
+        c0, c1 = np.concatenate((c0, j)), np.concatenate((j + 1, c1))
+        live = r0 < r1
+        r0, r1, c0, c1 = r0[live], r1[live], c0[live], c1[live]
     return vals, args
 
 
@@ -312,10 +330,10 @@ def _grid_minplus(entry, arc, dt, t_hi=None):
         t_end = min(t_end, t_hi)
     t_lo = entry.t[0] + mu
 
-    def objective(t, tau_slice, u_slice):
-        return u_slice + L * flux.conjugate((t - tau_slice) / L)
+    def kernel(s):
+        return L * flux.conjugate(s / L)
 
-    while True:
+    for _ in range(_MAX_HORIZON_GROWTHS + 1):
         n = max(2, int(np.ceil((t_end - t_lo) / dt)) + 1)
         ts = t_lo + dt * np.arange(n)
         tau_grid = entry.t[0] + dt * np.arange(
@@ -323,10 +341,15 @@ def _grid_minplus(entry, arc, dt, t_hi=None):
         )
         taus = np.unique(np.concatenate((tau_grid, entry.t)))
         U = entry(taus)
-        vals, _ = _monge_row_minima(ts, taus, U, objective)
+        vals, _ = _monge_row_minima(ts, taus, U, kernel)
         if t_hi is not None or vals[-1] >= total - 1e-9 * max(1.0, total):
             break
         t_end = t_lo + 1.5 * (t_end - t_lo)
+    else:
+        raise LoadingError(
+            f"grid exit on arc {arc.key} did not drain its entry mass within "
+            f"{_MAX_HORIZON_GROWTHS} horizon growths"
+        )
     vals = np.clip(vals, 0.0, total)
     vals = np.maximum.accumulate(vals)
     return CumulativeCurve(ts, vals, validate=False).simplify()

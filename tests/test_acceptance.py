@@ -4,13 +4,16 @@ Each test prints a single `criterion N: PASS/FAIL` line (visible even under
 pytest's output capture) and asserts the criterion at its pinned tolerance.
 """
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kinwave
 from kinwave import (ArcDescriptor, CostFunction, CumulativeCurve, DepartureProfile,
                      FluxDescriptor, GroupDescriptor, Network, arrival_time_path,
                      compute_bounds, lax_hopf_exit, modulus_of_continuity,
@@ -405,13 +408,10 @@ def test_criterion_9_determinism(capsys, tmp_path):
     scen = tmp_path / "scenario.json"
     scen.write_text(json.dumps(doc), encoding="utf-8")
 
-    def run(cmd, out):
-        subprocess.run(
-            [sys.executable, "-m", "kinwave.cli", cmd, "--scenario", str(scen),
-             "--out", str(out), "--dump-curves"],
-            capture_output=True, check=False,
-        )
-
+    # the subprocesses import kinwave from this checkout's src, as this process does
+    src = str(Path(kinwave.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     mismatches = []
     for cmd, bins_flag in (("nash", None), ("opt", 4)):
         outs = []
@@ -421,7 +421,8 @@ def test_criterion_9_determinism(capsys, tmp_path):
                     str(scen), "--out", str(out), "--dump-curves"]
             if bins_flag:
                 args += ["--bins", str(bins_flag)]
-            subprocess.run(args, capture_output=True, check=False)
+            proc = subprocess.run(args, capture_output=True, check=False, env=env, text=True)
+            assert proc.returncode == 0, f"{cmd} exited {proc.returncode}: {proc.stderr}"
             outs.append(out)
         a, b = outs
         files_a = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file()

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinwave import (ArcDescriptor, CumulativeCurve, DomainError, ExitComputation,
-                     FluxDescriptor, exit_time, lax_hopf_exit,
+                     FluxDescriptor, LoadingError, exit_time, lax_hopf_exit,
                      modulus_of_continuity)
-from kinwave.curves import _REL
+from kinwave import curves
+from kinwave.curves import _MAX_HORIZON_GROWTHS, _REL, _grid_minplus, _monge_row_minima
 
 from oracles import brute_lax_hopf, greenshields_density
 
@@ -47,6 +48,30 @@ def fixpoint_simplify(t, v):
         keep[1:-1] = ~drop
         t, v = t[keep], v[keep]
     return t, v
+
+
+def rowwise_monge_row_minima(ts, taus, U, kernel):
+    """Reference row minima: the same divide and conquer, one row per kernel call.
+
+    Depth first from a stack; each popped interval solves its middle row
+    with ``np.argmin`` over its column range.
+    """
+    n = len(ts)
+    vals = np.empty(n)
+    args = np.empty(n, dtype=int)
+    stack = [(0, n, 0, len(taus))]
+    while stack:
+        r0, r1, c0, c1 = stack.pop()
+        if r0 >= r1:
+            continue
+        rm = (r0 + r1) // 2
+        row = U[c0:c1] + kernel(ts[rm] - taus[c0:c1])
+        j = int(np.argmin(row))
+        vals[rm] = row[j]
+        args[rm] = c0 + j
+        stack.append((r0, rm, c0, c0 + j + 1))
+        stack.append((rm + 1, r1, c0 + j, c1))
+    return vals, args
 
 
 def exact_left_inverse(curve, beta):
@@ -362,3 +387,59 @@ class TestMonotoneComparison:
             gap_in = np.max(np.abs(hi(grid) - lo(grid)))
             gap_out = np.max(np.abs(e_hi(grid) - e_lo(grid)))
             assert gap_out <= gap_in + 1e-6
+
+
+class TestMongeRowMinima:
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(0.2, 2.0),
+           st.integers(1, 400), st.integers(1, 400), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_matches_rowwise_and_dense(self, v_free, rho_jam, L, n, m, zero_u, seed):
+        flux = FluxDescriptor.greenshields(v_free, rho_jam)
+        rng = np.random.default_rng(seed)
+        span = 4.0 * L / v_free
+        ts = np.sort(rng.uniform(0.0, span, n))
+        taus = np.unique(rng.uniform(0.0, span, m))
+        # all-zero U leaves every column where the kernel is zero tied
+        U = np.zeros(len(taus)) if zero_u else np.cumsum(
+            rng.uniform(0.0, flux.f_max, len(taus)) * np.diff(taus, prepend=taus[0]))
+
+        def kernel(s):
+            return L * flux.conjugate(s / L)
+
+        vals, args = _monge_row_minima(ts, taus, U, kernel)
+        ref_vals, ref_args = rowwise_monge_row_minima(ts, taus, U, kernel)
+        assert np.array_equal(vals, ref_vals) and np.array_equal(args, ref_args)
+        assert np.array_equal(np.signbit(vals), np.signbit(ref_vals))
+        dense = U[None, :] + kernel(ts[:, None] - taus[None, :])
+        assert np.array_equal(args, np.argmin(dense, axis=1))
+        assert np.array_equal(vals, dense[np.arange(len(ts)), args])
+
+    @pytest.mark.parametrize("dt", [2e-3, 1e-3])
+    @pytest.mark.parametrize("t_hi", [None, 2.5])
+    def test_grid_exit_matches_rowwise(self, dt, t_hi, monkeypatch):
+        rng = np.random.default_rng(5)
+        entries = [CumulativeCurve.from_step_rates([0.0, 1.0], [0.16])]
+        entries += [CumulativeCurve.from_step_rates(np.linspace(0.0, 1.5, 4),
+                                                    rng.uniform(0.0, 0.4, size=3))
+                    for _ in range(3)]
+        for entry in entries:
+            new = _grid_minplus(entry, GS_ARC, dt, t_hi=t_hi)
+            with monkeypatch.context() as m:
+                m.setattr(curves, "_monge_row_minima", rowwise_monge_row_minima)
+                ref = _grid_minplus(entry, GS_ARC, dt, t_hi=t_hi)
+            assert np.array_equal(new.t, ref.t) and np.array_equal(new.v, ref.v)
+
+    def test_horizon_growth_is_bounded(self, monkeypatch):
+        calls = []
+
+        def short(ts, taus, U, kernel):
+            calls.append(len(ts))
+            return np.zeros(len(ts)), np.zeros(len(ts), dtype=int)
+
+        monkeypatch.setattr(curves, "_monge_row_minima", short)
+        entry = CumulativeCurve.from_step_rates([0.0, 1.0], [0.16])
+        with pytest.raises(LoadingError, match=r"arc \('a', 'b'\)"):
+            _grid_minplus(entry, GS_ARC, 1e-2)
+        assert len(calls) == _MAX_HORIZON_GROWTHS + 1
+        assert all(a < b for a, b in zip(calls, calls[1:]))
