@@ -194,19 +194,11 @@ def _exact_minplus(entry: CumulativeCurve, arc: ArcDescriptor) -> CumulativeCurv
     s_kinks = L * paces  # s_kinks[0] == mu
     K_at_kinks = L * flux.conjugate(paces)
 
-    def kernel(s):
-        return L * flux.conjugate(np.asarray(s, dtype=float) / L)
-
-    def kernel_inv(x):
-        return L * flux.conjugate_inverse(x / L)
-
     # candidate kink times of the lower envelope; the envelope reaches the
     # total mass once every member function has, so collect each member's
     # reach-total time as well
-    drain_a = taus + np.array([kernel_inv(total - u) for u in U])
-    drain_b = np.array(
-        [entry.inverse(max(0.0, total - k)) for k in K_at_kinks]
-    ) + s_kinks
+    drain_a = taus + arc.minplus_kernel_inverse(total - U)
+    drain_b = entry.inverse(np.maximum(0.0, total - K_at_kinks)) + s_kinks
     cands = (taus[:, None] + s_kinks[None, :]).ravel()
     cands = np.unique(np.concatenate((cands, drain_a, drain_b, [taus[0] + mu])))
     t_end = float(max(np.max(drain_a), np.max(drain_b)))
@@ -216,7 +208,7 @@ def _exact_minplus(entry: CumulativeCurve, arc: ArcDescriptor) -> CumulativeCurv
 
     def eval_all(tvec):
         tvec = np.atleast_1d(np.asarray(tvec, dtype=float))
-        fam_a = U[None, :] + kernel(tvec[:, None] - taus[None, :])
+        fam_a = U[None, :] + arc.minplus_kernel(tvec[:, None] - taus[None, :])
         fam_b = entry(tvec[:, None] - s_kinks[None, :]) + K_at_kinks[None, :]
         return np.concatenate((fam_a, fam_b), axis=1)
 
@@ -330,9 +322,6 @@ def _grid_minplus(entry, arc, dt, t_hi=None):
         t_end = min(t_end, t_hi)
     t_lo = entry.t[0] + mu
 
-    def kernel(s):
-        return L * flux.conjugate(s / L)
-
     for _ in range(_MAX_HORIZON_GROWTHS + 1):
         n = max(2, int(np.ceil((t_end - t_lo) / dt)) + 1)
         ts = t_lo + dt * np.arange(n)
@@ -341,7 +330,7 @@ def _grid_minplus(entry, arc, dt, t_hi=None):
         )
         taus = np.unique(np.concatenate((tau_grid, entry.t)))
         U = entry(taus)
-        vals, _ = _monge_row_minima(ts, taus, U, kernel)
+        vals, _ = _monge_row_minima(ts, taus, U, arc.minplus_kernel)
         if t_hi is not None or vals[-1] >= total - 1e-9 * max(1.0, total):
             break
         t_end = t_lo + 1.5 * (t_end - t_lo)
@@ -431,74 +420,40 @@ def modulus_of_continuity(arc: ArcDescriptor, M: float, G: float):
     """Uniform modulus phi with exit_time(t2) - exit_time(t1) <= phi(t2 - t1).
 
     Valid for entry curves whose rate is bounded by M and whose total
-    mass is at most G.  phi is continuous with phi(0) = 0.
+    mass is at most G.  phi is continuous with phi(0) = 0.  In closed form,
+    with K the arc's min-plus kernel, mu = K^-1(0) its free-flow time and
+    S = max(xi, M*xi), phi(xi) is the larger of
+
+      phi_flat(xi)  = K^-1(min(M*xi, G)) - mu, the extra delay of a driver
+                      behind everything that can enter in a span xi, and
+      phi_sharp(xi) = xi - mu + max over 0 <= x <= S of (K^-1(M*x) - x),
+                      where K^-1(M*x) - x is the travel time of a driver
+                      right behind M*x vehicles that entered over the
+                      span x before it.
+
+    The bracket is concave in x, with slope M / K'(K^-1(M*x)) - 1.  For
+    M >= F_max it never falls, so its maximiser is x = S.  Below capacity
+    it peaks where K' = M, at x = L*g*(g'(M))/M = L*g'(M) - L*g(M)/M: how
+    far the kinematic wave of flow M (travel time L*g'(M)) trails its
+    vehicles (travel time L*g(M)/M).  The peak value is L*g(M)/M, the
+    travel time at uncongested flow M.
     """
     if M <= 0 or G <= 0:
         raise DomainError("need positive rate bound M and mass bound G")
-    mu = arc.mu
-
-    def _h(s):
-        return arc.kernel(s)
-
-    def phi_flat(xi):
-        target = min(M * xi, G)
-        if target <= 0:
-            return 0.0
-        hi = 1.0
-        while -_h(-mu - hi) < target:
-            hi *= 2.0
-            if hi > 1e12:
-                raise LoadingError("kernel never reaches the requested depth")
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if -_h(-mu - mid) < target:
-                lo = mid
-            else:
-                hi = mid
-        return hi
-
-    def phi_sharp(xi):
-        if xi <= 0:
-            return 0.0
-        span = max(xi, M * xi)
-
-        def violation(tau):
-            # max over s in [-span, 0] of h(s - tau) - M s  (concave in s)
-            lo, hi = -span, 0.0
-            for _ in range(200):
-                m1 = lo + (hi - lo) / 3.0
-                m2 = hi - (hi - lo) / 3.0
-                if _h(m1 - tau) - M * m1 < _h(m2 - tau) - M * m2:
-                    lo = m1
-                else:
-                    hi = m2
-            s = 0.5 * (lo + hi)
-            cand = [_h(s - tau) - M * s, _h(-span - tau) + M * span, _h(-tau)]
-            return max(cand)
-
-        if violation(mu) <= 0:
-            return xi
-        hi = mu + 1.0
-        while violation(hi) > 0:
-            hi *= 2.0
-            if hi > 1e12:
-                raise LoadingError("no feasible shift for the sharp modulus")
-        lo = mu
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if violation(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        return xi + hi - mu
+    flux, L, mu = arc.flux, arc.length, arc.mu
+    x_peak = np.inf
+    if M < flux.f_max:
+        x_peak = L * max(0.0, flux.wave_pace(M) - flux.density(M) / M)
 
     def phi(xi):
         if xi < 0:
             raise DomainError("time gap must be nonnegative")
         if xi == 0:
             return 0.0
-        return max(phi_sharp(xi), phi_flat(xi))
+        x = min(max(xi, M * xi), x_peak)
+        phi_sharp = xi + (arc.minplus_kernel_inverse(M * x) - x - mu)
+        phi_flat = arc.minplus_kernel_inverse(min(M * xi, G)) - mu
+        return max(phi_sharp, phi_flat)
 
     return phi
 

@@ -5,9 +5,12 @@ A flux function F(rho) = rho * v(rho) is concave, nonnegative on
 critical density rho_star where it attains the capacity F_max.  On the
 increasing branch it has an inverse  rho = g(u)  (convex, nondecreasing),
 whose Legendre conjugate  g*(p) = max_u (p*u - g(u))  drives the
-cumulative-curve evolution along an arc.  The shift kernel
-h(s) = -L * g*(-s/L) is the vertical gap one arc of length L imposes
-between entry and exit curves.
+cumulative-curve evolution along an arc.  An arc of length L turns it into
+the min-plus kernel  K(s) = L * g*(s/L): the most vehicles that can both
+enter and leave the arc within a time span s.  K is zero up to the
+free-flow time mu = L * g'(0), then convex and increasing with slopes up
+to F_max; the exit curve is the inf-convolution
+exit(t) = min_tau { entry(tau) + K(t - tau) }.
 """
 from __future__ import annotations
 
@@ -180,31 +183,46 @@ class FluxDescriptor:
         return float(out) if np.isscalar(p) else out
 
     def conjugate_inverse(self, x):
-        """Smallest p >= 0 with g*(p) = x, for x >= 0 (used for drain horizons)."""
-        x = float(x)
-        if x < 0:
+        """The pace p with g*(p) = x, elementwise for x >= 0.
+
+        For x > 0 it is the only such p; at x = 0, where g* vanishes on all
+        p <= free-flow pace, it is the free-flow pace.
+        """
+        x_arr = np.asarray(x, dtype=float)
+        if np.any(x_arr < 0):
             raise DomainError("conjugate_inverse needs x >= 0")
-        if x == 0.0:
-            return self.free_flow_pace
-        if self.kind == "triangular":
-            return self.free_flow_pace + x / self.f_max
-        if self.kind == "sampled":
+        if self.kind == "greenshields":
+            # larger root of R*(a*p - 1)**2 = 4*x*a*p
+            a, R = self.params["v_free"], self.params["rho_jam"]
+            out = (1.0 + 2.0 * x_arr / R + 2.0 * np.sqrt(x_arr * (R + x_arr)) / R) / a
+        elif self.kind == "triangular":
+            out = self.free_flow_pace + x_arr / self.f_max
+        else:
             kinks = np.asarray(self.conjugate_kinks())
             vals = self.conjugate(kinks)
-            if x <= vals[-1]:
-                return float(np.interp(x, vals, kinks))
-            return float(kinks[-1] + (x - vals[-1]) / self.f_max)
-        # greenshields: bisection on the closed form
-        lo, hi = self.free_flow_pace, self.free_flow_pace + 1.0
-        while self.conjugate(hi) < x:
-            hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.conjugate(mid) < x:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+            out = np.where(x_arr <= vals[-1], np.interp(x_arr, vals, kinks),
+                           kinks[-1] + (x_arr - vals[-1]) / self.f_max)
+            out = np.where(x_arr == 0.0, self.free_flow_pace, out)
+        return float(out) if np.isscalar(x) else out
+
+    def wave_pace(self, u):
+        """g'(u) = 1 / F'(g(u)), the pace of kinematic waves at uncongested flow u.
+
+        Defined for u in [0, F_max); a Greenshields u that rounds onto the
+        capacity gives inf.  Sampled fluxes take the slope of the g segment
+        starting at or below u.
+        """
+        u_arr = np.asarray(u, dtype=float)
+        if self.kind == "greenshields":
+            a, R = self.params["v_free"], self.params["rho_jam"]
+            with np.errstate(divide="ignore"):
+                out = 1.0 / (a * np.sqrt(np.maximum(0.0, 1.0 - 4.0 * u_arr / (a * R))))
+        elif self.kind == "triangular":
+            out = np.full_like(u_arr, self.free_flow_pace)
+        else:
+            i = np.searchsorted(self._g_u, u_arr, side="right") - 1
+            out = self._g_slopes[np.clip(i, 0, len(self._g_slopes) - 1)]
+        return float(out) if np.isscalar(u) else out
 
     def conjugate_kinks(self):
         """Pace values where g* changes slope, or None for smooth kinds.
@@ -218,18 +236,6 @@ class FluxDescriptor:
         if self.kind == "sampled":
             return [self.free_flow_pace] + list(self._g_slopes[1:])
         return None
-
-    def kernel(self, length, s):
-        """Shift kernel h(s) = -length * g*(-s/length).
-
-        Zero for s >= -mu (mu = length * free-flow pace), negative and
-        concave below.
-        """
-        if length <= 0:
-            raise DomainError("arc length must be positive")
-        s_arr = np.asarray(s, dtype=float)
-        out = -length * self.conjugate(-s_arr / length)
-        return float(out) if np.isscalar(s) else out
 
     # -- validation ---------------------------------------------------
 
@@ -279,8 +285,15 @@ class ArcDescriptor:
     def key(self):
         return (self.from_node, self.to_node)
 
-    def kernel(self, s):
-        return self.flux.kernel(self.length, s)
+    def minplus_kernel(self, s):
+        """K(s) = L * g*(s/L), elementwise: zero for s <= mu, convex after."""
+        s = np.asarray(s, dtype=float)
+        return self.length * self.flux.conjugate(s / self.length)
+
+    def minplus_kernel_inverse(self, y):
+        """K^-1(y) = L * (g*)^-1(y/L) for y >= 0, with K^-1(0) = mu."""
+        y = np.asarray(y, dtype=float)
+        return self.length * self.flux.conjugate_inverse(y / self.length)
 
     def __repr__(self):
         return f"Arc({self.from_node}->{self.to_node}, L={self.length:g}, {self.flux.kind})"

@@ -168,7 +168,7 @@ class SolverBounds:
             raise ConfigurationError("all solver bounds must be finite and positive")
         total = self.horizon - self.t0
         if total < -1e-9 * max(1.0, self.horizon):
-            raise ConfigurationError("horizon must equal t0 + G/kappa")
+            raise ConfigurationError("horizon must not be below t0")
 
 
 class Network:
@@ -308,11 +308,8 @@ def compute_bounds(network: Network, *, scan_step=0.25, scan_cap=10**6) -> Solve
     if phi_max <= 0:
         raise ConfigurationError("departure cost has zero derivative on the window")
     kappa = phi_max * network.f_max / psi_min
-    horizon = t0 + (G / kappa if G > 0 else 0.0)
-    if G == 0:
-        horizon = t0
     delta_min = min(a.mu for a in network.arcs)
-    return SolverBounds(t_max=t_max, t0=t0, kappa=kappa, horizon=max(horizon, t0),
+    return SolverBounds(t_max=t_max, t0=t0, kappa=kappa, horizon=t0 + G / kappa,
                         delta_min=delta_min)
 
 
@@ -370,10 +367,4 @@ def validate_assumptions(network: Network, window) -> ValidationReport:
             f"group[{k}] combined cost grows at window edges",
             g.combined_cost(lo) >= mid - 1e-9 and g.combined_cost(hi) >= mid - 1e-9,
         )
-        if g.arrival_cost.kind == "vickrey":
-            pen_d = g.arrival_cost.deriv(tgrid) - 1.0
-            report.add(
-                f"group[{k}] schedule penalty slope > -1",
-                bool(np.all(pen_d > -1.0)),
-            )
     return report

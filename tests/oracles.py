@@ -131,3 +131,60 @@ def count_simple_paths(edges, origin, dest):
         )
 
     return walk(origin, {origin})
+
+
+# ---------------------------------------------------------------------
+# Exit-time modulus oracle
+# ---------------------------------------------------------------------
+
+
+def _least_true(pred, lo, iters):
+    """Elementwise least x >= lo with pred(x), for pred False then True.
+
+    Doubling steps past lo bracket it; bisection then narrows the bracket.
+    """
+    hi = lo + 1.0
+    ok = pred(hi)
+    while not np.all(ok):
+        hi = np.where(ok, hi, lo + 2.0 * (hi - lo))
+        ok = pred(hi)
+    low = lo.copy()
+    for _ in range(iters):
+        mid = 0.5 * (low + hi)
+        ok = pred(mid)
+        low, hi = np.where(ok, low, mid), np.where(ok, mid, hi)
+    return np.where(pred(lo), lo, hi)
+
+
+def modulus_by_search(kernel, mu, M, G, xis, bisect_iters=50, ternary_iters=80):
+    """Exit-time modulus phi(xi) of one arc by nested search.
+
+    ``kernel`` is the arc's min-plus kernel K, zero up to the free-flow time
+    mu and convex after it.  phi(xi) is the larger of
+      * phi_flat: the least d >= 0 with K(mu + d) >= min(M*xi, G), and
+      * phi_sharp: xi + tau - mu for the least tau >= mu with
+        M*x <= K(tau + x) on all of 0 <= x <= max(xi, M*xi),
+    each found by bisection.  For a given tau the worst x comes from a
+    ternary search, since M*x - K(tau + x) is concave in x.  ``M``, ``G``
+    and ``xis`` may be arrays; the searches run elementwise.  The default step
+    counts resolve phi to about 1e-13 for spans up to 1e2.
+    """
+    xi = np.asarray(xis, dtype=float)
+    span = np.maximum(xi, M * xi)
+
+    def excess(tau, x):
+        return M * x - kernel(tau + x)
+
+    def feasible(tau):
+        lo, hi = np.zeros_like(span), span.copy()
+        for _ in range(ternary_iters):
+            m1, m2 = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+            up = excess(tau, m1) < excess(tau, m2)
+            lo, hi = np.where(up, m1, lo), np.where(up, hi, m2)
+        worst = np.maximum(excess(tau, 0.5 * (lo + hi)), excess(tau, span))
+        return np.maximum(worst, excess(tau, 0.0)) <= 0
+
+    target = np.minimum(M * xi, G)
+    tau = _least_true(feasible, np.full_like(xi, mu), bisect_iters)
+    flat = _least_true(lambda d: kernel(mu + d) >= target, np.zeros_like(xi), bisect_iters)
+    return np.maximum(xi + tau - mu, flat)

@@ -12,7 +12,7 @@ from kinwave import (ArcDescriptor, CumulativeCurve, DomainError, ExitComputatio
 from kinwave import curves
 from kinwave.curves import _MAX_HORIZON_GROWTHS, _REL, _grid_minplus, _monge_row_minima
 
-from oracles import brute_lax_hopf, greenshields_density
+from oracles import brute_lax_hopf, greenshields_density, modulus_by_search
 
 GS_ARC = ArcDescriptor("a", "b", 1.0, FluxDescriptor.greenshields(1.0, 1.0))
 TRI_ARC = ArcDescriptor("a", "b", 1.0, FluxDescriptor.triangular(1.0, 1.0, 1.0))
@@ -358,9 +358,25 @@ class TestModulus:
         # worst-case inflow min(M*xi, G)
         M, G = 0.25, 1.0
         phi = modulus_of_continuity(arc, M, G)
+
+        def h(s):
+            return -arc.minplus_kernel(-s)
+
         for xi in (0.3, 1.0, 2.5):
-            depth = -arc.kernel(-arc.mu - (phi(xi) - 0.0))
+            depth = -h(-arc.mu - (phi(xi) - 0.0))
             assert depth >= min(M * xi, G) - 1e-6
+
+    @pytest.mark.parametrize("arc", [GS_ARC, TRI_ARC, SAMPLED_ARC])
+    def test_matches_nested_search(self, arc):
+        # rate bounds below, at and above capacity, and 0.18: a breakpoint
+        # flow of the sampled flux, where g' jumps
+        Ms = np.append(np.array([0.1, 0.5, 0.999, 1.0, 2.0, 4.0]) * arc.flux.f_max, 0.18)
+        Ms, Gs, xis = (a.ravel() for a in np.meshgrid(
+            Ms, [0.05, 1.0, 7.0], [0.01, 0.3, 1.0, 10.0], indexing="ij"))
+        ref = modulus_by_search(arc.minplus_kernel, arc.mu, Ms, Gs, xis)
+        for M, G, xi, want in zip(Ms, Gs, xis, ref):
+            got = modulus_of_continuity(arc, M, G)(xi)
+            assert abs(got - want) <= 1e-9 * max(1.0, want), (M, G, xi)
 
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
@@ -404,9 +420,7 @@ class TestMongeRowMinima:
         U = np.zeros(len(taus)) if zero_u else np.cumsum(
             rng.uniform(0.0, flux.f_max, len(taus)) * np.diff(taus, prepend=taus[0]))
 
-        def kernel(s):
-            return L * flux.conjugate(s / L)
-
+        kernel = ArcDescriptor("a", "b", L, flux).minplus_kernel
         vals, args = _monge_row_minima(ts, taus, U, kernel)
         ref_vals, ref_args = rowwise_monge_row_minima(ts, taus, U, kernel)
         assert np.array_equal(vals, ref_vals) and np.array_equal(args, ref_args)

@@ -110,32 +110,73 @@ class TestLegendre:
         for x in (0.0, 0.01, 0.2, 1.7):
             p = flux.conjugate_inverse(x)
             assert flux.conjugate(p) == pytest.approx(x, abs=1e-9)
+        assert flux.conjugate_inverse(0.0) == flux.free_flow_pace
+        xs = np.concatenate(([0.0], np.logspace(-12, 4, 97)))
+        ps = flux.conjugate_inverse(xs)
+        assert ps.shape == xs.shape
+        assert ps[0] == flux.free_flow_pace and np.all(np.diff(ps) > 0)
+        assert np.array_equal(ps, [flux.conjugate_inverse(x) for x in xs])
+        back = flux.conjugate(ps)
+        assert np.all(np.abs(back - xs) <= 1e-12 * np.maximum(xs, 1e-3))
+        with pytest.raises(DomainError):
+            flux.conjugate_inverse(np.array([0.1, -1e-3]))
+
+    @pytest.mark.parametrize("flux", ALL_KINDS)
+    def test_wave_pace_is_density_slope(self, flux):
+        us = np.linspace(0.0, flux.f_max, 41)[:-1] + 1e-3 * flux.f_max
+        d = 1e-7
+        slope = (flux.density(us + d) - flux.density(us - d)) / (2.0 * d)
+        assert flux.wave_pace(us) == pytest.approx(slope, rel=1e-5)
+        assert flux.wave_pace(0.0) == flux.free_flow_pace
+        # the sampled segment starting at a breakpoint flow holds it
+        assert SAMPLED.wave_pace(0.18) == pytest.approx((0.5 - 0.2) / (0.25 - 0.18))
+
+
+def unit_arc(flux, length=1.0):
+    return ArcDescriptor("a", "b", length, flux)
 
 
 class TestHKernel:
+    """h(s) = -K(-s), the reflected min-plus kernel, from ArcDescriptor.minplus_kernel."""
+
+    @staticmethod
+    def h(arc, s):
+        return -arc.minplus_kernel(-np.asarray(s, dtype=float))
+
     def test_zero_on_support(self):
-        assert GS.kernel(1.0, -0.5) == 0.0
+        assert self.h(unit_arc(GS), -0.5) == 0.0
 
     def test_matches_conjugate_grid(self):
-        assert GS.kernel(1.0, -2.0) == pytest.approx(
+        assert self.h(unit_arc(GS), -2.0) == pytest.approx(
             -greenshields_conjugate_grid(2.0), abs=1e-6
         )
-        assert GS.kernel(1.0, -2.0) == pytest.approx(-0.125, abs=1e-12)
+        assert self.h(unit_arc(GS), -2.0) == pytest.approx(-0.125, abs=1e-12)
 
     @pytest.mark.parametrize("flux", ALL_KINDS)
     def test_zero_at_minus_mu(self, flux):
-        L = 1.3
-        mu = L * flux.free_flow_pace
-        assert flux.kernel(L, -mu) == pytest.approx(0.0, abs=1e-12)
+        arc = unit_arc(flux, 1.3)
+        assert self.h(arc, -arc.mu) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("flux", ALL_KINDS)
     def test_concavity(self, flux):
-        L = 0.7
         s = np.linspace(-6.0, 1.0, 601)
-        h = flux.kernel(L, s)
+        h = self.h(unit_arc(flux, 0.7), s)
         assert np.all(h <= 1e-12)
         chords = 0.5 * (h[:-2] + h[2:])
         assert np.all(h[1:-1] >= chords - 1e-9)
+
+    @pytest.mark.parametrize("flux", ALL_KINDS)
+    def test_kernel_inverse_round_trip(self, flux):
+        arc = unit_arc(flux, 1.3)
+        assert arc.minplus_kernel_inverse(0.0) == arc.mu
+        ys = np.logspace(-6, 3, 28)
+        assert arc.minplus_kernel(arc.minplus_kernel_inverse(ys)) == pytest.approx(
+            ys, rel=1e-12)
+
+    def test_h_form_is_gone(self):
+        # the old sign convention must not be reachable under any name
+        assert not hasattr(FluxDescriptor, "kernel")
+        assert not hasattr(ArcDescriptor, "kernel")
 
 
 class TestValidation:

@@ -225,6 +225,17 @@ class TestValidateAssumptions:
         failed = [i["name"] for i in report.items if not i["passed"]]
         assert any("arrival cost increasing" in n for n in failed)
 
+    def test_vickrey_items_match_affine(self):
+        # a Vickrey arrival cost is checked by the same items as any other
+        # kind: "arrival cost increasing" already covers its penalty slope
+        names = [
+            [i["name"] for i in validate_assumptions(single_arc_network(psi=psi),
+                                                     (-2.0, 2.0)).items]
+            for psi in (CostFunction.affine(0.0, 1.0),
+                        CostFunction.vickrey(1.0, 0.4, 0.9, 0.3))
+        ]
+        assert names[0] == names[1]
+
     def test_increasing_departure_cost_fails(self):
         net = Network(
             ["a", "b"], [ArcDescriptor("a", "b", 1.0, TRI)],
