@@ -20,8 +20,6 @@ from .errors import DomainError, LoadingError
 from .flux import ArcDescriptor
 
 _REL = 1e-12
-# growths (x1.5 each) of the grid exit's horizon past its a-priori drain bound
-_MAX_HORIZON_GROWTHS = 8
 
 
 class CumulativeCurve:
@@ -180,15 +178,12 @@ class CumulativeCurve:
 # ---------------------------------------------------------------------
 
 
-def _exact_minplus(entry: CumulativeCurve, arc: ArcDescriptor) -> CumulativeCurve:
-    """Exact inf-convolution for arcs whose conjugate is piecewise linear."""
+def _exact_minplus(entry: CumulativeCurve, arc: ArcDescriptor):
+    """Exact inf-convolution ``(t, v)`` for piecewise-linear conjugates."""
     flux = arc.flux
     L = arc.length
     mu = arc.mu
-    entry = entry.simplify()
     total = entry.total
-    if total <= 0.0:
-        return CumulativeCurve([entry.t[0] + mu], [0.0], validate=False)
     taus, U = entry.t, entry.v
     paces = np.asarray(flux.conjugate_kinks(), dtype=float)
     s_kinks = L * paces  # s_kinks[0] == mu
@@ -255,10 +250,7 @@ def _exact_minplus(entry: CumulativeCurve, arc: ArcDescriptor) -> CumulativeCurv
     ts = np.array([p[0] for p in pts])
     vs = np.array([p[1] for p in pts])
     keep = np.concatenate(([True], np.diff(ts) > 1e-14 * max(1.0, abs(ts[-1]))))
-    ts, vs = ts[keep], vs[keep]
-    vs = np.clip(vs, 0.0, total)
-    vs = np.maximum.accumulate(vs)
-    return CumulativeCurve(ts, vs, validate=False).simplify()
+    return ts[keep], vs[keep]
 
 
 def _monge_row_minima(ts, taus, U, kernel):
@@ -301,72 +293,54 @@ def _monge_row_minima(ts, taus, U, kernel):
     return vals, args
 
 
-def _grid_minplus(entry, arc, dt, t_hi=None):
-    """Grid evaluation of the inf-convolution for smooth conjugates.
+def _grid_minplus(entry, arc, dt):
+    """Grid evaluation ``(t, v)`` of the inf-convolution for smooth conjugates.
 
-    The output curve interpolates exact values sampled every ``dt``;
-    minimization is over entry breakpoints plus the same uniform grid.
+    Samples every ``dt`` from entry.t[0] + mu, minimizing over entry
+    breakpoints plus the same grid, up to t_N >= tau_last + G/F_max +
+    L/v(rho_star) + dt, which drains the total mass G: g*(p) >= p*F_max -
+    rho_star for any concave flux, so K(s) >= F_max*(s - L/v(rho_star)) and
+    at t_N every member is at least G + F_max*dt (tau <= tau_last) or G + K.
     """
     flux = arc.flux
-    L = arc.length
-    mu = arc.mu
-    entry = entry.simplify()
-    total = entry.total
-    if total <= 0.0:
-        return CumulativeCurve([entry.t[0] + mu], [0.0], validate=False)
-
-    # a-priori drain bound: queueing (total/F_max) plus slowest uncongested
-    # travel (L / v(rho_star)) past the last entry breakpoint
-    t_end = entry.t[-1] + total / flux.f_max + L / flux.speed_at_capacity + dt
-    if t_hi is not None:
-        t_end = min(t_end, t_hi)
-    t_lo = entry.t[0] + mu
-
-    for _ in range(_MAX_HORIZON_GROWTHS + 1):
-        n = max(2, int(np.ceil((t_end - t_lo) / dt)) + 1)
-        ts = t_lo + dt * np.arange(n)
-        tau_grid = entry.t[0] + dt * np.arange(
-            int(np.ceil((ts[-1] - entry.t[0]) / dt)) + 1
-        )
-        taus = np.unique(np.concatenate((tau_grid, entry.t)))
-        U = entry(taus)
-        vals, _ = _monge_row_minima(ts, taus, U, arc.minplus_kernel)
-        if t_hi is not None or vals[-1] >= total - 1e-9 * max(1.0, total):
-            break
-        t_end = t_lo + 1.5 * (t_end - t_lo)
-    else:
-        raise LoadingError(
-            f"grid exit on arc {arc.key} did not drain its entry mass within "
-            f"{_MAX_HORIZON_GROWTHS} horizon growths"
-        )
-    vals = np.clip(vals, 0.0, total)
-    vals = np.maximum.accumulate(vals)
-    return CumulativeCurve(ts, vals, validate=False).simplify()
+    t_end = entry.t[-1] + entry.total / flux.f_max + arc.length / flux.speed_at_capacity + dt
+    t_lo = entry.t[0] + arc.mu
+    n = max(2, int(np.ceil((t_end - t_lo) / dt)) + 1)
+    ts = t_lo + dt * np.arange(n)
+    tau_grid = entry.t[0] + dt * np.arange(int(np.ceil((ts[-1] - entry.t[0]) / dt)) + 1)
+    taus = np.unique(np.concatenate((tau_grid, entry.t)))
+    vals, _ = _monge_row_minima(ts, taus, entry(taus), arc.minplus_kernel)
+    return ts, vals
 
 
-def lax_hopf_exit(entry: CumulativeCurve, arc: ArcDescriptor, dt: float = 1e-3,
-                  t_hi: float | None = None):
+def lax_hopf_exit(entry: CumulativeCurve, arc: ArcDescriptor, dt: float = 1e-3):
     """Exit curve of an arc fed by ``entry``, via the variational formula.
 
-    Exact for piecewise-linear conjugates; sampled on a grid of step
-    ``dt`` otherwise.  ``t_hi`` optionally bounds the sampling horizon of
-    the grid evaluation (exact kinds always compute the full curve).
+    Always the whole curve, from entry.t[0] + mu to the entry's total mass.
+    Exact for piecewise-linear conjugates; sampled on a grid of step ``dt``
+    otherwise.
     """
     if not np.isfinite(entry.total):
         raise DomainError("entry curve must carry bounded total mass")
+    entry = entry.simplify()
+    total = entry.total
+    if total <= 0.0:
+        return CumulativeCurve([entry.t[0] + arc.mu], [0.0], validate=False)
     if arc.flux.conjugate_kinks() is not None:
-        curve = _exact_minplus(entry, arc)
+        ts, vs = _exact_minplus(entry, arc)
     else:
-        curve = _grid_minplus(entry, arc, dt, t_hi=t_hi)
+        ts, vs = _grid_minplus(entry, arc, dt)
+    vs = np.maximum.accumulate(np.clip(vs, 0.0, total))
+    curve = CumulativeCurve(ts, vs, validate=False).simplify()
     # Snap tail values that are within rounding error of the final total:
     # a one-ulp dip on the last flat segment would otherwise push left
     # inverses of the total past the whole tail, grossly inflating exit
     # times of the last drivers.
-    snap = 64.0 * np.finfo(float).eps * max(1.0, entry.total)
-    near = curve.v >= entry.total - snap
-    if np.any(near) and not np.all(curve.v[near] == entry.total):
+    snap = 64.0 * np.finfo(float).eps * max(1.0, total)
+    near = curve.v >= total - snap
+    if np.any(near) and not np.all(curve.v[near] == total):
         v = curve.v.copy()
-        v[near] = entry.total
+        v[near] = total
         curve = CumulativeCurve(curve.t, v).simplify()
     return curve
 

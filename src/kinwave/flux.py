@@ -46,7 +46,6 @@ class FluxDescriptor:
             self.rho_star = R / 2.0
             self.f_max = a * R / 4.0
             self.free_flow_pace = 1.0 / a
-            self._table = None
         elif kind == "triangular":
             a = float(self.params["v_free"])
             w = float(self.params["w_back"])
@@ -57,7 +56,6 @@ class FluxDescriptor:
             self.rho_star = w * R / (a + w)
             self.f_max = a * self.rho_star
             self.free_flow_pace = 1.0 / a
-            self._table = None
         elif kind == "sampled":
             self._init_sampled(breakpoints)
         else:
@@ -110,14 +108,8 @@ class FluxDescriptor:
         self._g_rho = rho[: i_star + 1]
         self._g_slopes = np.diff(self._g_rho) / np.diff(self._g_u)
         self.free_flow_pace = float(self._g_slopes[0])
-        self._table = True
 
     # -- basic queries ------------------------------------------------
-
-    @property
-    def free_flow_speed(self):
-        """v(0), the speed of cars on an empty road."""
-        return 1.0 / self.free_flow_pace
 
     @property
     def speed_at_capacity(self):

@@ -2,9 +2,11 @@
 
 The loading recursion advances time in windows of the shortest free-flow
 arc traversal: within one window every arc's exit depends only on entry
-data from earlier windows, so arcs can be processed in any order.  All
-curve arithmetic is exact piecewise-linear (triangular/sampled fluxes)
-or sampled on a uniform grid (smooth fluxes).
+data from earlier windows, so arcs can be processed in any order.  An arc
+exit is the whole exit of the entry known so far, so it is cached and
+reused while that entry is unchanged.  All curve arithmetic is exact
+piecewise-linear (triangular/sampled fluxes) or sampled on a uniform grid
+(smooth fluxes).
 """
 from __future__ import annotations
 
@@ -134,13 +136,10 @@ def _split_exit(exit_curve, entry_curve, comps, t_hi):
     leavers equals that component's count at the matched entry time.
     """
     cut = float(exit_curve(t_hi))
-    cands = [exit_curve.t[exit_curve.t <= t_hi], np.array([t_hi])]
-    vals = [entry_curve.v] + [c.v for c in comps.values()]
-    for v in vals:
-        reach = v[v <= cut + 1e-15 * max(1.0, cut)]
-        if len(reach):
-            cands.append(exit_curve.inverse(np.minimum(reach, exit_curve.total)))
-    ts = np.unique(np.concatenate(cands))
+    vals = np.concatenate([entry_curve.v] + [c.v for c in comps.values()])
+    reach = np.minimum(vals[vals <= cut + 1e-15 * max(1.0, cut)], exit_curve.total)
+    ts = np.unique(np.concatenate(
+        (exit_curve.t[exit_curve.t <= t_hi], [t_hi], exit_curve.inverse(reach))))
     ts = ts[ts <= t_hi + 1e-12]
     taus = entry_curve.inverse(np.minimum(exit_curve(ts), entry_curve.total))
     out = {}
@@ -150,7 +149,7 @@ def _split_exit(exit_curve, entry_curve, comps, t_hi):
 
 
 def network_load(network: Network, profile: DepartureProfile, *, dt=1e-3,
-                 horizon=None, rate_cap=None, check_mass=True) -> LoadingResult:
+                 rate_cap=None, check_mass=True) -> LoadingResult:
     """Propagate a departure profile through the network.
 
     Advances in windows of the shortest free-flow traversal time until
@@ -190,8 +189,7 @@ def network_load(network: Network, profile: DepartureProfile, *, dt=1e-3,
         return result
 
     t_max = max(max_travel_time(network, network.paths[p], G) for (_, p) in path_arcs)
-    if horizon is None:
-        horizon = profile.end + t_max + 1.0
+    horizon = profile.end + t_max + 1.0
     delta = min(a.mu for a in network.arcs)
     # start the recursion at the first actual departure, not the grid start
     first_live = min(
@@ -204,13 +202,8 @@ def network_load(network: Network, profile: DepartureProfile, *, dt=1e-3,
     comp_exit = {}
 
     def entry_components(arc):
-        """Component entry curves of one arc given data valid up to t_cur.
-
-        Also reports whether the entry is final (every component has
-        delivered its full mass, so no future window can extend it).
-        """
+        """Component entry curves of one arc given data valid up to t_cur."""
         comps = {}
-        final = True
         for (k, p, hop) in feeders[arc.key]:
             if hop == 0:
                 comps[(k, p, hop)] = result.departures[(k, p)]
@@ -219,10 +212,15 @@ def network_load(network: Network, profile: DepartureProfile, *, dt=1e-3,
                 comps[(k, p, hop)] = prev if prev is not None else CumulativeCurve.zero(
                     t_cur
                 )
-                want = profile.rates[k, p].sum() * profile.bin_width
-                if comps[(k, p, hop)].total < want - _MASS_TOL * max(1.0, want):
-                    final = False
-        return comps, final
+        return comps
+
+    def short_path():
+        """First (group, path) whose arrivals fall short of its departures, or None."""
+        for (k, p), arcs in path_arcs.items():
+            last = comp_exit.get((k, p, len(arcs) - 1))
+            want = profile.rates[k, p].sum() * profile.bin_width
+            if last is None or last.total < want - _MASS_TOL * max(1.0, want):
+                return k, p
 
     max_windows = int(np.ceil((horizon - profile.start) / delta)) + 2
     exit_cache = {}
@@ -230,23 +228,18 @@ def network_load(network: Network, profile: DepartureProfile, *, dt=1e-3,
         t_next = t_cur + delta
         new_exit = {}
         for arc in network.arcs:
-            comps, entry_final = entry_components(arc)
+            comps = entry_components(arc)
             if not comps:
                 continue
             entry = CumulativeCurve.combine(list(comps.values()))
             # the entry often stops changing between windows (all upstream
-            # mass delivered); reuse the exit computed then, which covered
-            # at least as far as this window needs
+            # mass delivered); the exit computed then is still its whole exit
             cached = exit_cache.get(arc.key)
             if cached is not None and np.array_equal(cached[0].t, entry.t) and \
-                    np.array_equal(cached[0].v, entry.v) and \
-                    cached[1].total >= entry.total - _MASS_TOL * max(1.0, entry.total):
+                    np.array_equal(cached[0].v, entry.v):
                 exit_curve = cached[1]
             else:
-                # a final entry gets its full exit in one computation, which
-                # the cache then serves to every later window
-                t_hi = None if entry_final else t_next + arc.mu
-                exit_curve = lax_hopf_exit(entry, arc, dt=dt, t_hi=t_hi)
+                exit_curve = lax_hopf_exit(entry, arc, dt=dt)
                 exit_cache[arc.key] = (entry, exit_curve)
             result.arc_flows[arc.key] = ExitComputation(entry, exit_curve, arc)
             new_exit.update(_split_exit(exit_curve, entry, comps, t_next))
@@ -256,19 +249,14 @@ def network_load(network: Network, profile: DepartureProfile, *, dt=1e-3,
         t_cur = t_next
         result.windows = window + 1
 
-        done = True
-        for (k, p), arcs in path_arcs.items():
-            last = comp_exit.get((k, p, len(arcs) - 1))
-            want = profile.rates[k, p].sum() * profile.bin_width
-            if last is None or last.total < want - _MASS_TOL * max(1.0, want):
-                done = False
-                break
-        if done:
+        if short_path() is None:
             break
     else:
+        k, p = short_path()
         raise LoadingError(
-            f"network did not drain within the horizon {horizon:.6g}; "
-            "check for capacity bottlenecks or raise the horizon"
+            f"network did not drain within the horizon {horizon:.6g}: the arrivals "
+            f"of group {k} on path {p} {network.paths[p]!r} fell short of its "
+            "departures; check for capacity bottlenecks"
         )
 
     for (k, p), arcs in path_arcs.items():

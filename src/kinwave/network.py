@@ -193,7 +193,6 @@ class Network:
         for g in self.groups:
             if g.origin not in node_set or g.destination not in node_set:
                 raise ConfigurationError("group references unknown node")
-        self.arc_by_key = {a.key: a for a in self.arcs}
         self.paths = enumerate_paths(self)
         self._paths_by_od = {}
         for i, p in enumerate(self.paths):
@@ -264,37 +263,51 @@ def max_travel_time(network: Network, path: Path, total_demand: float) -> float:
     )
 
 
-def scan_window(network: Network, t_max: float, *, scan_step=0.25, scan_cap=10**6) -> float:
-    """Smallest t0 (on a scan grid) outside which departing is certainly
-    worse than the crude strategy of leaving at t = 0.
+_SCAN_STEP = 0.25
+_SCAN_CAP = 10**6
 
-    Scans outward from the smallest window containing all cost minima.
+
+def scan_window(network: Network, t_max: float) -> float:
+    """Smallest t0 = t_init + _SCAN_STEP*j, j <= _SCAN_CAP, outside which
+    departing is certainly worse than the crude strategy of leaving at t = 0.
+
+    t_init is the smallest window containing all cost minima.  Doubling and
+    bisection find the same t0 as a step-by-step scan: combined costs are
+    convex (checked below), so monotone past their minimisers, which t_init
+    passes up to ``_initial_window``'s step (<= _SCAN_STEP for |minima| < 512).
     """
     rhs = max(
         g.departure_cost.value(0.0) + g.arrival_cost.value(t_max) for g in network.groups
     )
+    for k, g in enumerate(network.groups):
+        if g.departure_cost.params.get("c", 0.0) + g.arrival_cost.params.get("c", 0.0) < 0:
+            raise ConfigurationError(f"group {k} combined cost is not convex: its "
+                                     "quadratic coefficients sum below zero")
 
-    def worst(t):
-        return min(g.combined_cost(t) for g in network.groups)
+    t_init = _initial_window(network)
 
-    t0 = _initial_window(network)
-    steps = 0
-    while worst(t0) <= rhs or worst(-t0) <= rhs:
-        t0 += scan_step
-        steps += 1
-        if steps > scan_cap:
+    def stops(j):
+        t0 = t_init + _SCAN_STEP * j
+        return not any(g.combined_cost(t) <= rhs for g in network.groups for t in (t0, -t0))
+
+    lo, hi = -1, 0      # invariant: not stops(lo) (j = -1 stands below the grid)
+    while not stops(hi):
+        if hi == _SCAN_CAP:
             raise ConfigurationError(
-                "combined costs do not grow at the scan horizon; widen the scan "
-                "or check cost coercivity"
+                "combined costs do not grow at the scan horizon; check cost coercivity"
             )
-    return t0
+        lo, hi = hi, min(2 * hi + 1, _SCAN_CAP)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if stops(mid) else (mid, hi)
+    return t_init + _SCAN_STEP * hi
 
 
-def compute_bounds(network: Network, *, scan_step=0.25, scan_cap=10**6) -> SolverBounds:
+def compute_bounds(network: Network) -> SolverBounds:
     """Derive the horizon/rate bounds needed by the equilibrium solver."""
     G = network.total_demand
     t_max = max(max_travel_time(network, p, G) for p in network.paths)
-    t0 = scan_window(network, t_max, scan_step=scan_step, scan_cap=scan_cap)
+    t0 = scan_window(network, t_max)
 
     # conservative derivative window: intermediate iterates may arrive up to
     # t_max past the departure window

@@ -396,7 +396,8 @@ def solve_global(network: Network, *, bins=16, tol=1e-6, max_iter=100,
                     flat[i] = saved + h
                     J_hi = objective(masses)
                     flat[i] = max(saved - h, 0.0)
-                    J_lo = objective(masses)
+                    # at an empty cell the lower probe is the iterate itself
+                    J_lo = J if flat[i] == saved else objective(masses)
                     flat[i] = saved
                     gf[i] = (J_hi - J_lo) / (h + min(saved, h))
                 grad.append(gk)

@@ -188,3 +188,17 @@ def modulus_by_search(kernel, mu, M, G, xis, bisect_iters=50, ternary_iters=80):
     tau = _least_true(feasible, np.full_like(xi, mu), bisect_iters)
     flat = _least_true(lambda d: kernel(mu + d) >= target, np.zeros_like(xi), bisect_iters)
     return np.maximum(xi + tau - mu, flat)
+
+
+def linear_scan_window(groups, t_max, t_init, step=0.25, cap=10**6):
+    """First t0 = t_init + step*j, j <= cap, where every group's combined cost
+    exceeds the crude cost at both t0 and -t0, tested one j at a time.
+
+    Returns None when no j up to ``cap`` qualifies.
+    """
+    rhs = max(g.departure_cost.value(0.0) + g.arrival_cost.value(t_max) for g in groups)
+    for j in range(cap + 1):
+        t0 = t_init + step * j
+        if all(g.combined_cost(t0) > rhs and g.combined_cost(-t0) > rhs for g in groups):
+            return t0
+    return None

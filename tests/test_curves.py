@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinwave import (ArcDescriptor, CumulativeCurve, DomainError, ExitComputation,
-                     FluxDescriptor, LoadingError, exit_time, lax_hopf_exit,
-                     modulus_of_continuity)
+                     FluxDescriptor, exit_time, lax_hopf_exit, modulus_of_continuity)
 from kinwave import curves
-from kinwave.curves import _MAX_HORIZON_GROWTHS, _REL, _grid_minplus, _monge_row_minima
+from kinwave.curves import _REL, _monge_row_minima
 
 from oracles import brute_lax_hopf, greenshields_density, modulus_by_search
 
@@ -430,30 +429,69 @@ class TestMongeRowMinima:
         assert np.array_equal(vals, dense[np.arange(len(ts)), args])
 
     @pytest.mark.parametrize("dt", [2e-3, 1e-3])
-    @pytest.mark.parametrize("t_hi", [None, 2.5])
-    def test_grid_exit_matches_rowwise(self, dt, t_hi, monkeypatch):
+    def test_grid_exit_matches_rowwise(self, dt, monkeypatch):
         rng = np.random.default_rng(5)
         entries = [CumulativeCurve.from_step_rates([0.0, 1.0], [0.16])]
         entries += [CumulativeCurve.from_step_rates(np.linspace(0.0, 1.5, 4),
                                                     rng.uniform(0.0, 0.4, size=3))
                     for _ in range(3)]
         for entry in entries:
-            new = _grid_minplus(entry, GS_ARC, dt, t_hi=t_hi)
+            new = lax_hopf_exit(entry, GS_ARC, dt)
             with monkeypatch.context() as m:
                 m.setattr(curves, "_monge_row_minima", rowwise_monge_row_minima)
-                ref = _grid_minplus(entry, GS_ARC, dt, t_hi=t_hi)
+                ref = lax_hopf_exit(entry, GS_ARC, dt)
             assert np.array_equal(new.t, ref.t) and np.array_equal(new.v, ref.v)
 
-    def test_horizon_growth_is_bounded(self, monkeypatch):
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(0.2, 2.0),
+           st.lists(st.floats(0.0, 1.5), min_size=1, max_size=6),
+           st.sampled_from([1e-2, 1e-3]))
+    def test_grid_exit_drains_in_one_pass(self, v_free, rho_jam, L, fractions, dt):
+        # the grid's a-priori end lies past the drain time, so one row-minima
+        # call gives the whole exit curve, ending exactly at the entry mass
+        arc = ArcDescriptor("a", "b", L, FluxDescriptor.greenshields(v_free, rho_jam))
+        rates = np.array(fractions) * arc.flux.f_max
+        entry = CumulativeCurve.from_step_rates(
+            np.linspace(0.0, 0.5 * len(rates), len(rates) + 1), rates)
         calls = []
 
-        def short(ts, taus, U, kernel):
-            calls.append(len(ts))
-            return np.zeros(len(ts)), np.zeros(len(ts), dtype=int)
+        def counted(*args):
+            calls.append(len(args[0]))
+            return _monge_row_minima(*args)
 
-        monkeypatch.setattr(curves, "_monge_row_minima", short)
-        entry = CumulativeCurve.from_step_rates([0.0, 1.0], [0.16])
-        with pytest.raises(LoadingError, match=r"arc \('a', 'b'\)"):
-            _grid_minplus(entry, GS_ARC, 1e-2)
-        assert len(calls) == _MAX_HORIZON_GROWTHS + 1
-        assert all(a < b for a, b in zip(calls, calls[1:]))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(curves, "_monge_row_minima", counted)
+            out = lax_hopf_exit(entry, arc, dt)
+        assert len(calls) == (1 if entry.total > 0 else 0)
+        assert out.v[-1] == entry.total
+        assert out.t[0] == entry.t[0] + arc.mu
+
+
+@st.composite
+def random_arcs(draw):
+    """An arc of any flux kind; sampled diagrams are chords of a concave curve."""
+    kind = draw(st.sampled_from(["greenshields", "triangular", "sampled"]))
+    v_free, rho_jam = draw(st.floats(0.3, 3.0)), draw(st.floats(0.3, 3.0))
+    if kind == "greenshields":
+        flux = FluxDescriptor.greenshields(v_free, rho_jam)
+    elif kind == "triangular":
+        flux = FluxDescriptor.triangular(v_free, draw(st.floats(0.3, 3.0)), rho_jam)
+    else:
+        inner = draw(st.lists(st.integers(1, 49), min_size=1, max_size=6, unique=True))
+        x = np.array([0] + sorted(inner) + [50]) / 50.0
+        skew = draw(st.floats(0.5, 1.0))     # x*(1 - x)**skew is concave for skew <= 1
+        rho, flow = rho_jam * x, v_free * rho_jam * x * (1.0 - x) ** skew
+        flux = FluxDescriptor.sampled(np.column_stack((rho, flow)))
+    return ArcDescriptor("a", "b", draw(st.floats(0.2, 3.0)), flux)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_arcs(), st.floats(0.0, 50.0))
+def test_kernel_capacity_lower_bound(arc, span):
+    # g*(p) >= p*F_max - rho_star, taking u = F_max in the max defining g*;
+    # this bound is what lets the grid exit end at its a-priori drain time
+    flux = arc.flux
+    s = np.linspace(0.0, span * arc.length / flux.speed_at_capacity, 257)
+    K = arc.minplus_kernel(s)
+    bound = flux.f_max * (s - arc.length / flux.speed_at_capacity)
+    assert np.all(K >= bound - 1e-12 * np.maximum(1.0, np.abs(K)))

@@ -4,8 +4,9 @@ import pytest
 
 from kinwave import (AdmissibilityError, ArcDescriptor, CostFunction, CumulativeCurve,
                      DepartureProfile, DomainError, FluxDescriptor, GroupDescriptor,
-                     Network, arrival_time_path, modulus_of_continuity, network_load,
-                     per_driver_times)
+                     LoadingError, Network, arrival_time_path, modulus_of_continuity,
+                     network_load, per_driver_times)
+from kinwave import curves
 
 from helpers import random_scenario
 from oracles import brute_lax_hopf
@@ -93,6 +94,18 @@ class TestNetworkLoad:
         for t in (1.2, 1.8, 2.2):
             oracle = brute_lax_hopf(entry.t, entry.v, GS.conjugate, 1.0, t)
             assert exit_c(t) == pytest.approx(oracle, abs=2e-3)
+
+    def test_short_grid_exit_is_an_error(self, monkeypatch):
+        # a grid exit that never drains must stop the loading with an error
+        # naming the starved path, not return short arrival curves
+        def zeros(ts, taus, U, kernel):
+            return np.zeros(len(ts)), np.zeros(len(ts), dtype=int)
+
+        monkeypatch.setattr(curves, "_monge_row_minima", zeros)
+        net = single_arc(flux=GS, size=0.16)
+        prof = DepartureProfile(0.0, 1.0, np.full((1, 1, 1), 0.16))
+        with pytest.raises(LoadingError, match=r"group 0 on path 0 Path\(a->b\)"):
+            network_load(net, prof, dt=1e-2)
 
     def test_two_group_merge_conserves_per_group(self):
         net = make_network(

@@ -3,13 +3,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinwave import (ArcDescriptor, ConfigurationError, CostFunction, FluxDescriptor,
                      GroupDescriptor, Network, SolverBounds, compute_bounds,
                      enumerate_paths, max_travel_time, validate_assumptions)
-from kinwave.network import scan_window
+from kinwave.network import _initial_window, scan_window
 
-from oracles import count_simple_paths
+from oracles import count_simple_paths, linear_scan_window
 
 TRI = FluxDescriptor.triangular(1.0, 1.0, 1.0)
 GS = FluxDescriptor.greenshields(1.0, 1.0)
@@ -208,7 +210,57 @@ class TestBounds:
     def test_noncoercive_costs_error(self):
         net = single_arc_network(psi=CostFunction.affine(0.0, 1.0))
         with pytest.raises(ConfigurationError):
-            scan_window(net, 1.0, scan_cap=100)
+            scan_window(net, 1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["affine", "quadratic", "vickrey"]),
+                              st.floats(-3.0, 3.0), st.floats(0.0, 2.0),
+                              st.floats(0.0, 2.0), st.floats(0.01, 1.0)),
+                    min_size=1, max_size=3),
+           st.floats(0.1, 5.0))
+    def test_scan_matches_linear_oracle(self, specs, t_max):
+        # convex combined costs: affine departure cost plus any arrival cost
+        # kind with a nonnegative curvature; slopes bounded away from zero so
+        # the linear oracle stays short.  An affine group has no interior
+        # minimum, so both searches must reject it.
+        groups = []
+        for kind, a, b, c, eps in specs:
+            psi = {"affine": lambda: CostFunction.affine(a, 1.1 + b),
+                   "quadratic": lambda: CostFunction.quadratic(a, b, 0.05 + c),
+                   "vickrey": lambda: CostFunction.vickrey(a, 0.1 + 0.4 * c, 0.2 + b,
+                                                           eps)}[kind]()
+            groups.append(GroupDescriptor(0.1, "a", "b", CostFunction.affine(0.0, -1.0),
+                                          psi))
+        net = Network(["a", "b"], [ArcDescriptor("a", "b", 1.0, TRI)], groups)
+        try:
+            t_init = _initial_window(net)
+        except ConfigurationError:
+            with pytest.raises(ConfigurationError):
+                scan_window(net, t_max)
+            return
+        expected = linear_scan_window(net.groups, t_max, t_init, cap=4000)
+        assert expected is not None
+        assert scan_window(net, t_max) == expected
+
+    def test_scan_slow_growth(self):
+        # a late penalty of 1e-5 per unit puts t0 about 1.2e5 out, some 4.8e5
+        # grid steps, which the search covers in a few dozen tests; at 1e-7
+        # t0 would lie past the grid's last point
+        def net(late):
+            return single_arc_network(psi=CostFunction.vickrey(1.0, 0.2, late, 0.25))
+        t_max = max_travel_time(net(1e-5), net(1e-5).paths[0], 0.1)
+        assert scan_window(net(1e-5), t_max) == 121203.0
+        with pytest.raises(ConfigurationError, match="coercivity"):
+            scan_window(net(1e-7), t_max)
+
+    def test_rejects_nonconvex_combined_cost(self):
+        # |t| - 0.1 t^2 rises above the crude cost only on a short stretch
+        # and then falls without bound: no equilibrium window exists
+        net = Network(["a", "b"], [ArcDescriptor("a", "b", 1.0, TRI)],
+                      [GroupDescriptor(0.1, "a", "b", CostFunction.quadratic(0.0, -1.0, -0.1),
+                                       CostFunction.vickrey(0.0, 1.0, 1.0, 0.05))])
+        with pytest.raises(ConfigurationError, match="not convex"):
+            scan_window(net, 1.2)
 
 
 class TestValidateAssumptions:

@@ -8,6 +8,7 @@ from kinwave import (ArcDescriptor, ConfigurationError, CostFunction,
                      DepartureProfile, FluxDescriptor, GroupDescriptor, Network,
                      arrival_time_path, cost_profile, nash_gap, network_load,
                      per_driver_times, solve_global, solve_nash, total_cost)
+from kinwave import solvers
 from kinwave.solvers import _project_box_simplex
 
 from oracles import riemann_cost, scalar_best_cost
@@ -181,6 +182,24 @@ class TestSolveGlobal:
         prof, J_opt = solve_global(net, bins=64, max_iter=3, restarts=0,
                                    init=nash_prof)
         assert J_opt <= J_nash + 1e-3
+
+    def test_probes_never_reload_the_iterate(self, monkeypatch):
+        # the lower probe of an empty cell is the iterate itself, whose cost
+        # J is known: every profile loaded while descending is a new one
+        net = build([("a", "b", 1.0, TRI)], [(0.2, "a", "b", PHI, PSI_V)])
+        grid, _ = solve_global(net, bins=4, max_iter=0, restarts=1)
+        init = DepartureProfile(grid.start, grid.bin_width,
+                                np.array([[[0.0, 0.15, 0.05, 0.0]]]) / grid.bin_width)
+        loaded = []
+
+        def recording(network, profile, **kwargs):
+            loaded.append(profile.rates.tobytes())
+            return total_cost(network, profile, **kwargs)
+
+        monkeypatch.setattr(solvers, "total_cost", recording)
+        solve_global(net, bins=4, max_iter=2, restarts=0, init=init)
+        assert len(loaded) > 1 + 4 + 2      # the iterate, 4 up and 2 down probes
+        assert len(set(loaded)) == len(loaded)
 
     def test_init_grid_mismatch(self):
         net = build([("a", "b", 1.0, TRI)], [(0.3, "a", "b", PHI, PSI_V)])
