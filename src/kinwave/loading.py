@@ -1,12 +1,11 @@
 """Full-network loading: departure rates to arc curves and arrival times.
 
-The loading recursion advances time in windows of the shortest free-flow
-arc traversal: within one window every arc's exit depends only on entry
-data from earlier windows, so arcs can be processed in any order.  An arc
-exit is the whole exit of the entry known so far, so it is cached and
-reused while that entry is unchanged.  All curve arithmetic is exact
-piecewise-linear (triangular/sampled fluxes) or sampled on a uniform grid
-(smooth fluxes).
+Loading is causal: an arc's exit up to time t depends only on its entry up
+to t - mu, mu being its free-flow time.  ``network_load`` sweeps the arcs in
+feeder order, loading each from its feeders' latest curves, which carry the
+time up to which they are exact; on an acyclic feeder graph one sweep loads
+the network exactly.  All curve arithmetic is exact piecewise-linear
+(triangular/sampled fluxes) or sampled on a uniform grid (smooth fluxes).
 """
 from __future__ import annotations
 
@@ -92,7 +91,9 @@ class LoadingResult:
     ``arc_flows[key]`` holds the aggregate entry/exit pair of an arc;
     ``comp_entry`` / ``comp_exit`` map (k, p, key) to that group-path's
     share of the arc's curves; ``arrivals[(k, p)]`` is the cumulative
-    count delivered at the destination.
+    count delivered at the destination.  ``end_time`` is the last time an
+    arc exit drains and ``windows`` the number of loading sweeps, 1 on an
+    acyclic feeder graph.
     """
 
     network: Network
@@ -133,10 +134,13 @@ def _split_exit(exit_curve, entry_curve, comps, t_hi):
 
     Returns one exit-composition curve per entry component, exact on the
     piecewise-linear data: the (k,p) count among the first ``exit(t)``
-    leavers equals that component's count at the matched entry time.
+    leavers equals that component's count at the matched entry time.  The
+    curves end at the smaller of ``t_hi``, up to which the exit is exact,
+    and the exit's drain time.
     """
+    t_hi = min(t_hi, exit_curve.inverse(exit_curve.total))
     cut = float(exit_curve(t_hi))
-    vals = np.concatenate([entry_curve.v] + [c.v for c in comps.values()])
+    vals = np.concatenate([entry_curve.v] + [entry_curve(c.t) for c in comps.values()])
     reach = np.minimum(vals[vals <= cut + 1e-15 * max(1.0, cut)], exit_curve.total)
     ts = np.unique(np.concatenate(
         (exit_curve.t[exit_curve.t <= t_hi], [t_hi], exit_curve.inverse(reach))))
@@ -148,15 +152,33 @@ def _split_exit(exit_curve, entry_curve, comps, t_hi):
     return out
 
 
+def _feeder_order(arcs, paths):
+    """``arcs`` ordered so that a comes before b when some path uses a and
+    then b; a cycle is broken at its first arc in ``arcs``."""
+    preds = {a.key: {u.key for path in paths for u, b in zip(path, path[1:]) if b.key == a.key}
+             for a in arcs}
+    order, pending = [], list(arcs)
+    while pending:
+        placed = {a.key for a in order}
+        order.append(next((a for a in pending if preds[a.key] <= placed), pending[0]))
+        pending.remove(order[-1])
+    return order
+
+
 def network_load(network: Network, profile: DepartureProfile, *, dt=1e-3,
                  rate_cap=None, check_mass=True) -> LoadingResult:
     """Propagate a departure profile through the network.
 
-    Advances in windows of the shortest free-flow traversal time until
-    every group's mass has reached its destination, then returns all
-    aggregate and per-(group, path) curves.  ``check_mass=False`` skips
-    the per-group mass-balance check (used for finite-difference cost
-    probes, which perturb one bin at a time).
+    Sweeps the live arcs in ``_feeder_order``: each arc combines its
+    component entries, computes its whole exit and splits it among them.
+    Its exit components are exact up to its mu plus the least exact-until
+    time of its feeders: +inf for a departure or a final feeder, the first
+    live departure time for a hop not yet reached.  An arc whose feeders are
+    all final is loaded once.  Sweeps stop once every group's mass has
+    reached its destination, after one sweep on an acyclic feeder graph; at
+    most as many run as windows of the shortest mu would.
+    ``check_mass=False`` skips the per-group mass-balance check (used for
+    finite-difference cost probes, which perturb one bin at a time).
     """
     profile.validate(network, rate_cap=rate_cap, check_mass=check_mass)
     if not np.all(np.isfinite(profile.rates)):
@@ -170,6 +192,7 @@ def network_load(network: Network, profile: DepartureProfile, *, dt=1e-3,
     # arc key -> list of (k, p, hop) feeding that arc
     path_arcs = {}
     feeders = {a.key: [] for a in network.arcs}
+    comp_exit = {}      # (k, p, hop) -> latest exit composition; hop -1: departures
     for k in range(len(network.groups)):
         for p in network.paths_for_group(k):
             if masses[k] <= 0 or not np.any(profile.rates[k, p] > 0):
@@ -179,6 +202,7 @@ def network_load(network: Network, profile: DepartureProfile, *, dt=1e-3,
             for hop, arc in enumerate(arcs):
                 feeders[arc.key].append((k, p, hop))
             result.departures[(k, p)] = profile.departure_curve(k, p)
+            comp_exit[(k, p, -1)] = result.departures[(k, p)]
 
     if not path_arcs:
         t0 = profile.start
@@ -190,29 +214,11 @@ def network_load(network: Network, profile: DepartureProfile, *, dt=1e-3,
 
     t_max = max(max_travel_time(network, network.paths[p], G) for (_, p) in path_arcs)
     horizon = profile.end + t_max + 1.0
-    delta = min(a.mu for a in network.arcs)
-    # start the recursion at the first actual departure, not the grid start
-    first_live = min(
-        int(np.argmax(profile.rates[k, p] > 0)) for (k, p) in path_arcs
-    )
-    t_cur = profile.start + first_live * profile.bin_width
-
-    # per (k, p, hop): exit composition known up to t_cur, or None before
-    # the corresponding window is reached
-    comp_exit = {}
-
-    def entry_components(arc):
-        """Component entry curves of one arc given data valid up to t_cur."""
-        comps = {}
-        for (k, p, hop) in feeders[arc.key]:
-            if hop == 0:
-                comps[(k, p, hop)] = result.departures[(k, p)]
-            else:
-                prev = comp_exit.get((k, p, hop - 1))
-                comps[(k, p, hop)] = prev if prev is not None else CumulativeCurve.zero(
-                    t_cur
-                )
-        return comps
+    first_live = min(int(np.argmax(profile.rates[k, p] > 0)) for (k, p) in path_arcs)
+    t_first = profile.start + first_live * profile.bin_width
+    zero = CumulativeCurve.zero(t_first)
+    order = _feeder_order([a for a in network.arcs if feeders[a.key]], path_arcs.values())
+    exact_until = {}    # arc key -> time up to which its exit compositions are exact
 
     def short_path():
         """First (group, path) whose arrivals fall short of its departures, or None."""
@@ -222,37 +228,26 @@ def network_load(network: Network, profile: DepartureProfile, *, dt=1e-3,
             if last is None or last.total < want - _MASS_TOL * max(1.0, want):
                 return k, p
 
-    max_windows = int(np.ceil((horizon - profile.start) / delta)) + 2
-    exit_cache = {}
-    for window in range(max_windows):
-        t_next = t_cur + delta
-        new_exit = {}
-        for arc in network.arcs:
-            comps = entry_components(arc)
-            if not comps:
-                continue
+    max_sweeps = int(np.ceil((horizon - profile.start) / min(a.mu for a in network.arcs))) + 2
+    for sweep in range(max_sweeps):
+        for arc in order:
+            if exact_until.get(arc.key) == np.inf:
+                continue    # its feeders are final, so its curves are too
+            fed = feeders[arc.key]
+            comps = {(k, p, h): comp_exit.get((k, p, h - 1), zero) for (k, p, h) in fed}
+            exact_until[arc.key] = arc.mu + min(
+                exact_until.get(path_arcs[(k, p)][h - 1].key, t_first) if h else np.inf
+                for (k, p, h) in fed)
             entry = CumulativeCurve.combine(list(comps.values()))
-            # the entry often stops changing between windows (all upstream
-            # mass delivered); the exit computed then is still its whole exit
-            cached = exit_cache.get(arc.key)
-            if cached is not None and np.array_equal(cached[0].t, entry.t) and \
-                    np.array_equal(cached[0].v, entry.v):
-                exit_curve = cached[1]
-            else:
-                exit_curve = lax_hopf_exit(entry, arc, dt=dt)
-                exit_cache[arc.key] = (entry, exit_curve)
+            exit_curve = lax_hopf_exit(entry, arc, dt=dt)
             result.arc_flows[arc.key] = ExitComputation(entry, exit_curve, arc)
-            new_exit.update(_split_exit(exit_curve, entry, comps, t_next))
-            for ckey, comp in comps.items():
-                result.comp_entry[(ckey[0], ckey[1], arc.key)] = comp.truncate(t_next)
-        comp_exit = new_exit
-        t_cur = t_next
-        result.windows = window + 1
-
-        if short_path() is None:
+            comp_exit.update(_split_exit(exit_curve, entry, comps, exact_until[arc.key]))
+            result.comp_entry.update({(k, p, arc.key): c for (k, p, _), c in comps.items()})
+        result.windows = sweep + 1
+        if (short := short_path()) is None or min(exact_until.values()) == np.inf:
             break
-    else:
-        k, p = short_path()
+    if short is not None:
+        k, p = short
         raise LoadingError(
             f"network did not drain within the horizon {horizon:.6g}: the arrivals "
             f"of group {k} on path {p} {network.paths[p]!r} fell short of its "
@@ -263,12 +258,12 @@ def network_load(network: Network, profile: DepartureProfile, *, dt=1e-3,
         for hop, arc in enumerate(arcs):
             result.comp_exit[(k, p, arc.key)] = comp_exit[(k, p, hop)]
         result.arrivals[(k, p)] = comp_exit[(k, p, len(arcs) - 1)]
+    result.end_time = max(c.t[-1] for c in result.arrivals.values())
     for k in range(len(network.groups)):
         for p in network.paths_for_group(k):
             if (k, p) not in result.arrivals:
                 result.arrivals[(k, p)] = CumulativeCurve.zero(profile.start)
                 result.departures.setdefault((k, p), CumulativeCurve.zero(profile.start))
-    result.end_time = t_cur
     return result
 
 

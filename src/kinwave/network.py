@@ -327,14 +327,18 @@ def compute_bounds(network: Network) -> SolverBounds:
 
 
 def _initial_window(network):
-    """Smallest window (rounded to 0.25) containing every group's cost minimum."""
+    """Smallest window (rounded to 0.25) containing every group's cost minimum;
+    a cost flat up to rounding has none (``argmin`` would pick a noise point)."""
     extent = 1.0
     while True:
         grid = np.linspace(-extent, extent, 4097)
         interior = True
         t_far = 0.0
-        for g in network.groups:
+        for k, g in enumerate(network.groups):
             vals = g.combined_cost(grid)
+            if np.ptp(vals) <= 64 * np.finfo(float).eps * max(1.0, np.max(np.abs(vals))):
+                raise ConfigurationError(f"group {k} combined cost is flat: it has no "
+                                         "minimum to bracket")
             i = int(np.argmin(vals))
             if i == 0 or i == len(grid) - 1:
                 interior = False

@@ -2,11 +2,17 @@
 
 Everything here is deliberately written from first principles (bisection,
 grid search, stepped simulation) rather than reusing the package's
-machinery, so that agreement is evidence and not tautology.
+machinery, so that agreement is evidence and not tautology.  The one
+exception is the regression oracle at the end, ``window_network_load``.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from kinwave import (AdmissibilityError, CumulativeCurve, ExitComputation, LoadingError,
+                     LoadingResult, lax_hopf_exit, max_travel_time)
+
+_MASS_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------
@@ -202,3 +208,162 @@ def linear_scan_window(groups, t_max, t_init, step=0.25, cap=10**6):
         if all(g.combined_cost(t0) > rhs and g.combined_cost(-t0) > rhs for g in groups):
             return t0
     return None
+
+
+# ---------------------------------------------------------------------
+# Regression oracle: the fixed-window network loading
+# ---------------------------------------------------------------------
+#
+# Unlike the oracles above, this one reuses the package's curve machinery
+# (``combine``, ``lax_hopf_exit``, ``LoadingResult``).  It is the loader as
+# it was before loading ran in feeder-order sweeps, kept so that the sweeps
+# can be checked against it: it advances in windows of the shortest
+# free-flow time and recomputes every arc in every window.  One line differs
+# from that loader: its FIFO split, like the package's, cuts the exit at the
+# aggregate count of every component breakpoint, ``entry_curve(c.t)``.  The
+# component counts ``c.v`` it used before miss a component's kink wherever
+# the aggregate entry runs straight through it, so the split depended on
+# where the windows fell.
+
+
+def _window_split_exit(exit_curve, entry_curve, comps, t_hi):
+    """FIFO split of an arc's exit flow among its entry components.
+
+    Returns one exit-composition curve per entry component, exact on the
+    piecewise-linear data: the (k,p) count among the first ``exit(t)``
+    leavers equals that component's count at the matched entry time.
+    """
+    cut = float(exit_curve(t_hi))
+    vals = np.concatenate([entry_curve.v] + [entry_curve(c.t) for c in comps.values()])
+    reach = np.minimum(vals[vals <= cut + 1e-15 * max(1.0, cut)], exit_curve.total)
+    ts = np.unique(np.concatenate(
+        (exit_curve.t[exit_curve.t <= t_hi], [t_hi], exit_curve.inverse(reach))))
+    ts = ts[ts <= t_hi + 1e-12]
+    taus = entry_curve.inverse(np.minimum(exit_curve(ts), entry_curve.total))
+    out = {}
+    for key, comp in comps.items():
+        out[key] = CumulativeCurve(ts, comp(taus), validate=False).simplify()
+    return out
+
+
+def window_network_load(network, profile, *, dt=1e-3, rate_cap=None, check_mass=True):
+    """Propagate a departure profile through the network.
+
+    Advances in windows of the shortest free-flow traversal time until
+    every group's mass has reached its destination, then returns all
+    aggregate and per-(group, path) curves.  ``check_mass=False`` skips
+    the per-group mass-balance check (used for finite-difference cost
+    probes, which perturb one bin at a time).
+    """
+    profile.validate(network, rate_cap=rate_cap, check_mass=check_mass)
+    if not np.all(np.isfinite(profile.rates)):
+        raise AdmissibilityError("departure rates must be finite")
+
+    result = LoadingResult(network, profile)
+    G = network.total_demand
+    masses = profile.group_masses()
+
+    # (k, p) -> list of arcs along the path, and the reverse index:
+    # arc key -> list of (k, p, hop) feeding that arc
+    path_arcs = {}
+    feeders = {a.key: [] for a in network.arcs}
+    for k in range(len(network.groups)):
+        for p in network.paths_for_group(k):
+            if masses[k] <= 0 or not np.any(profile.rates[k, p] > 0):
+                continue
+            arcs = network.paths[p].arcs
+            path_arcs[(k, p)] = arcs
+            for hop, arc in enumerate(arcs):
+                feeders[arc.key].append((k, p, hop))
+            result.departures[(k, p)] = profile.departure_curve(k, p)
+
+    if not path_arcs:
+        t0 = profile.start
+        for k in range(len(network.groups)):
+            for p in network.paths_for_group(k):
+                result.arrivals[(k, p)] = CumulativeCurve.zero(t0)
+        result.end_time = t0
+        return result
+
+    t_max = max(max_travel_time(network, network.paths[p], G) for (_, p) in path_arcs)
+    horizon = profile.end + t_max + 1.0
+    delta = min(a.mu for a in network.arcs)
+    # start the recursion at the first actual departure, not the grid start
+    first_live = min(
+        int(np.argmax(profile.rates[k, p] > 0)) for (k, p) in path_arcs
+    )
+    t_cur = profile.start + first_live * profile.bin_width
+
+    # per (k, p, hop): exit composition known up to t_cur, or None before
+    # the corresponding window is reached
+    comp_exit = {}
+
+    def entry_components(arc):
+        """Component entry curves of one arc given data valid up to t_cur."""
+        comps = {}
+        for (k, p, hop) in feeders[arc.key]:
+            if hop == 0:
+                comps[(k, p, hop)] = result.departures[(k, p)]
+            else:
+                prev = comp_exit.get((k, p, hop - 1))
+                comps[(k, p, hop)] = prev if prev is not None else CumulativeCurve.zero(
+                    t_cur
+                )
+        return comps
+
+    def short_path():
+        """First (group, path) whose arrivals fall short of its departures, or None."""
+        for (k, p), arcs in path_arcs.items():
+            last = comp_exit.get((k, p, len(arcs) - 1))
+            want = profile.rates[k, p].sum() * profile.bin_width
+            if last is None or last.total < want - _MASS_TOL * max(1.0, want):
+                return k, p
+
+    max_windows = int(np.ceil((horizon - profile.start) / delta)) + 2
+    exit_cache = {}
+    for window in range(max_windows):
+        t_next = t_cur + delta
+        new_exit = {}
+        for arc in network.arcs:
+            comps = entry_components(arc)
+            if not comps:
+                continue
+            entry = CumulativeCurve.combine(list(comps.values()))
+            # the entry often stops changing between windows (all upstream
+            # mass delivered); the exit computed then is still its whole exit
+            cached = exit_cache.get(arc.key)
+            if cached is not None and np.array_equal(cached[0].t, entry.t) and \
+                    np.array_equal(cached[0].v, entry.v):
+                exit_curve = cached[1]
+            else:
+                exit_curve = lax_hopf_exit(entry, arc, dt=dt)
+                exit_cache[arc.key] = (entry, exit_curve)
+            result.arc_flows[arc.key] = ExitComputation(entry, exit_curve, arc)
+            new_exit.update(_window_split_exit(exit_curve, entry, comps, t_next))
+            for ckey, comp in comps.items():
+                result.comp_entry[(ckey[0], ckey[1], arc.key)] = comp.truncate(t_next)
+        comp_exit = new_exit
+        t_cur = t_next
+        result.windows = window + 1
+
+        if short_path() is None:
+            break
+    else:
+        k, p = short_path()
+        raise LoadingError(
+            f"network did not drain within the horizon {horizon:.6g}: the arrivals "
+            f"of group {k} on path {p} {network.paths[p]!r} fell short of its "
+            "departures; check for capacity bottlenecks"
+        )
+
+    for (k, p), arcs in path_arcs.items():
+        for hop, arc in enumerate(arcs):
+            result.comp_exit[(k, p, arc.key)] = comp_exit[(k, p, hop)]
+        result.arrivals[(k, p)] = comp_exit[(k, p, len(arcs) - 1)]
+    for k in range(len(network.groups)):
+        for p in network.paths_for_group(k):
+            if (k, p) not in result.arrivals:
+                result.arrivals[(k, p)] = CumulativeCurve.zero(profile.start)
+                result.departures.setdefault((k, p), CumulativeCurve.zero(profile.start))
+    result.end_time = t_cur
+    return result

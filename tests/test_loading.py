@@ -1,6 +1,8 @@
 """Network loading: propagation, FIFO splitting, conservation, per-driver maps."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinwave import (AdmissibilityError, ArcDescriptor, CostFunction, CumulativeCurve,
                      DepartureProfile, DomainError, FluxDescriptor, GroupDescriptor,
@@ -9,7 +11,7 @@ from kinwave import (AdmissibilityError, ArcDescriptor, CostFunction, Cumulative
 from kinwave import curves
 
 from helpers import random_scenario
-from oracles import brute_lax_hopf
+from oracles import brute_lax_hopf, window_network_load
 
 TRI = FluxDescriptor.triangular(1.0, 1.0, 1.0)
 GS = FluxDescriptor.greenshields(1.0, 1.0)
@@ -179,6 +181,56 @@ class TestNetworkLoad:
         assert sups[1] <= sups[0] + 1e-9
         phi = modulus_of_continuity(net.arcs[0], M=2.0, G=1.0)
         assert sups[0] <= phi(1e-2 / 0.5) + 1e-6
+
+
+def assert_same_loading(res, ref):
+    """Every arc, component and arrival curve of ``res`` equals ``ref``'s as a
+    piecewise-linear function, to 1e-12 * max(1, G) on their breakpoints."""
+    tol = 1e-12 * max(1.0, res.network.total_demand)
+    pairs = [(res.arrivals, ref.arrivals), (res.comp_entry, ref.comp_entry),
+             (res.comp_exit, ref.comp_exit)]
+    pairs += [({k: getattr(c, side) for k, c in res.arc_flows.items()},
+               {k: getattr(c, side) for k, c in ref.arc_flows.items()})
+              for side in ("entry", "exit")]
+    for got, want in pairs:
+        assert got.keys() == want.keys()
+        for key, curve in got.items():
+            ts = np.union1d(curve.t, want[key].t)
+            assert np.max(np.abs(curve(ts) - want[key](ts))) <= tol, key
+
+
+class TestSweepsMatchWindows:
+    """The feeder-order sweeps against the fixed-window recursion they replace."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_scenarios(self, seed):
+        rng = np.random.default_rng(seed)
+        net, prof = random_scenario(rng, allow_greenshields=True)
+        # list the arcs out of path order, so the sweep has to find that order
+        net = Network(net.nodes, list(rng.permutation(net.arcs)), net.groups)
+        res = network_load(net, prof, dt=1e-2)
+        assert res.windows == 1     # the chain-based scenarios have acyclic feeders
+        drains = [c.exit.inverse(c.exit.total) for c in res.arc_flows.values()]
+        assert res.end_time == pytest.approx(max(drains), rel=1e-12)
+        assert_same_loading(res, window_network_load(net, prof, dt=1e-2))
+
+    def test_cyclic_feeders(self):
+        # a ring a->b->c->a whose groups each ride two arcs: every arc feeds
+        # the next, so no sweep order loads the ring in one pass
+        net = make_network(
+            [("a", "b", 1.0, TRI), ("b", "c", 1.0, TRI), ("c", "a", 1.0, TRI)],
+            [(1.6, "a", "c"), (1.6, "b", "a"), (1.6, "c", "b")],
+        )
+        rates = np.zeros((3, len(net.paths), 4))
+        for k in range(3):
+            rates[k, net.paths_for_group(k)[0]] = 0.8
+        prof = DepartureProfile(0.0, 0.5, rates)
+        res, ref = network_load(net, prof), window_network_load(net, prof)
+        res.check_invariants()
+        assert ref.windows == 8
+        assert 1 < res.windows < ref.windows
+        assert_same_loading(res, ref)
 
 
 class TestArrivalTimePath:

@@ -253,6 +253,13 @@ class TestBounds:
         with pytest.raises(ConfigurationError, match="coercivity"):
             scan_window(net(1e-7), t_max)
 
+    def test_rejects_flat_combined_cost(self):
+        # -t + (c + t) is constant, so any minimum argmin finds on the grid is
+        # rounding noise (with this c, one at t = 129.5)
+        net = single_arc_network(psi=CostFunction.affine(1.5451834406094775, 1.0))
+        with pytest.raises(ConfigurationError, match="group 0 combined cost is flat"):
+            compute_bounds(net)
+
     def test_rejects_nonconvex_combined_cost(self):
         # |t| - 0.1 t^2 rises above the crude cost only on a short stretch
         # and then falls without bound: no equilibrium window exists

@@ -15,7 +15,9 @@ are equal:
     diff before.txt after.txt
 
 The script only reads ``perfbench/``; scenario files and outputs go to a
-temporary directory that is removed at exit.
+temporary directory that is removed at exit, or with ``--keep DIR`` to
+``DIR``, where ``tools/compare_outputs.py`` can compare two trees that are
+not byte-identical.
 """
 from __future__ import annotations
 
@@ -73,9 +75,14 @@ def digest_seed(seed, work):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", default="0-3", help="seed list such as 0-3 or 0,2")
+    ap.add_argument("--keep", metavar="DIR", type=Path,
+                    help="write the output tree to DIR instead of a temporary directory")
     args = ap.parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    with tempfile.TemporaryDirectory() as tmp:
+    if args.keep is not None:
+        args.keep.mkdir(parents=True, exist_ok=True)
+    work = contextlib.nullcontext(args.keep) if args.keep else tempfile.TemporaryDirectory()
+    with work as tmp:
         for seed in parse_seeds(args.seeds):
             digest_seed(seed, Path(tmp))
 
