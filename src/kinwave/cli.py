@@ -429,9 +429,10 @@ def nash(scenario, out, dump_curves, emit_plot_data):
         scenario.network, bins=cfg["bins"], tol=cfg["tol"],
         max_iter=cfg["max_iter"], damping=cfg["damping"], dt=cfg["dt"],
     )
-    J = total_cost(scenario.network, profile, dt=cfg["dt"])
+    loading = network_load(scenario.network, profile, dt=cfg["dt"])
+    J = total_cost(scenario.network, profile, loading=loading)
     doc = {"equilibrium": report.as_dict(), "total_cost": J, "solver": cfg}
-    _write_results(scenario, out, doc, profile, dump_curves, emit_plot_data)
+    _write_results(scenario, out, doc, profile, dump_curves, emit_plot_data, loading)
     click.echo(f"gap {report.gap:.12g} total_cost {J:.12g}")
     return 0 if report.converged else 1
 

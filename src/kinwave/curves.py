@@ -113,21 +113,24 @@ class CumulativeCurve:
         mass raises DomainError.
         """
         scalar = np.isscalar(beta)
-        b = np.atleast_1d(np.asarray(beta, dtype=float))
-        tol = 1e-9 * max(1.0, self.total)
-        if np.any(b < -tol) or np.any(b > self.total + tol):
+        b = np.array(beta, dtype=float, ndmin=1)
+        t, v, total = self.t, self.v, self.total
+        tol = 1e-9 * max(1.0, total)
+        if b.size and (b.min() < -tol or b.max() > total + tol):
             raise DomainError("count outside [0, total mass]")
-        b = np.clip(b, 0.0, self.total)
-        idx = np.searchsorted(self.v, b, side="left")
-        idx = np.clip(idx, 0, len(self.t) - 1)
-        out = np.empty_like(b)
-        at_start = idx == 0
-        out[at_start] = self.t[0]
-        rest = ~at_start
-        i = idx[rest]
-        dv = self.v[i] - self.v[i - 1]
-        frac = np.where(dv > 0, (b[rest] - self.v[i - 1]) / np.where(dv > 0, dv, 1.0), 1.0)
-        out[rest] = self.t[i - 1] + frac * (self.t[i] - self.t[i - 1])
+        b = np.minimum(np.maximum(b, 0.0), total)
+        if len(t) == 1:
+            return float(t[0]) if scalar else np.full_like(b, t[0])
+        idx = np.minimum(np.searchsorted(v, b, side="left"), len(t) - 1)
+        i = np.maximum(idx, 1)
+        j = i - 1
+        vj, tj = v[j], t[j]
+        dv = v[i] - vj
+        flat = dv <= 0          # a flat segment answers with its right end
+        frac = (b - vj) / np.where(flat, 1.0, dv)
+        frac[flat] = 1.0
+        out = tj + frac * (t[i] - tj)
+        out[idx == 0] = t[0]
         return float(out[0]) if scalar else out
 
     # -- transforms ---------------------------------------------------

@@ -80,9 +80,6 @@ class DepartureProfile:
     def departure_curve(self, k, p) -> CumulativeCurve:
         return CumulativeCurve.from_step_rates(self.bin_edges, self.rates[k, p])
 
-    def copy(self):
-        return DepartureProfile(self.start, self.bin_width, self.rates.copy())
-
 
 @dataclass
 class LoadingResult:

@@ -208,13 +208,13 @@ def solve_nash(network: Network, *, bins=64, tol=1e-3, max_iter=5000,
                damping=0.2, dt=1e-3, bounds: SolverBounds | None = None):
     """Seek a Nash equilibrium by damped mass transfer toward cheap cells.
 
-    Each iteration loads the network, evaluates per-cell driver costs,
-    and shifts mass from expensive (path, bin) cells toward cheap ones,
-    clipped so rates stay within [0, 4*kappa].  The transfer uses an
-    extragradient scheme (costs re-evaluated at a predictor point) so
-    that the queueing feedback does not induce limit cycles.  Returns
-    the best profile found and its diagnostics; ``converged`` is False
-    if the gap never reached ``tol``.
+    Each iteration loads the network once, at the predictor y, and shifts
+    mass from expensive (path, bin) cells toward cheap ones, with rates kept
+    in [0, 4*kappa].  Popov's past-extragradient uses the costs F(y) twice:
+    the anchor steps to x' = swap(x, F(y)) and the next predictor is
+    swap(x', F(y)), so queueing feedback does not induce limit cycles.
+    Returns the loaded predictor with the least gap and its diagnostics;
+    ``converged`` is False if that gap is above ``tol``.
     """
     if bins < 2:
         raise ConfigurationError("solve_nash needs at least 2 bins")
@@ -225,25 +225,23 @@ def solve_nash(network: Network, *, bins=64, tol=1e-3, max_iter=5000,
     rates = _uniform_start(network, bounds, bins, start, width)
     if np.any(rates > cap):
         raise ConfigurationError("initial uniform rates exceed the 4*kappa cap")
-    profile = DepartureProfile(start, width, rates)
+    anchor = predictor = DepartureProfile(start, width, rates)
 
     best_profile, best_report = None, None
     history = []
     it = 0
     rc = cap * (1 + 1e-9)
     for it in range(1, max_iter + 1):
-        loading = network_load(network, profile, dt=dt, rate_cap=rc)
+        loading = network_load(network, predictor, dt=dt, rate_cap=rc)
         costs = cost_profile(network, loading)
-        report = _gap_from_costs(network, profile, costs)
+        report = _gap_from_costs(network, predictor, costs)
         history.append(report.gap)
         if best_report is None or report.gap < best_report.gap:
-            best_profile, best_report = profile.copy(), report
+            best_profile, best_report = predictor, report
         if report.gap <= tol:
             break
-        predictor = _swap_step(network, profile, costs, damping, cap)
-        mid_loading = network_load(network, predictor, dt=dt, rate_cap=rc)
-        mid_costs = cost_profile(network, mid_loading)
-        profile = _swap_step(network, profile, mid_costs, damping, cap)
+        anchor = _swap_step(network, anchor, costs, damping, cap)
+        predictor = _swap_step(network, anchor, costs, damping, cap)
     else:
         it = max_iter
 

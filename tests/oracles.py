@@ -2,15 +2,16 @@
 
 Everything here is deliberately written from first principles (bisection,
 grid search, stepped simulation) rather than reusing the package's
-machinery, so that agreement is evidence and not tautology.  The one
-exception is the regression oracle at the end, ``window_network_load``.
+machinery, so that agreement is evidence and not tautology.  The two
+exceptions are the regression oracles at the end, ``reference_inverse``
+and ``window_network_load``.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from kinwave import (AdmissibilityError, CumulativeCurve, ExitComputation, LoadingError,
-                     LoadingResult, lax_hopf_exit, max_travel_time)
+from kinwave import (AdmissibilityError, CumulativeCurve, DomainError, ExitComputation,
+                     LoadingError, LoadingResult, lax_hopf_exit, max_travel_time)
 
 _MASS_TOL = 1e-9
 
@@ -208,6 +209,36 @@ def linear_scan_window(groups, t_max, t_init, step=0.25, cap=10**6):
         if all(g.combined_cost(t0) > rhs and g.combined_cost(-t0) > rhs for g in groups):
             return t0
     return None
+
+
+# ---------------------------------------------------------------------
+# Regression oracle: the masked-gather curve inverse
+# ---------------------------------------------------------------------
+#
+# ``CumulativeCurve.inverse`` as it was before it was rewritten with fewer
+# numpy calls.  The arithmetic of the two is the same, so their outputs
+# must agree bit for bit.
+
+
+def reference_inverse(curve, beta):
+    """Generalized left inverse inf{ t : curve(t) >= beta }; see ``inverse``."""
+    scalar = np.isscalar(beta)
+    b = np.atleast_1d(np.asarray(beta, dtype=float))
+    tol = 1e-9 * max(1.0, curve.total)
+    if np.any(b < -tol) or np.any(b > curve.total + tol):
+        raise DomainError("count outside [0, total mass]")
+    b = np.clip(b, 0.0, curve.total)
+    idx = np.searchsorted(curve.v, b, side="left")
+    idx = np.clip(idx, 0, len(curve.t) - 1)
+    out = np.empty_like(b)
+    at_start = idx == 0
+    out[at_start] = curve.t[0]
+    rest = ~at_start
+    i = idx[rest]
+    dv = curve.v[i] - curve.v[i - 1]
+    frac = np.where(dv > 0, (b[rest] - curve.v[i - 1]) / np.where(dv > 0, dv, 1.0), 1.0)
+    out[rest] = curve.t[i - 1] + frac * (curve.t[i] - curve.t[i - 1])
+    return float(out[0]) if scalar else out
 
 
 # ---------------------------------------------------------------------

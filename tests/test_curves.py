@@ -11,7 +11,7 @@ from kinwave import (ArcDescriptor, CumulativeCurve, DomainError, ExitComputatio
 from kinwave import curves
 from kinwave.curves import _REL, _monge_row_minima
 
-from oracles import brute_lax_hopf, greenshields_density, modulus_by_search
+from oracles import brute_lax_hopf, greenshields_density, modulus_by_search, reference_inverse
 
 GS_ARC = ArcDescriptor("a", "b", 1.0, FluxDescriptor.greenshields(1.0, 1.0))
 TRI_ARC = ArcDescriptor("a", "b", 1.0, FluxDescriptor.triangular(1.0, 1.0, 1.0))
@@ -154,6 +154,36 @@ class TestCumulativeCurve:
         # the crossing at 0.5001; the exact crossing is the end of bin 0
         c = CumulativeCurve.from_step_rates([0.0, 1.0, 2.0], [5e-324, 1.0])
         assert c.inverse(5e-324) == exact_left_inverse(c, 5e-324) == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_inverse_matches_reference_bits(self, data):
+        # breakpoints with flat runs (zero increments), down to a single one
+        n = data.draw(st.integers(1, 9))
+        t = data.draw(st.floats(-50.0, 50.0)) + np.cumsum(
+            data.draw(st.lists(st.floats(1e-6, 10.0), min_size=n, max_size=n)))
+        rises = data.draw(st.lists(st.sampled_from([0.0, 0.25, 1e-9]) | st.floats(0.0, 5.0),
+                                   min_size=n - 1, max_size=n - 1))
+        c = CumulativeCurve(t, np.concatenate(([0.0], np.cumsum(rises))))
+        tol = 1e-9 * max(1.0, c.total)
+        probe = (st.sampled_from([0.0, -0.0, c.total, -tol, c.total + tol, np.nan,
+                                  *c.v.tolist()])
+                 | st.floats(0.0, 1.0).map(lambda x: x * c.total)
+                 | st.floats(-tol, c.total + tol))
+        beta = data.draw(probe | st.lists(probe, max_size=6).map(np.array))
+        got, want = c.inverse(beta), reference_inverse(c, beta)
+        assert type(got) is type(want)
+        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+    def test_inverse_rejects_like_reference(self):
+        for c in (CumulativeCurve.from_step_rates([0.0, 1.0, 2.0], [1.0, 0.0]),
+                  CumulativeCurve([4.0], [0.0])):
+            tol = 1e-9 * max(1.0, c.total)
+            for beta in (np.nextafter(-tol, -1.0), np.nextafter(c.total + tol, np.inf),
+                         np.array([0.5 * c.total, c.total + 1.0]), -1.0):
+                for inverse in (c.inverse, lambda b: reference_inverse(c, b)):
+                    with pytest.raises(DomainError):
+                        inverse(beta)
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())

@@ -154,6 +154,27 @@ class TestSolveNash:
         with pytest.raises(ConfigurationError):
             solve_nash(net, bins=1)
 
+    @pytest.mark.parametrize("max_iter", [6, 400])
+    def test_one_load_per_iteration(self, monkeypatch, max_iter):
+        # Popov's scheme loads only the predictor; the reported gap is the
+        # loaded best profile's own gap, and the history ends at the last load
+        net = build([("a", "b", 1.0, TRI)], [(0.3, "a", "b", PHI, PSI_V)])
+        loaded = []
+
+        def recording(network, profile, **kwargs):
+            loaded.append(profile)
+            return network_load(network, profile, **kwargs)
+
+        monkeypatch.setattr(solvers, "network_load", recording)
+        prof, report = solve_nash(net, bins=32, tol=5e-3, max_iter=max_iter)
+        monkeypatch.undo()
+        assert len(loaded) == report.iterations == len(report.gap_history)
+        assert report.converged == (max_iter == 400)
+        assert any(p is prof for p in loaded)
+        assert report.gap == nash_gap(net, prof).gap
+        assert report.gap_history[-1] == nash_gap(net, loaded[-1]).gap
+        assert report.gap == min(report.gap_history)
+
 
 class TestSolveGlobal:
     def test_single_driver_limit(self):

@@ -6,7 +6,9 @@ the tree roots:
 
 * a file present in only one tree;
 * in JSON files, every key path whose values differ, such as
-  ``out_0_load_chain/report.json: end_time: 13.5 != 14.0``;
+  ``out_0_load_chain/report.json: end_time: 13.5 != 14.0``.  A list of
+  numbers gives one line, with how many entries differ and their largest
+  |A - B|; lists of unequal length give only their lengths;
 * in curve CSVs (``t,value`` rows, or ``series,t,value`` rows holding one
   curve per series), the largest |A - B| of the two curves as piecewise-linear
   functions with constant extension, taken on the union of their
@@ -32,19 +34,27 @@ import numpy as np
 
 
 def json_diffs(a, b, where=""):
-    """Key paths (``a.b[2].c``) at which two JSON values differ."""
+    """(key path, description) pairs, key paths like ``a.b[2].c``, at which
+    two JSON values differ."""
     if isinstance(a, dict) and isinstance(b, dict):
         out = []
         for key in sorted(set(a) | set(b), key=str):
             sub = f"{where}.{key}" if where else str(key)
             if key not in a or key not in b:
-                out.append((sub, a.get(key, "<missing>"), b.get(key, "<missing>")))
+                out.append((sub, f"{a.get(key, '<missing>')!r} != {b.get(key, '<missing>')!r}"))
             else:
                 out.extend(json_diffs(a[key], b[key], sub))
         return out
-    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+    at = where or "<root>"
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return [(at, f"length {len(a)} != {len(b)}")]
+        if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in a + b):
+            gaps = [abs(x - y) for x, y in zip(a, b) if x != y or type(x) is not type(y)]
+            return [(at, f"{len(gaps)} of {len(a)} entries differ, "
+                         f"max |A - B| = {max(gaps):.3g}")] if gaps else []
         return [d for i, (x, y) in enumerate(zip(a, b)) for d in json_diffs(x, y, f"{where}[{i}]")]
-    return [] if a == b and type(a) is type(b) else [(where or "<root>", a, b)]
+    return [] if a == b and type(a) is type(b) else [(at, f"{a!r} != {b!r}")]
 
 
 def read_curves(path):
@@ -72,7 +82,7 @@ def compare_file(pa, pb, tol):
         return None
     if pa.suffix == ".json":
         diffs = json_diffs(json.loads(ba), json.loads(bb))
-        return "; ".join(f"{k}: {x!r} != {y!r}" for k, x, y in diffs), True
+        return "; ".join(f"{k}: {d}" for k, d in diffs), True
     ca, cb = read_curves(pa), read_curves(pb)
     if ca is None or cb is None:
         return "bytes differ", True
