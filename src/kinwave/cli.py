@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,28 +18,20 @@ import click
 import numpy as np
 
 from .curves import write_curve_csv
-from .errors import ConfigurationError, KinwaveError, ScenarioError
+from .errors import DomainError, KinwaveError, ScenarioError
 from .flux import ArcDescriptor, FluxDescriptor
 from .loading import DepartureProfile, network_load
 from .network import (CostFunction, GroupDescriptor, Network, compute_bounds,
                       validate_assumptions)
 from .solvers import solve_global, solve_nash, total_cost
 
-_FLUX_KEYS = {
-    "greenshields": {"v_free", "rho_jam"},
-    "triangular": {"v_free", "w_back", "rho_jam"},
-    "sampled": {"breakpoints"},
-}
-_COST_KEYS = {
-    "affine": {"a", "b"},
-    "quadratic": {"a", "b", "c"},
-    "vickrey": {"target", "early_rate", "late_rate", "smoothing"},
-}
-_SOLVER_KEYS = {"bins", "dt", "tol", "damping", "max_iter", "restarts", "seed"}
 _SOLVER_DEFAULTS = {
     "bins": 64, "dt": 1e-3, "tol": 1e-3, "damping": 0.2,
     "max_iter": 5000, "restarts": 2, "seed": 0,
 }
+_POSITIVE = ("bins", "dt", "tol", "damping")
+_COUNTS = ("bins", "max_iter", "restarts", "seed")
+_MAX_BINS = 10**6
 
 
 @dataclass
@@ -48,7 +41,17 @@ class Scenario:
     network: Network
     solver: dict
     profile: DepartureProfile | None = None
-    path: str = ""
+
+
+@contextmanager
+def _at(where):
+    """Re-raise a library error from the block as a ScenarioError naming ``where``."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except KinwaveError as e:
+        raise ScenarioError(f"{where}: {e}") from e
 
 
 def _require_keys(obj, required, optional, where):
@@ -62,12 +65,11 @@ def _require_keys(obj, required, optional, where):
             raise ScenarioError(f"{where}: missing key {key!r}")
 
 
-def _number(obj, key, where):
-    v = obj[key]
+def _number(v, where):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ScenarioError(f"{where}.{key}: expected a number, got {v!r}")
+        raise ScenarioError(f"{where}: expected a number, got {v!r}")
     if not abs(v) <= sys.float_info.max:     # NaN, infinities, ints too big for a float
-        raise ScenarioError(f"{where}.{key}: expected a finite number, got {v!r}")
+        raise ScenarioError(f"{where}: expected a finite number, got {v!r}")
     return float(v)
 
 
@@ -78,13 +80,13 @@ def _list(obj, key, where):
     return v
 
 
-def _finite_array(obj, key, where):
+def _finite_array(v, where):
     try:
-        a = np.asarray(obj[key], dtype=float)
+        a = np.asarray(v, dtype=float)
     except (TypeError, ValueError, OverflowError) as e:
-        raise ScenarioError(f"{where}.{key}: {e}") from e
+        raise ScenarioError(f"{where}: {e}") from e
     if not np.all(np.isfinite(a)):
-        raise ScenarioError(f"{where}.{key}: expected finite numbers")
+        raise ScenarioError(f"{where}: expected finite numbers")
     return a
 
 
@@ -95,50 +97,28 @@ def _node(obj, key, where, node_set):
     return v
 
 
-def _parse_flux(obj, where):
-    _require_keys(obj, {"kind"}, set.union(*_FLUX_KEYS.values()), where)
-    kind = obj["kind"]
-    if kind not in _FLUX_KEYS:
-        raise ScenarioError(f"{where}.kind: unknown flux kind {kind!r}")
-    _require_keys(obj, _FLUX_KEYS[kind] | {"kind"}, set(), where)
-    try:
-        if kind == "greenshields":
-            return FluxDescriptor.greenshields(
-                _number(obj, "v_free", where), _number(obj, "rho_jam", where)
-            )
-        if kind == "triangular":
-            return FluxDescriptor.triangular(
-                _number(obj, "v_free", where), _number(obj, "w_back", where),
-                _number(obj, "rho_jam", where),
-            )
-        return FluxDescriptor.sampled(_finite_array(obj, "breakpoints", where))
-    except ConfigurationError as e:
-        raise ScenarioError(f"{where}: {e}") from e
+def _parse_kind(cls, obj, where):
+    """A FluxDescriptor or CostFunction from ``{"kind": ..., <parameters>}``;
+    ``cls.KINDS`` says which parameters each kind takes."""
+    _require_keys(obj, {"kind"}, obj, where)    # the kind checks the other keys
+    params = {key: (_finite_array if key == "breakpoints" else _number)(v, f"{where}.{key}")
+              for key, v in obj.items() if key != "kind"}
+    with _at(where):
+        return cls(obj["kind"], params)
 
 
-def _parse_cost(obj, where):
-    _require_keys(obj, {"kind"}, set.union(*(set(v) for v in _COST_KEYS.values())), where)
-    kind = obj["kind"]
-    if kind == "affine":
-        _require_keys(obj, {"kind", "a", "b"}, set(), where)
-        return CostFunction.affine(_number(obj, "a", where), _number(obj, "b", where))
-    if kind == "quadratic":
-        _require_keys(obj, {"kind", "a", "b", "c"}, set(), where)
-        return CostFunction.quadratic(
-            _number(obj, "a", where), _number(obj, "b", where), _number(obj, "c", where)
-        )
-    if kind == "vickrey":
-        _require_keys(obj, {"kind", "target", "early_rate", "late_rate"}, {"smoothing"},
-                      where)
-        smoothing = _number(obj, "smoothing", where) if "smoothing" in obj else 0.05
-        try:
-            return CostFunction.vickrey(
-                _number(obj, "target", where), _number(obj, "early_rate", where),
-                _number(obj, "late_rate", where), smoothing,
-            )
-        except ConfigurationError as e:
-            raise ScenarioError(f"{where}: {e}") from e
-    raise ScenarioError(f"{where}.kind: unknown cost kind {kind!r}")
+def _solver_value(key, v, where):
+    """``v`` checked as the solver setting ``key``, which ``where`` names."""
+    x = _number(v, where)
+    if key in _POSITIVE and x <= 0:
+        raise ScenarioError(f"{where}: must be positive")
+    if key not in _COUNTS:
+        return x
+    if x < 0 or x != int(x):
+        raise ScenarioError(f"{where}: must be a nonnegative integer")
+    if key == "bins" and x > _MAX_BINS:
+        raise ScenarioError(f"{where}: must be at most {_MAX_BINS}")
+    return int(v)
 
 
 def parse_scenario(path) -> Scenario:
@@ -170,70 +150,43 @@ def parse_scenario(path) -> Scenario:
     for i, a in enumerate(_list(doc, "arcs", "scenario")):
         where = f"arcs[{i}]"
         _require_keys(a, {"from", "to", "length", "flux"}, set(), where)
-        try:
-            arcs.append(
-                ArcDescriptor(_node(a, "from", where, node_set),
-                              _node(a, "to", where, node_set), _number(a, "length", where),
-                              _parse_flux(a["flux"], where + ".flux"))
-            )
-        except KinwaveError as e:
-            if isinstance(e, ScenarioError):
-                raise
-            raise ScenarioError(f"{where}: {e}") from e
+        with _at(where):
+            arcs.append(ArcDescriptor(
+                _node(a, "from", where, node_set), _node(a, "to", where, node_set),
+                _number(a["length"], f"{where}.length"),
+                _parse_kind(FluxDescriptor, a["flux"], f"{where}.flux")))
 
     groups = []
     for i, g in enumerate(_list(doc, "groups", "scenario")):
         where = f"groups[{i}]"
-        _require_keys(
-            g, {"size", "origin", "destination", "departure_cost", "arrival_cost"},
-            set(), where,
-        )
-        try:
-            groups.append(
-                GroupDescriptor(
-                    _number(g, "size", where), _node(g, "origin", where, node_set),
-                    _node(g, "destination", where, node_set),
-                    _parse_cost(g["departure_cost"], where + ".departure_cost"),
-                    _parse_cost(g["arrival_cost"], where + ".arrival_cost"),
-                )
-            )
-        except KinwaveError as e:
-            if isinstance(e, ScenarioError):
-                raise
-            raise ScenarioError(f"{where}: {e}") from e
+        _require_keys(g, {"size", "origin", "destination", "departure_cost", "arrival_cost"},
+                      set(), where)
+        with _at(where):
+            groups.append(GroupDescriptor(
+                _number(g["size"], f"{where}.size"), _node(g, "origin", where, node_set),
+                _node(g, "destination", where, node_set),
+                _parse_kind(CostFunction, g["departure_cost"], f"{where}.departure_cost"),
+                _parse_kind(CostFunction, g["arrival_cost"], f"{where}.arrival_cost")))
 
     solver = dict(_SOLVER_DEFAULTS)
-    if "solver" in doc:
-        _require_keys(doc["solver"], set(), _SOLVER_KEYS, "solver")
-        for key in doc["solver"]:
-            _number(doc["solver"], key, "solver")
-        solver.update(doc["solver"])
-    for key in ("bins", "dt", "tol", "damping"):
-        if solver[key] <= 0:
-            raise ScenarioError(f"solver.{key}: must be positive")
-    for key in ("bins", "max_iter", "restarts", "seed"):
-        if solver[key] < 0 or solver[key] != int(solver[key]):
-            raise ScenarioError(f"solver.{key}: must be a nonnegative integer")
-        solver[key] = int(solver[key])
+    section = doc.get("solver", {})
+    _require_keys(section, set(), _SOLVER_DEFAULTS, "solver")
+    for key, v in section.items():
+        solver[key] = _solver_value(key, v, f"solver.{key}")
 
-    try:
+    with _at("scenario"):
         network = Network(nodes, arcs, groups)
-    except KinwaveError as e:
-        raise ScenarioError(f"scenario: {e}") from e
 
     profile = None
     if "profile" in doc:
         p = doc["profile"]
         _require_keys(p, {"start", "bin_width", "rates"}, set(), "profile")
-        rates = _finite_array(p, "rates", "profile")
-        try:
-            profile = DepartureProfile(
-                _number(p, "start", "profile"), _number(p, "bin_width", "profile"), rates
-            )
+        rates = _finite_array(p["rates"], "profile.rates")
+        with _at("profile"):
+            profile = DepartureProfile(_number(p["start"], "profile.start"),
+                                       _number(p["bin_width"], "profile.bin_width"), rates)
             profile.validate(network)
-        except KinwaveError as e:
-            raise ScenarioError(f"profile: {e}") from e
-    return Scenario(network=network, solver=solver, profile=profile, path=str(path))
+    return Scenario(network=network, solver=solver, profile=profile)
 
 
 # ---------------------------------------------------------------------
@@ -242,7 +195,10 @@ def parse_scenario(path) -> Scenario:
 
 
 def _write_json(path, obj):
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as e:     # a result overflowed: the scenario's scales are extreme
+        raise DomainError(f"{path.name}: {e}") from e
     path.write_text(text + "\n", encoding="utf-8")
 
 
@@ -302,18 +258,13 @@ def _common_options(f):
     return f
 
 
-def _setup(scenario_path, out_dir, bins, tol, seed):
+def _setup(scenario_path, out_dir, flags):
+    """Parse the scenario, then override its solver settings by the given
+    ``flags``, each checked like its ``solver`` key."""
     scenario = parse_scenario(scenario_path)
-    if bins is not None:
-        if bins <= 0:
-            raise ScenarioError("--bins must be positive")
-        scenario.solver["bins"] = bins
-    if tol is not None:
-        if not tol > 0:
-            raise ScenarioError("--tol must be positive")
-        scenario.solver["tol"] = tol
-    if seed is not None:
-        scenario.solver["seed"] = seed
+    for key, v in flags.items():
+        if v is not None:
+            scenario.solver[key] = _solver_value(key, v, f"--{key}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return scenario, out
@@ -327,15 +278,18 @@ def main():
 def _command(body):
     """Register ``body(scenario, out, dump_curves, emit_plot_data)`` as a
     command; its return value is the exit code.  Input errors exit 2 before
-    ``timing.json`` is written."""
+    ``timing.json`` is written; a library error from ``body`` is reported
+    as one of the scenario's."""
 
     @main.command(name=body.__name__, help=body.__doc__)
     @_common_options
     def run(scenario_path, out_dir, bins, tol, seed, dump_curves, emit_plot_data):
         t0 = time.perf_counter()
         try:
-            scenario, out = _setup(scenario_path, out_dir, bins, tol, seed)
-            code = body(scenario, out, dump_curves, emit_plot_data)
+            scenario, out = _setup(scenario_path, out_dir,
+                                   {"bins": bins, "tol": tol, "seed": seed})
+            with _at("scenario"):
+                code = body(scenario, out, dump_curves, emit_plot_data)
         except KinwaveError as e:
             click.echo(f"error: {e}", err=True)
             sys.exit(2)
@@ -388,7 +342,7 @@ def validate(scenario, out, dump_curves, emit_plot_data):
 def load(scenario, out, dump_curves, emit_plot_data):
     """Run network loading on the scenario's embedded departure profile."""
     if scenario.profile is None:
-        raise ScenarioError("load requires a 'profile' section in the scenario")
+        raise ScenarioError("scenario: load requires a 'profile' section")
     loading = network_load(scenario.network, scenario.profile, dt=scenario.solver["dt"])
     J = total_cost(scenario.network, scenario.profile, loading=loading)
     doc = {

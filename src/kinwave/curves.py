@@ -20,6 +20,7 @@ from .errors import DomainError, LoadingError
 from .flux import ArcDescriptor
 
 _REL = 1e-12
+_MAX_GRID_POINTS = 10**6    # per time grid of a smooth-flux exit
 
 
 class CumulativeCurve:
@@ -109,14 +110,15 @@ class CumulativeCurve:
     def inverse(self, beta):
         """Generalized left inverse inf{ t : value(t) >= beta }.
 
-        beta = 0 returns the first breakpoint time.  beta above the total
-        mass raises DomainError.
+        beta = 0 returns the first breakpoint time.  beta outside
+        [0, total mass] (beyond a 1e-9 relative tolerance) or NaN raises
+        DomainError.
         """
         scalar = np.isscalar(beta)
         b = np.array(beta, dtype=float, ndmin=1)
         t, v, total = self.t, self.v, self.total
         tol = 1e-9 * max(1.0, total)
-        if b.size and (b.min() < -tol or b.max() > total + tol):
+        if b.size and not (b.min() >= -tol and b.max() <= total + tol):   # NaN fails too
             raise DomainError("count outside [0, total mass]")
         b = np.minimum(np.maximum(b, 0.0), total)
         if len(t) == 1:
@@ -161,19 +163,6 @@ class CumulativeCurve:
                 keep[i] = False
                 i += 1
         return CumulativeCurve(t[keep], v[keep], validate=False)
-
-    def truncate(self, T):
-        """Freeze the curve at time T (constant extension afterwards)."""
-        if T >= self.t[-1]:
-            return self
-        val = self(T)
-        keep = self.t < T - 1e-15
-        t = np.concatenate((self.t[keep], [T]))
-        v = np.concatenate((self.v[keep], [val]))
-        return CumulativeCurve(t, v, validate=False)
-
-    def shift(self, dt):
-        return CumulativeCurve(self.t + dt, self.v, validate=False)
 
 
 # ---------------------------------------------------------------------
@@ -304,9 +293,13 @@ def _grid_minplus(entry, arc, dt):
     L/v(rho_star) + dt, which drains the total mass G: g*(p) >= p*F_max -
     rho_star for any concave flux, so K(s) >= F_max*(s - L/v(rho_star)) and
     at t_N every member is at least G + F_max*dt (tau <= tau_last) or G + K.
+    Raises LoadingError if the grid from entry.t[0] to t_N exceeds _MAX_GRID_POINTS.
     """
     flux = arc.flux
     t_end = entry.t[-1] + entry.total / flux.f_max + arc.length / flux.speed_at_capacity + dt
+    if not (t_end - entry.t[0]) / dt <= _MAX_GRID_POINTS:
+        raise LoadingError(f"arc {arc.key}: dt {dt:g} needs more than "
+                           f"{_MAX_GRID_POINTS} grid points")
     t_lo = entry.t[0] + arc.mu
     n = max(2, int(np.ceil((t_end - t_lo) / dt)) + 1)
     ts = t_lo + dt * np.arange(n)

@@ -23,23 +23,46 @@ from .errors import CapacityError, ConfigurationError, DomainError
 _TOL = 1e-9
 
 
+def kind_params(kinds, kind, params, noun):
+    """The parameters of a ``noun`` of ``kind`` in ``kinds[kind]``'s order, its
+    defaults filled in; ``kinds`` maps each kind to its parameters and their
+    defaults, None marking a required one.  Raises ConfigurationError for an
+    unknown kind or a missing or unknown parameter."""
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigurationError(f"unknown {noun} kind {kind!r}")
+    spec = kinds[kind]
+    for key in params:
+        if key not in spec:
+            raise ConfigurationError(f"{kind} {noun}: unknown parameter {key!r}")
+    for key, default in spec.items():
+        if default is None and key not in params:
+            raise ConfigurationError(f"{kind} {noun}: missing parameter {key!r}")
+    return {key: params.get(key, default) for key, default in spec.items()}
+
+
 class FluxDescriptor:
     """A concave fundamental diagram with inverse and conjugate machinery.
 
     Supported kinds:
       * ``greenshields``: F(rho) = v_free * rho * (1 - rho/rho_jam)
       * ``triangular``:   F(rho) = min(v_free*rho, w_back*(rho_jam - rho))
-      * ``sampled``:      concave piecewise-linear through given breakpoints
+      * ``sampled``:      concave piecewise-linear through given breakpoints,
+                          an (n, 2) array of (density, flow) points
 
     Instances are immutable after construction and safe to share.
     """
 
-    def __init__(self, kind, params, breakpoints=None):
+    KINDS = {   # parameter -> default, None for a required one
+        "greenshields": {"v_free": None, "rho_jam": None},
+        "triangular": {"v_free": None, "w_back": None, "rho_jam": None},
+        "sampled": {"breakpoints": None},
+    }
+
+    def __init__(self, kind, params):
         self.kind = kind
-        self.params = dict(params)
+        self.params = kind_params(self.KINDS, kind, params, "flux")
         if kind == "greenshields":
-            a = float(self.params["v_free"])
-            R = float(self.params["rho_jam"])
+            a, R = map(float, self.params.values())
             if not (0 < a < np.inf and 0 < R < np.inf):
                 raise ConfigurationError("greenshields needs finite v_free > 0, rho_jam > 0")
             self.rho_jam = R
@@ -47,19 +70,15 @@ class FluxDescriptor:
             self.f_max = a * R / 4.0
             self.free_flow_pace = 1.0 / a
         elif kind == "triangular":
-            a = float(self.params["v_free"])
-            w = float(self.params["w_back"])
-            R = float(self.params["rho_jam"])
+            a, w, R = map(float, self.params.values())
             if not all(0 < x < np.inf for x in (a, w, R)):
                 raise ConfigurationError("triangular needs finite v_free, w_back, rho_jam > 0")
             self.rho_jam = R
             self.rho_star = w * R / (a + w)
             self.f_max = a * self.rho_star
             self.free_flow_pace = 1.0 / a
-        elif kind == "sampled":
-            self._init_sampled(breakpoints)
         else:
-            raise ConfigurationError(f"unknown flux kind {kind!r}")
+            self._init_sampled(self.params["breakpoints"])
         self._validate()
 
     # -- constructors -------------------------------------------------
@@ -74,7 +93,7 @@ class FluxDescriptor:
 
     @classmethod
     def sampled(cls, breakpoints):
-        return cls("sampled", {}, breakpoints=breakpoints)
+        return cls("sampled", {"breakpoints": breakpoints})
 
     def _init_sampled(self, breakpoints):
         pts = np.asarray(breakpoints, dtype=float)
@@ -91,6 +110,8 @@ class FluxDescriptor:
         if np.any(np.diff(slopes) > _TOL):
             raise ConfigurationError("sampled flux must be concave")
         i_star = int(np.argmax(q))
+        while i_star > 0 and slopes[i_star - 1] <= _TOL:    # on a flat top, take its left end
+            i_star -= 1
         if i_star == 0 or i_star == len(q) - 1:
             raise ConfigurationError("sampled flux capacity must be interior")
         # reject flat segments on the increasing branch: g would be set-valued

@@ -225,7 +225,8 @@ def network_load(network: Network, profile: DepartureProfile, *, dt=1e-3,
             if last is None or last.total < want - _MASS_TOL * max(1.0, want):
                 return k, p
 
-    max_sweeps = int(np.ceil((horizon - profile.start) / min(a.mu for a in network.arcs))) + 2
+    sweeps = np.ceil((horizon - profile.start) / min(a.mu for a in network.arcs))
+    max_sweeps = int(min(2**31, sweeps)) + 2     # min() also caps an overflowed (inf) ratio
     for sweep in range(max_sweeps):
         for arc in order:
             if exact_until.get(arc.key) == np.inf:

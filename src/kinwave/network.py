@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .flux import ArcDescriptor
+from .flux import ArcDescriptor, kind_params
 
 
 class CostFunction:
@@ -21,20 +21,21 @@ class CostFunction:
         side); the kink at the target is rounded over ``smoothing``.
     """
 
+    KINDS = {   # parameter -> default, None for a required one
+        "affine": {"a": None, "b": None},
+        "quadratic": {"a": None, "b": None, "c": None},
+        "vickrey": {"target": None, "early_rate": None, "late_rate": None,
+                    "smoothing": 0.05},
+    }
+
     def __init__(self, kind, params):
         self.kind = kind
-        self.params = dict(params)
-        if not all(np.isfinite(float(x)) for x in self.params.values()):
+        self.params = p = kind_params(self.KINDS, kind, params, "cost")
+        if not all(np.isfinite(float(x)) for x in p.values()):
             raise ConfigurationError(f"{kind} cost parameters must be finite")
-        if kind == "vickrey":
-            e = self.params["early_rate"]
-            l = self.params["late_rate"]
-            eps = self.params.get("smoothing", 0.05)
-            if e < 0 or l < 0 or eps <= 0:
-                raise ConfigurationError("vickrey rates must be >= 0, smoothing > 0")
-            self.params["smoothing"] = eps
-        elif kind not in ("affine", "quadratic"):
-            raise ConfigurationError(f"unknown cost kind {kind!r}")
+        if kind == "vickrey" and (p["early_rate"] < 0 or p["late_rate"] < 0
+                                  or p["smoothing"] <= 0):
+            raise ConfigurationError("vickrey rates must be >= 0, smoothing > 0")
 
     @classmethod
     def affine(cls, a, b):
@@ -45,7 +46,8 @@ class CostFunction:
         return cls("quadratic", {"a": a, "b": b, "c": c})
 
     @classmethod
-    def vickrey(cls, target, early_rate, late_rate, smoothing=0.05):
+    def vickrey(cls, target, early_rate, late_rate,
+                smoothing=KINDS["vickrey"]["smoothing"]):
         return cls(
             "vickrey",
             {"target": target, "early_rate": early_rate, "late_rate": late_rate,

@@ -214,7 +214,8 @@ def solve_nash(network: Network, *, bins=64, tol=1e-3, max_iter=5000,
     the anchor steps to x' = swap(x, F(y)) and the next predictor is
     swap(x', F(y)), so queueing feedback does not induce limit cycles.
     Returns the loaded predictor with the least gap and its diagnostics;
-    ``converged`` is False if that gap is above ``tol``.
+    ``converged`` is False if that gap is above ``tol``.  With max_iter = 0
+    that is the uniform start, loaded once, and ``iterations`` is 0.
     """
     if bins < 2:
         raise ConfigurationError("solve_nash needs at least 2 bins")
@@ -229,23 +230,20 @@ def solve_nash(network: Network, *, bins=64, tol=1e-3, max_iter=5000,
 
     best_profile, best_report = None, None
     history = []
-    it = 0
     rc = cap * (1 + 1e-9)
-    for it in range(1, max_iter + 1):
+    for it in range(1, max(max_iter, 1) + 1):   # max_iter = 0 still loads the start
         loading = network_load(network, predictor, dt=dt, rate_cap=rc)
         costs = cost_profile(network, loading)
         report = _gap_from_costs(network, predictor, costs)
         history.append(report.gap)
         if best_report is None or report.gap < best_report.gap:
             best_profile, best_report = predictor, report
-        if report.gap <= tol:
+        if report.gap <= tol or it >= max_iter:
             break
         anchor = _swap_step(network, anchor, costs, damping, cap)
         predictor = _swap_step(network, anchor, costs, damping, cap)
-    else:
-        it = max_iter
 
-    best_report.iterations = it
+    best_report.iterations = min(it, max_iter)
     best_report.converged = best_report.gap <= tol
     best_report.gap_history = history
     _attach_diagnostics(network, best_profile, best_report, bounds)

@@ -254,7 +254,8 @@ def reference_inverse(curve, beta):
 # aggregate count of every component breakpoint, ``entry_curve(c.t)``.  The
 # component counts ``c.v`` it used before miss a component's kink wherever
 # the aggregate entry runs straight through it, so the split depended on
-# where the windows fell.
+# where the windows fell.  ``truncate`` freezes a component entry at the
+# window's end, as the curve method of that name did.
 
 
 def _window_split_exit(exit_curve, entry_curve, comps, t_hi):
@@ -275,6 +276,15 @@ def _window_split_exit(exit_curve, entry_curve, comps, t_hi):
     for key, comp in comps.items():
         out[key] = CumulativeCurve(ts, comp(taus), validate=False).simplify()
     return out
+
+
+def truncate(curve, T):
+    """``curve`` frozen at time T (constant extension afterwards)."""
+    if T >= curve.t[-1]:
+        return curve
+    keep = curve.t < T - 1e-15
+    return CumulativeCurve(np.append(curve.t[keep], T), np.append(curve.v[keep], curve(T)),
+                           validate=False)
 
 
 def window_network_load(network, profile, *, dt=1e-3, rate_cap=None, check_mass=True):
@@ -372,7 +382,7 @@ def window_network_load(network, profile, *, dt=1e-3, rate_cap=None, check_mass=
             result.arc_flows[arc.key] = ExitComputation(entry, exit_curve, arc)
             new_exit.update(_window_split_exit(exit_curve, entry, comps, t_next))
             for ckey, comp in comps.items():
-                result.comp_entry[(ckey[0], ckey[1], arc.key)] = comp.truncate(t_next)
+                result.comp_entry[(ckey[0], ckey[1], arc.key)] = truncate(comp, t_next)
         comp_exit = new_exit
         t_cur = t_next
         result.windows = window + 1

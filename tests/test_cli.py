@@ -1,11 +1,17 @@
 """Scenario parsing and command dispatch through the click entry point."""
+import copy
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from kinwave import ScenarioError
+from kinwave import CostFunction, FluxDescriptor, ScenarioError
 from kinwave.cli import main, parse_scenario
 
 
@@ -86,6 +92,23 @@ class TestParseScenario:
         sc = parse_scenario(write_scenario(tmp_path / "s.json", doc))
         assert sc.profile.n_bins == 1
         assert sc.profile.group_masses()[0] == pytest.approx(0.1)
+
+    def test_kinds_parse_to_library_objects(self, tmp_path):
+        doc = minimal_doc()
+        del doc["groups"][0]["arrival_cost"]["smoothing"]
+        sc = parse_scenario(write_scenario(tmp_path / "s.json", doc))
+        g = sc.network.groups[0]
+        assert g.departure_cost.params == CostFunction.affine(0.0, -1.0).params
+        assert g.arrival_cost.params == CostFunction.vickrey(1.0, 0.2, 0.4).params
+        assert sc.network.arcs[0].flux.params == FluxDescriptor.triangular(1.0, 1.0, 1.0).params
+
+    def test_solver_section_overrides_defaults(self, tmp_path):
+        doc = minimal_doc(solver={"bins": 8.0, "dt": 1, "seed": 2**60 + 1})
+        solver = parse_scenario(write_scenario(tmp_path / "s.json", doc)).solver
+        assert solver["bins"] == 8 and type(solver["bins"]) is int
+        assert solver["dt"] == 1.0 and type(solver["dt"]) is float
+        assert solver["seed"] == 2**60 + 1
+        assert solver["tol"] == 1e-3
 
     def test_profile_mass_mismatch(self, tmp_path):
         doc = minimal_doc(profile={"start": 0.0, "bin_width": 1.0,
@@ -208,6 +231,16 @@ def _set(*path_and_value):
     return edit
 
 
+def _drop(*path):
+    *path, key = path
+
+    def edit(doc):
+        for step in path:
+            doc = doc[step]
+        del doc[key]
+    return edit
+
+
 NAN, INF = float("nan"), float("inf")
 FAULTY_DOCS = {
     "nan-length": (_set("arcs", 0, "length", NAN), "arcs[0].length"),
@@ -225,6 +258,14 @@ FAULTY_DOCS = {
                                           "rates": [[[NAN]]]}), "profile.rates"),
     "huge-int-profile-rate": (_set("profile", {"start": 0.0, "bin_width": 1.0,
                                                "rates": [[[10**400]]]}), "profile.rates"),
+    "vickrey-no-late-rate": (_drop("groups", 0, "arrival_cost", "late_rate"),
+                             "groups[0].arrival_cost: vickrey cost: missing parameter "
+                             "'late_rate'"),
+    "flux-unknown-key": (_set("arcs", 0, "flux", "junk", 3),
+                         "arcs[0].flux: triangular flux: unknown parameter 'junk'"),
+    "cost-unknown-kind": (_set("groups", 0, "departure_cost", "kind", ["affine"]),
+                          "groups[0].departure_cost: unknown cost kind"),
+    "huge-bins": (_set("solver", {"bins": 10**12}), "solver.bins: must be at most"),
 }
 
 
@@ -242,3 +283,122 @@ def test_faulty_scenario_exits_2_with_location(tmp_path, command, case):
     assert "Traceback" not in res.output
     assert where in res.output
     assert not (tmp_path / "o" / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("opt", "--seed", "-1", "--seed: must be a nonnegative integer"),
+    ("nash", "--tol", "inf", "--tol: expected a finite number"),
+    ("load", "--tol", "nan", "--tol: expected a finite number"),
+    ("nash", "--bins", str(10**12), "--bins: must be at most"),
+    ("validate", "--bins", "0", "--bins: must be positive"),
+])
+def test_bad_flag_exits_2_with_flag_named(tmp_path, command, flag, value, message):
+    doc = minimal_doc(profile={"start": 0.0, "bin_width": 1.0, "rates": [[[0.1]]]})
+    path = write_scenario(tmp_path / "s.json", doc)
+    res = CliRunner().invoke(main, [command, "--scenario", path, flag, value,
+                                    "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert message in res.output
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+@pytest.mark.parametrize("arc, solver, message", [
+    # dt 1e-12 would sample the Greenshields exit at ~1e12 points
+    ({"flux": {"kind": "greenshields", "v_free": 1.0, "rho_jam": 1.0}}, {"dt": 1e-12},
+     "error: scenario: arc ('a', 'b'): dt 1e-12 needs more than"),
+    # free-flow time 2.5e300: the total cost overflows to inf
+    ({"length": 2.5,
+      "flux": {"kind": "triangular", "v_free": 1e-300, "w_back": 1.0, "rho_jam": 1e-3}},
+     {}, "error: scenario: report.json: Out of range float"),
+    # free-flow time 1e-300: the sweep bound overflows, the tiny capacity never drains
+    ({"length": 1e-300,
+      "flux": {"kind": "triangular", "v_free": 1.0, "w_back": 1e-300, "rho_jam": 2.5}},
+     {}, "error: scenario: network did not drain"),
+], ids=["oversized-exit-grid", "cost-overflow", "sweep-bound-overflow"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_load_at_extreme_scales_exits_2(tmp_path, arc, solver, message):
+    doc = minimal_doc(solver=solver,
+                      profile={"start": 0.0, "bin_width": 1.0, "rates": [[[0.1]]]})
+    doc["arcs"][0].update(arc)
+    path = write_scenario(tmp_path / "s.json", doc)
+    res = CliRunner().invoke(main, ["load", "--scenario", path, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert message in res.output
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+# ---------------------------------------------------------------------
+# Fuzzing the input boundary
+# ---------------------------------------------------------------------
+
+FUZZ_VALUES = [NAN, INF, -INF, 10**400, -1, 2.5, "x", [1.0], None]
+FUZZ_KINDS = sorted(FluxDescriptor.KINDS) + sorted(CostFunction.KINDS) + ["bogus"]
+LOCATION = re.compile(r"error: (scenario|arcs\[\d+\]|groups\[\d+\]|solver|profile"
+                      r"|--(bins|tol|seed))[.:]")
+
+
+def _nodes(obj, path=()):
+    """Every (path, value) below the root of a JSON document."""
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, v in items:
+        yield path + (key,), v
+        yield from _nodes(v, path + (key,))
+
+
+@st.composite
+def fuzzed_docs(draw):
+    doc = minimal_doc(profile={"start": 0.0, "bin_width": 1.0, "rates": [[[0.1]]]})
+    if draw(st.booleans()):
+        doc["arcs"][0]["flux"] = {"kind": "greenshields", "v_free": 1.0, "rho_jam": 1.0}
+    for _ in range(draw(st.integers(0, 2))):
+        path, value = draw(st.sampled_from(list(_nodes(doc))))
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        action = draw(st.sampled_from(["drop", "add", "swap", "swap", "kind"]))
+        if action == "drop":
+            del parent[path[-1]]
+        elif action == "add" and isinstance(value, dict):
+            value["junk"] = 1.0
+        elif action == "kind" and path[-1] == "kind":
+            parent["kind"] = draw(st.sampled_from(FUZZ_KINDS))
+        else:
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
+    # the solver section stays small so that every run is short; its keys
+    # go through the same check as the flags drawn below
+    doc["solver"] = {"bins": draw(st.integers(2, 8)), "max_iter": draw(st.integers(0, 3))}
+    return doc
+
+
+def _reject_constant(name):
+    raise ValueError(f"report.json holds {name}")
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=fuzzed_docs(),
+       bins=st.none() | st.integers(-1, 8) | st.just(10**12),
+       tol=st.none() | st.sampled_from([NAN, INF, -1.0, 0.0, 1e-300, 1e-3, 1e3]),
+       seed=st.none() | st.integers(-2, 3) | st.just(2**70))
+def test_fuzzed_input_exits_cleanly(doc, bins, tol, seed):
+    flags = [arg for name, v in (("--bins", bins), ("--tol", tol), ("--seed", seed))
+             if v is not None for arg in (name, repr(v))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_scenario(Path(tmp) / "s.json", doc)
+        for command in ("validate", "load", "nash"):
+            out = Path(tmp) / command
+            res = CliRunner().invoke(main, [command, "--scenario", path, "--out", str(out),
+                                            *flags])
+            assert res.exit_code in (0, 1, 2), res.output
+            assert res.exception is None or isinstance(res.exception, SystemExit), \
+                res.exception     # None is a clean exit 0
+            assert "Traceback" not in res.output
+            if res.exit_code == 2:
+                assert LOCATION.search(res.output), res.output
+            if (out / "report.json").exists():
+                json.loads((out / "report.json").read_text(),
+                           parse_constant=_reject_constant)

@@ -166,8 +166,7 @@ class TestCumulativeCurve:
                                    min_size=n - 1, max_size=n - 1))
         c = CumulativeCurve(t, np.concatenate(([0.0], np.cumsum(rises))))
         tol = 1e-9 * max(1.0, c.total)
-        probe = (st.sampled_from([0.0, -0.0, c.total, -tol, c.total + tol, np.nan,
-                                  *c.v.tolist()])
+        probe = (st.sampled_from([0.0, -0.0, c.total, -tol, c.total + tol, *c.v.tolist()])
                  | st.floats(0.0, 1.0).map(lambda x: x * c.total)
                  | st.floats(-tol, c.total + tol))
         beta = data.draw(probe | st.lists(probe, max_size=6).map(np.array))
@@ -184,6 +183,12 @@ class TestCumulativeCurve:
                 for inverse in (c.inverse, lambda b: reference_inverse(c, b)):
                     with pytest.raises(DomainError):
                         inverse(beta)
+
+    def test_inverse_rejects_nan(self):
+        c = CumulativeCurve([0.0, 1.0, 2.0], [0.0, 1.0, 1.0])
+        for beta in (np.nan, np.array([0.5, np.nan])):
+            with pytest.raises(DomainError):
+                c.inverse(beta)
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())
@@ -266,14 +271,6 @@ class TestCumulativeCurve:
         assert np.array_equal(c.t[idx], s.t) and np.array_equal(c.v[idx], s.v)
         grid = np.concatenate((c.t, np.linspace(-1.0, c.t[-1] + 1.0, 101)))
         assert np.max(np.abs(s(grid) - c(grid))) <= 1e-9 * max(1.0, c.total)
-
-    def test_truncate_and_shift(self):
-        c = CumulativeCurve.from_step_rates([0.0, 2.0], [1.0])
-        tr = c.truncate(1.0)
-        assert tr.total == pytest.approx(1.0)
-        assert tr(1.5) == pytest.approx(1.0)
-        sh = c.shift(3.0)
-        assert sh(3.5) == pytest.approx(c(0.5))
 
 
 class TestLaxHopfExit:

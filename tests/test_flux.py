@@ -197,6 +197,14 @@ class TestValidation:
                 [[0, 0], [0.2, 0.2], [0.4, 0.2], [0.6, 0.25], [1, 0]]
             )
 
+    def test_sampled_flat_top_starts_capacity_at_its_left_end(self):
+        # 7.5*x*(1 - x) is 1.8 at x = 0.4 and x = 0.6, but rounding lifts the
+        # right end by an ulp; the flat top must not read as a flat rise
+        x = np.array([0.0, 0.4, 0.6, 1.0])
+        flux = FluxDescriptor.sampled(np.column_stack((2.5 * x, 7.5 * x * (1.0 - x))))
+        assert flux.rho_star == 1.0
+        assert flux.f_max == pytest.approx(1.8, rel=1e-15)
+
     def test_sampled_rejects_boundary_capacity(self):
         with pytest.raises(ConfigurationError):
             FluxDescriptor.sampled([[0, 0], [0.5, 0.0], [1, 0]])
@@ -216,6 +224,28 @@ class TestValidation:
     def test_flux_rejects_non_finite(self, make):
         with pytest.raises(ConfigurationError):
             make()
+
+    @pytest.mark.parametrize("kind, params, match", [
+        ("greenshields", {"v_free": 1.0}, "missing parameter 'rho_jam'"),
+        ("triangular", {"v_free": 1.0, "w_back": 1.0}, "missing parameter 'rho_jam'"),
+        ("sampled", {}, "missing parameter 'breakpoints'"),
+        ("triangular", {"v_free": 1.0, "w_back": 1.0, "rho_jam": 1.0, "junk": 3},
+         "unknown parameter 'junk'"),
+        ("greenshields", {"v_free": 1.0, "rho_jam": 1.0, "w_back": 1.0},
+         "unknown parameter 'w_back'"),
+        ("parabolic", {"v_free": 1.0}, "unknown flux kind 'parabolic'"),
+        (["triangular"], {}, "unknown flux kind"),
+    ], ids=["gs-missing", "tri-missing", "sampled-missing", "tri-unknown", "gs-unknown",
+            "unknown-kind", "unhashable-kind"])
+    def test_parameters_checked_against_kinds(self, kind, params, match):
+        with pytest.raises(ConfigurationError, match=match):
+            FluxDescriptor(kind, params)
+
+    def test_kinds_declare_the_parameters(self):
+        for f in ALL_KINDS:
+            assert list(f.params) == list(FluxDescriptor.KINDS[f.kind])
+        assert FluxDescriptor("triangular", {"rho_jam": 1.0, "w_back": 1.0,
+                                             "v_free": 1.0}).f_max == TRI.f_max
 
     @pytest.mark.parametrize("length", [NAN, INF])
     def test_arc_rejects_non_finite_length(self, length):

@@ -69,6 +69,27 @@ class TestCostFunction:
         with pytest.raises(ConfigurationError):
             CostFunction("exp", {})
 
+    @pytest.mark.parametrize("kind, params, match", [
+        ("affine", {"a": 1.0}, "affine cost: missing parameter 'b'"),
+        ("quadratic", {"a": 0.0, "b": 1.0}, "missing parameter 'c'"),
+        ("vickrey", {"target": 1.0, "early_rate": 0.2},
+         "vickrey cost: missing parameter 'late_rate'"),
+        ("affine", {"a": 1.0, "b": 0.0, "c": 2.0}, "affine cost: unknown parameter 'c'"),
+        ("vickrey", {"target": 1.0, "early_rate": 0.2, "late_rate": 0.4, "eps": 0.1},
+         "unknown parameter 'eps'"),
+    ], ids=["affine-missing", "quadratic-missing", "vickrey-missing", "affine-unknown",
+            "vickrey-unknown"])
+    def test_parameters_checked_against_kinds(self, kind, params, match):
+        with pytest.raises(ConfigurationError, match=match):
+            CostFunction(kind, params)
+
+    def test_vickrey_smoothing_default(self):
+        default = CostFunction.KINDS["vickrey"]["smoothing"]
+        built = CostFunction("vickrey", {"target": 1.0, "early_rate": 0.2, "late_rate": 0.4})
+        assert built.params["smoothing"] == default
+        assert CostFunction.vickrey(1.0, 0.2, 0.4).params == built.params
+        assert list(built.params) == list(CostFunction.KINDS["vickrey"])
+
     @pytest.mark.parametrize("make", [
         lambda: CostFunction.affine(NAN, -1.0),
         lambda: CostFunction.quadratic(0.0, 1.0, INF),

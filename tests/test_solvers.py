@@ -175,6 +175,26 @@ class TestSolveNash:
         assert report.gap_history[-1] == nash_gap(net, loaded[-1]).gap
         assert report.gap == min(report.gap_history)
 
+    @pytest.mark.parametrize("tol", [1e-9, 1e9])
+    def test_zero_iterations_reports_uniform_start(self, monkeypatch, tol):
+        # like opt's best start: the uniform start, loaded once and reported
+        net = build([("a", "b", 1.0, TRI)], [(0.3, "a", "b", PHI, PSI_V)])
+        start, _ = solve_nash(net, bins=32, tol=tol, max_iter=1)
+        loaded = []
+
+        def recording(network, profile, **kwargs):
+            loaded.append(profile)
+            return network_load(network, profile, **kwargs)
+
+        monkeypatch.setattr(solvers, "network_load", recording)
+        prof, report = solve_nash(net, bins=32, tol=tol, max_iter=0)
+        monkeypatch.undo()
+        assert loaded == [prof]
+        assert np.array_equal(prof.rates, start.rates)
+        assert report.iterations == 0
+        assert report.gap == nash_gap(net, prof).gap == report.gap_history[0]
+        assert report.converged == (tol > 1.0)
+
 
 class TestSolveGlobal:
     def test_single_driver_limit(self):
