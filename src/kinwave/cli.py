@@ -116,6 +116,8 @@ def _solver_value(key, v, where):
         return x
     if x < 0 or x != int(x):
         raise ScenarioError(f"{where}: must be a nonnegative integer")
+    if key == "bins" and x < 2:
+        raise ScenarioError(f"{where}: must be at least 2")
     if key == "bins" and x > _MAX_BINS:
         raise ScenarioError(f"{where}: must be at most {_MAX_BINS}")
     return int(v)

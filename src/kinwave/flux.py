@@ -49,6 +49,10 @@ class FluxDescriptor:
       * ``sampled``:      concave piecewise-linear through given breakpoints,
                           an (n, 2) array of (density, flow) points
 
+    Greenshields keeps its closed forms; every piecewise-linear kind is held
+    as one table (see ``_init_table``).  A triangular flux is the three-point
+    table (0, 0), (rho_star, F_max), (rho_jam, 0) with free-flow pace 1/v_free.
+
     Instances are immutable after construction and safe to share.
     """
 
@@ -65,21 +69,17 @@ class FluxDescriptor:
             a, R = map(float, self.params.values())
             if not (0 < a < np.inf and 0 < R < np.inf):
                 raise ConfigurationError("greenshields needs finite v_free > 0, rho_jam > 0")
-            self.rho_jam = R
-            self.rho_star = R / 2.0
-            self.f_max = a * R / 4.0
-            self.free_flow_pace = 1.0 / a
+            self._set_range(R, R / 2.0, a * R / 4.0, 1.0 / a)
+            self._kinks = None
         elif kind == "triangular":
             a, w, R = map(float, self.params.values())
             if not all(0 < x < np.inf for x in (a, w, R)):
                 raise ConfigurationError("triangular needs finite v_free, w_back, rho_jam > 0")
-            self.rho_jam = R
-            self.rho_star = w * R / (a + w)
-            self.f_max = a * self.rho_star
-            self.free_flow_pace = 1.0 / a
+            rho_star = w * R / (a + w)
+            self._set_range(R, rho_star, a * rho_star, 1.0 / a)
+            self._init_table(np.array([[0.0, 0.0], [rho_star, self.f_max], [R, 0.0]]), 1)
         else:
             self._init_sampled(self.params["breakpoints"])
-        self._validate()
 
     # -- constructors -------------------------------------------------
 
@@ -96,7 +96,7 @@ class FluxDescriptor:
         return cls("sampled", {"breakpoints": breakpoints})
 
     def _init_sampled(self, breakpoints):
-        pts = np.asarray(breakpoints, dtype=float)
+        pts = np.array(breakpoints, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3 or not np.isfinite(pts).all():
             raise ConfigurationError("sampled flux needs >= 3 finite (density, flow) points")
         rho, q = pts[:, 0], pts[:, 1]
@@ -119,16 +119,29 @@ class FluxDescriptor:
             raise ConfigurationError(
                 "sampled flux must be strictly increasing up to its capacity point"
             )
-        self.rho_jam = float(rho[-1])
-        self.rho_star = float(rho[i_star])
-        self.f_max = float(q[i_star])
-        self._rho = rho
-        self._q = q
-        # increasing-branch table: g maps flow -> density
-        self._g_u = q[: i_star + 1]
-        self._g_rho = rho[: i_star + 1]
-        self._g_slopes = np.diff(self._g_rho) / np.diff(self._g_u)
-        self.free_flow_pace = float(self._g_slopes[0])
+        self._set_range(rho[-1], rho[i_star], q[i_star], (rho[1] - rho[0]) / (q[1] - q[0]))
+        self._init_table(pts, i_star)
+
+    def _set_range(self, rho_jam, rho_star, f_max, free_flow_pace):
+        """Set the derived quantities, which rounding can push onto 0, rho_jam or inf."""
+        if not (0 < rho_star < rho_jam and 0 < f_max < np.inf and 0 < free_flow_pace < np.inf):
+            raise ConfigurationError(
+                f"{self.kind} flux needs 0 < rho_star < rho_jam and finite F_max, pace > 0; "
+                f"got {rho_star=:g}, {rho_jam=:g}, {f_max=:g}, {free_flow_pace=:g}")
+        self.rho_jam = float(rho_jam)
+        self.rho_star = float(rho_star)
+        self.f_max = float(f_max)
+        self.free_flow_pace = float(free_flow_pace)
+
+    def _init_table(self, pts, i_star):
+        """Breakpoints ``pts`` (density, flow) with capacity point ``i_star``, g on
+        the rising branch, and the kinks p_k of g* (g's slopes) with g* = p_k*u_k - g(u_k)."""
+        self._rho, self._q = pts[:, 0], pts[:, 1]
+        self._g_u, self._g_rho = self._q[: i_star + 1], self._rho[: i_star + 1]
+        self._kinks = np.diff(self._g_rho) / np.diff(self._g_u)
+        self._kinks[0] = self.free_flow_pace     # exactly 1 / v_free for a triangular flux
+        self._kinks.flags.writeable = False
+        self._gstar = self._kinks * self._g_u[:-1] - self._g_rho[:-1]
 
     # -- basic queries ------------------------------------------------
 
@@ -146,9 +159,6 @@ class FluxDescriptor:
         if self.kind == "greenshields":
             a, R = self.params["v_free"], self.params["rho_jam"]
             out = a * rho_arr * (1.0 - rho_arr / R)
-        elif self.kind == "triangular":
-            a, w, R = (self.params[k] for k in ("v_free", "w_back", "rho_jam"))
-            out = np.minimum(a * rho_arr, w * (R - rho_arr))
         else:
             out = np.interp(rho_arr, self._rho, self._q)
         out = np.maximum(out, 0.0)
@@ -168,8 +178,6 @@ class FluxDescriptor:
         if self.kind == "greenshields":
             a, R = self.params["v_free"], self.params["rho_jam"]
             out = 0.5 * R * (1.0 - np.sqrt(np.maximum(0.0, 1.0 - 4.0 * u_arr / (a * R))))
-        elif self.kind == "triangular":
-            out = u_arr / self.params["v_free"]
         else:
             out = np.interp(u_arr, self._g_u, self._g_rho)
         return float(out) if np.isscalar(u) else out
@@ -187,12 +195,10 @@ class FluxDescriptor:
             with np.errstate(divide="ignore", invalid="ignore"):
                 val = R * (ap - 1.0) ** 2 / (4.0 * ap)
             out = np.where(p_arr <= self.free_flow_pace, 0.0, val)
-        elif self.kind == "triangular":
-            out = self.f_max * np.maximum(0.0, p_arr - self.free_flow_pace)
         else:
-            # conjugate of a convex piecewise-linear function: max over vertices
-            vals = p_arr[..., None] * self._g_u - self._g_rho
-            out = np.maximum(np.max(vals, axis=-1), 0.0)
+            # linear between kinks, slope F_max beyond the last
+            out = self.f_max * np.maximum(0.0, p_arr - self._kinks[-1])
+            out += np.interp(p_arr, self._kinks, self._gstar)
         return float(out) if np.isscalar(p) else out
 
     def conjugate_inverse(self, x):
@@ -208,64 +214,35 @@ class FluxDescriptor:
             # larger root of R*(a*p - 1)**2 = 4*x*a*p
             a, R = self.params["v_free"], self.params["rho_jam"]
             out = (1.0 + 2.0 * x_arr / R + 2.0 * np.sqrt(x_arr * (R + x_arr)) / R) / a
-        elif self.kind == "triangular":
-            out = self.free_flow_pace + x_arr / self.f_max
         else:
-            kinks = np.asarray(self.conjugate_kinks())
-            vals = self.conjugate(kinks)
-            out = np.where(x_arr <= vals[-1], np.interp(x_arr, vals, kinks),
-                           kinks[-1] + (x_arr - vals[-1]) / self.f_max)
-            out = np.where(x_arr == 0.0, self.free_flow_pace, out)
+            out = np.maximum(0.0, x_arr - self._gstar[-1]) / self.f_max
+            out += np.interp(x_arr, self._gstar, self._kinks)
         return float(out) if np.isscalar(x) else out
 
     def wave_pace(self, u):
         """g'(u) = 1 / F'(g(u)), the pace of kinematic waves at uncongested flow u.
 
         Defined for u in [0, F_max); a Greenshields u that rounds onto the
-        capacity gives inf.  Sampled fluxes take the slope of the g segment
-        starting at or below u.
+        capacity gives inf.  Piecewise-linear fluxes take the slope of the g
+        segment starting at or below u.
         """
         u_arr = np.asarray(u, dtype=float)
         if self.kind == "greenshields":
             a, R = self.params["v_free"], self.params["rho_jam"]
             with np.errstate(divide="ignore"):
                 out = 1.0 / (a * np.sqrt(np.maximum(0.0, 1.0 - 4.0 * u_arr / (a * R))))
-        elif self.kind == "triangular":
-            out = np.full_like(u_arr, self.free_flow_pace)
         else:
-            i = np.searchsorted(self._g_u, u_arr, side="right") - 1
-            out = self._g_slopes[np.clip(i, 0, len(self._g_slopes) - 1)]
+            out = self._kinks[np.searchsorted(self._g_u[1:-1], u_arr, side="right")]
         return float(out) if np.isscalar(u) else out
 
     def conjugate_kinks(self):
         """Pace values where g* changes slope, or None for smooth kinds.
 
-        A non-None return means g* is exactly piecewise linear: zero up to
-        the first kink (the free-flow pace), then convex with slopes equal
-        to the increasing-branch flow values, ending at slope F_max.
+        A non-None return (read-only) means g* is exactly piecewise linear:
+        zero up to the first kink (the free-flow pace), then convex with
+        slopes equal to the increasing-branch flow values, ending at F_max.
         """
-        if self.kind == "triangular":
-            return [self.free_flow_pace]
-        if self.kind == "sampled":
-            return [self.free_flow_pace] + list(self._g_slopes[1:])
-        return None
-
-    # -- validation ---------------------------------------------------
-
-    def _validate(self):
-        grid = np.linspace(0.0, self.rho_jam, 1001)
-        f = self.flow(grid)
-        if abs(f[0]) > _TOL or abs(f[-1]) > _TOL:
-            raise ConfigurationError("flux must vanish at rho = 0 and rho = rho_jam")
-        if np.any(f < -_TOL):
-            raise ConfigurationError("flux must be nonnegative")
-        d2 = np.diff(f, 2)
-        if np.any(d2 > 1e-7 * max(1.0, self.f_max)):
-            raise ConfigurationError("flux must be concave")
-        inc = grid <= self.rho_star
-        df = np.diff(f[inc])
-        if np.any(df < -_TOL):
-            raise ConfigurationError("flux must be increasing up to rho_star")
+        return self._kinks
 
     def __repr__(self):
         if self.kind == "sampled":

@@ -13,7 +13,7 @@ class CostFunction:
     """Scalar cost of a departure or arrival time, with derivative.
 
     Kinds:
-      * ``affine(a, b)``:      c(t) = a + b*t
+      * ``affine(a, b)``:      c(t) = a + b*t, evaluated as the quadratic with c = 0
       * ``quadratic(a, b, c)``: c(t) = a + b*t + c*t**2
       * ``vickrey(target, early_rate, late_rate, smoothing)``:
         c(t) = t + P(t - target) with P a smoothed two-sided schedule
@@ -65,10 +65,8 @@ class CostFunction:
     def value(self, t):
         t_arr = np.asarray(t, dtype=float)
         p = self.params
-        if self.kind == "affine":
-            out = p["a"] + p["b"] * t_arr
-        elif self.kind == "quadratic":
-            out = p["a"] + p["b"] * t_arr + p["c"] * t_arr * t_arr
+        if self.kind != "vickrey":    # affine is the quadratic with c = 0
+            out = p["a"] + p["b"] * t_arr + p.get("c", 0.0) * t_arr * t_arr
         else:
             x = t_arr - p["target"]
             eps = p["smoothing"]
@@ -81,10 +79,8 @@ class CostFunction:
     def deriv(self, t):
         t_arr = np.asarray(t, dtype=float)
         p = self.params
-        if self.kind == "affine":
-            out = np.full_like(t_arr, p["b"])
-        elif self.kind == "quadratic":
-            out = p["b"] + 2.0 * p["c"] * t_arr
+        if self.kind != "vickrey":
+            out = p["b"] + 2.0 * p.get("c", 0.0) * t_arr
         else:
             x = t_arr - p["target"]
             eps = p["smoothing"]

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written from first principles (bisection,
 grid search, stepped simulation) rather than reusing the package's
-machinery, so that agreement is evidence and not tautology.  The two
-exceptions are the regression oracles at the end, ``reference_inverse``
-and ``window_network_load``.
+machinery, so that agreement is evidence and not tautology.  The
+exceptions are the regression oracles at the end, ``reference_inverse``,
+``window_network_load`` and the closed forms that the flux and cost tables
+replaced.
 """
 from __future__ import annotations
 
@@ -408,3 +409,59 @@ def window_network_load(network, profile, *, dt=1e-3, rate_cap=None, check_mass=
                 result.departures.setdefault((k, p), CumulativeCurve.zero(profile.start))
     result.end_time = t_cur
     return result
+
+
+# ---------------------------------------------------------------------
+# Regression oracles: the closed forms of the special-case kinds
+# ---------------------------------------------------------------------
+#
+# A triangular flux is held as its three-point table, a sampled flux's
+# conjugate is read off a table of its kinks, and an affine cost is the
+# quadratic with c = 0.  These are the forms each was evaluated by before.
+
+
+class TriangularClosedForm:
+    """F(rho) = min(v_free*rho, w_back*(rho_jam - rho)) in closed form."""
+
+    def __init__(self, v_free, w_back, rho_jam):
+        self.v_free, self.w_back, self.rho_jam = v_free, w_back, rho_jam
+        self.rho_star = w_back * rho_jam / (v_free + w_back)
+        self.f_max = v_free * self.rho_star
+        self.free_flow_pace = 1.0 / v_free
+
+    def flow(self, rho):
+        return np.maximum(np.minimum(self.v_free * rho, self.w_back * (self.rho_jam - rho)),
+                          0.0)
+
+    def density(self, u):
+        return u / self.v_free
+
+    def conjugate(self, p):
+        return self.f_max * np.maximum(0.0, p - self.free_flow_pace)
+
+    def conjugate_inverse(self, x):
+        return self.free_flow_pace + x / self.f_max
+
+    def wave_pace(self, u):
+        return np.full_like(np.asarray(u, dtype=float), self.free_flow_pace)
+
+    def conjugate_kinks(self):
+        return [self.free_flow_pace]
+
+
+def vertex_conjugate(breakpoints, p):
+    """g*(p) = max(0, max_j p*u_j - rho_j) over the (density, flow) breakpoints
+    up to the capacity point: the conjugate of a convex piecewise-linear g is
+    attained at a vertex."""
+    rho, u = np.asarray(breakpoints, dtype=float).T
+    i_star = int(np.argmax(u))
+    vals = np.asarray(p, dtype=float)[..., None] * u[: i_star + 1] - rho[: i_star + 1]
+    return np.maximum(np.max(vals, axis=-1), 0.0)
+
+
+def affine_value(a, b, t):
+    return a + b * np.asarray(t, dtype=float)
+
+
+def affine_deriv(a, b, t):
+    return np.full_like(np.asarray(t, dtype=float), b)

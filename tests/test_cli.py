@@ -266,6 +266,10 @@ FAULTY_DOCS = {
     "cost-unknown-kind": (_set("groups", 0, "departure_cost", "kind", ["affine"]),
                           "groups[0].departure_cost: unknown cost kind"),
     "huge-bins": (_set("solver", {"bins": 10**12}), "solver.bins: must be at most"),
+    "one-bin": (_set("solver", {"bins": 1}), "solver.bins: must be at least 2"),
+    # a free-flow pace of 1 / 1e-320 overflows to inf
+    "flux-infinite-pace": (_set("arcs", 0, "flux", "v_free", 1e-320),
+                           "arcs[0].flux: triangular flux needs 0 < rho_star < rho_jam"),
 }
 
 
@@ -291,6 +295,7 @@ def test_faulty_scenario_exits_2_with_location(tmp_path, command, case):
     ("load", "--tol", "nan", "--tol: expected a finite number"),
     ("nash", "--bins", str(10**12), "--bins: must be at most"),
     ("validate", "--bins", "0", "--bins: must be positive"),
+    ("opt", "--bins", "1", "--bins: must be at least 2"),
 ])
 def test_bad_flag_exits_2_with_flag_named(tmp_path, command, flag, value, message):
     doc = minimal_doc(profile={"start": 0.0, "bin_width": 1.0, "rates": [[[0.1]]]})
@@ -308,9 +313,10 @@ def test_bad_flag_exits_2_with_flag_named(tmp_path, command, flag, value, messag
     # dt 1e-12 would sample the Greenshields exit at ~1e12 points
     ({"flux": {"kind": "greenshields", "v_free": 1.0, "rho_jam": 1.0}}, {"dt": 1e-12},
      "error: scenario: arc ('a', 'b'): dt 1e-12 needs more than"),
-    # free-flow time 2.5e300: the total cost overflows to inf
+    # free-flow time 2.5e300: the total cost overflows to inf (w_back matches v_free,
+    # so rho_star = rho_jam / 2 stays clear of rho_jam)
     ({"length": 2.5,
-      "flux": {"kind": "triangular", "v_free": 1e-300, "w_back": 1.0, "rho_jam": 1e-3}},
+      "flux": {"kind": "triangular", "v_free": 1e-300, "w_back": 1e-300, "rho_jam": 1e-3}},
      {}, "error: scenario: report.json: Out of range float"),
     # free-flow time 1e-300: the sweep bound overflows, the tiny capacity never drains
     ({"length": 1e-300,

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from kinwave import (ArcDescriptor, CapacityError, ConfigurationError, DomainError,
                      FluxDescriptor)
 
-from oracles import greenshields_conjugate_grid, greenshields_density
+from oracles import (TriangularClosedForm, greenshields_conjugate_grid, greenshields_density,
+                     vertex_conjugate)
 
 GS = FluxDescriptor.greenshields(1.0, 1.0)
 TRI = FluxDescriptor.triangular(1.0, 1.0, 1.0)
@@ -16,6 +17,12 @@ SAMPLED = FluxDescriptor.sampled(
 )
 ALL_KINDS = [GS, TRI, SAMPLED]
 NAN, INF = float("nan"), float("inf")
+EPS = np.finfo(float).eps
+
+
+def bits(x):
+    """The float64 bit patterns of ``x``, so that == compares bit for bit."""
+    return np.asarray(x, dtype=float).view(np.int64)
 
 
 class TestEvalFlux:
@@ -241,6 +248,26 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=match):
             FluxDescriptor(kind, params)
 
+    @pytest.mark.parametrize("make, builds", [
+        (lambda: FluxDescriptor.triangular(1.0, 1e100, 1.0), False),
+        (lambda: FluxDescriptor.triangular(1e300, 1e300, 1e300), False),
+        (lambda: FluxDescriptor.triangular(1e-320, 1.0, 1.0), False),
+        (lambda: FluxDescriptor.greenshields(1e-320, 1.0), False),
+        (lambda: FluxDescriptor.greenshields(1e200, 1e200), False),
+        (lambda: FluxDescriptor.triangular(10**-6.5, 10**3.5, 10**11.5), True),
+        (lambda: FluxDescriptor.triangular(1e-10, 1.0, 1.0), True),
+    ], ids=["tri-rho-star-rounds-onto-rho-jam", "tri-rho-star-overflows",
+            "tri-pace-inf", "gs-pace-inf", "gs-f-max-inf", "tri-wide-scales", "tri-slow"])
+    def test_derived_quantities_range_checked(self, make, builds):
+        if not builds:
+            with pytest.raises(ConfigurationError, match="needs 0 < rho_star < rho_jam"):
+                make()
+            return
+        flux = make()
+        assert 0 < flux.rho_star < flux.rho_jam
+        assert 0 < flux.f_max < INF and 0 < flux.free_flow_pace < INF
+        assert flux.conjugate_inverse(0.0) == flux.free_flow_pace
+
     def test_kinds_declare_the_parameters(self):
         for f in ALL_KINDS:
             assert list(f.params) == list(FluxDescriptor.KINDS[f.kind])
@@ -275,3 +302,55 @@ def test_triangular_conjugate_matches_grid_oracle(v, w, R, p_mult):
     us = np.linspace(0.0, flux.f_max, 2001)
     oracle = max(0.0, float(np.max(p * us - us / v)))
     assert flux.conjugate(p) == pytest.approx(oracle, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    v=st.floats(1e-3, 1e3),
+    w=st.floats(1e-3, 1e3),
+    R=st.floats(1e-3, 1e3),
+    mults=st.lists(st.floats(-2.0, 4.0), min_size=1, max_size=8),
+    xs=st.lists(st.floats(0.0, 1e4), max_size=8),
+)
+def test_triangular_table_matches_closed_forms(v, w, R, mults, xs):
+    flux, old = FluxDescriptor.triangular(v, w, R), TriangularClosedForm(v, w, R)
+    pace = old.free_flow_pace
+    assert bits(flux.free_flow_pace) == bits(pace)
+    assert np.array_equal(bits(flux.conjugate_kinks()), bits(old.conjugate_kinks()))
+    # paces below, at and above 1/v_free; the conjugate and its inverse are bit-identical
+    ps = np.array([m * pace for m in mults] + [np.nextafter(pace, 0.0), pace,
+                                               np.nextafter(pace, INF)])
+    for new_fn, old_fn, args in ((flux.conjugate, old.conjugate, ps),
+                                 (flux.conjugate_inverse, old.conjugate_inverse,
+                                  np.array([0.0] + xs))):
+        assert np.array_equal(bits(new_fn(args)), bits(old_fn(args)))
+        for a in args:
+            assert bits(new_fn(float(a))) == bits(old_fn(float(a)))
+    us = np.linspace(0.0, old.f_max, 41)
+    assert np.array_equal(bits(flux.wave_pace(us)), bits(old.wave_pace(us)))
+    assert np.all(np.abs(flux.density(us) - old.density(us)) <= 1e-15 * old.density(us))
+    # the table recovers w_back from rho_jam - rho_star, which cancels by the
+    # ratio w_back / v_free: bound the congested branch by that many ulps of F_max
+    rho = np.linspace(0.0, R, 101)
+    assert np.all(np.abs(flux.flow(rho) - old.flow(rho)) <= 4 * EPS * (1 + w / v) * old.f_max)
+    assert np.all(np.abs(flux.flow(rho[rho <= old.rho_star]) - old.flow(rho[rho <= old.rho_star]))
+                  <= 1e-15 * old.flow(rho[rho <= old.rho_star]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    inner=st.lists(st.integers(1, 49), min_size=1, max_size=6, unique=True),
+    skew=st.floats(0.5, 1.0),
+    v=st.floats(0.3, 3.0),
+    R=st.floats(0.3, 3.0),
+    mults=st.lists(st.floats(-1.0, 3.0), min_size=1, max_size=16),
+)
+def test_sampled_conjugate_matches_vertex_max(inner, skew, v, R, mults):
+    # chords of the concave x*(1 - x)**skew, as in test_curves.random_arcs
+    x = np.array([0] + sorted(inner) + [50]) / 50.0
+    pts = np.column_stack((R * x, v * R * x * (1.0 - x) ** skew))
+    flux = FluxDescriptor.sampled(pts)
+    kinks = flux.conjugate_kinks()
+    p = np.concatenate((kinks, np.array(mults) * kinks[-1]))
+    g = vertex_conjugate(pts, p)
+    assert np.all(np.abs(flux.conjugate(p) - g) <= 1e-15 * np.maximum(1.0, g))

@@ -11,7 +11,7 @@ from kinwave import (ArcDescriptor, ConfigurationError, CostFunction, FluxDescri
                      enumerate_paths, max_travel_time, validate_assumptions)
 from kinwave.network import _initial_window, scan_window
 
-from oracles import count_simple_paths, linear_scan_window
+from oracles import affine_deriv, affine_value, count_simple_paths, linear_scan_window
 
 TRI = FluxDescriptor.triangular(1.0, 1.0, 1.0)
 GS = FluxDescriptor.greenshields(1.0, 1.0)
@@ -38,6 +38,20 @@ class TestCostFunction:
         c = CostFunction.affine(1.0, -2.0)
         assert c(3.0) == pytest.approx(-5.0)
         assert c.deriv(3.0) == pytest.approx(-2.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.floats(-1e6, 1e6), b=st.floats(-1e6, 1e6),
+           ts=st.lists(st.floats(-1e3, 1e3), max_size=8))
+    def test_affine_is_the_quadratic_with_zero_c(self, a, b, ts):
+        affine, quadratic = CostFunction.affine(a, b), CostFunction.quadratic(a, b, 0.0)
+        t = np.array([-2.5, 0.0, 3.0] + ts)
+        for method, old in (("value", affine_value), ("deriv", affine_deriv)):
+            new, quad = getattr(affine, method), getattr(quadratic, method)
+            bits = np.asarray(new(t)).view(np.int64)
+            assert np.array_equal(bits, np.asarray(quad(t)).view(np.int64))
+            assert np.array_equal(new(t), old(a, b, t))    # equal, up to the sign of a zero
+            for s in t:
+                assert np.float64(new(s)).view(np.int64) == np.float64(quad(s)).view(np.int64)
 
     def test_quadratic(self):
         c = CostFunction.quadratic(1.0, 0.0, 2.0)
