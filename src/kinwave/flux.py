@@ -77,7 +77,8 @@ class FluxDescriptor:
                 raise ConfigurationError("triangular needs finite v_free, w_back, rho_jam > 0")
             rho_star = w * R / (a + w)
             self._set_range(R, rho_star, a * rho_star, 1.0 / a)
-            self._init_table(np.array([[0.0, 0.0], [rho_star, self.f_max], [R, 0.0]]), 1)
+            self._init_table(np.array([[0.0, 0.0], [rho_star, self.f_max], [R, 0.0]]), 1,
+                             self.free_flow_pace)
         else:
             self._init_sampled(self.params["breakpoints"])
 
@@ -96,31 +97,36 @@ class FluxDescriptor:
         return cls("sampled", {"breakpoints": breakpoints})
 
     def _init_sampled(self, breakpoints):
+        """Check the breakpoints, with tolerances relative to the flux's largest
+        flow and slope, and build the table from them with zero end flows."""
         pts = np.array(breakpoints, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3 or not np.isfinite(pts).all():
             raise ConfigurationError("sampled flux needs >= 3 finite (density, flow) points")
         rho, q = pts[:, 0], pts[:, 1]
         if not np.all(np.diff(rho) > 0):
             raise ConfigurationError("sampled flux densities must be strictly increasing")
-        if abs(rho[0]) > 0 or abs(q[0]) > _TOL or abs(q[-1]) > _TOL:
+        q_tol = _TOL * np.max(np.abs(q))
+        if abs(rho[0]) > 0 or abs(q[0]) > q_tol or abs(q[-1]) > q_tol:
             raise ConfigurationError("sampled flux must start at (0, 0) and end at (rho_jam, 0)")
-        if np.any(q < -_TOL):
+        if np.any(q < -q_tol):
             raise ConfigurationError("sampled flux must be nonnegative")
+        q[0] = q[-1] = 0.0
         slopes = np.diff(q) / np.diff(rho)
-        if np.any(np.diff(slopes) > _TOL):
+        s_tol = _TOL * np.max(np.abs(slopes))
+        if np.any(np.diff(slopes) > s_tol):
             raise ConfigurationError("sampled flux must be concave")
         i_star = int(np.argmax(q))
-        while i_star > 0 and slopes[i_star - 1] <= _TOL:    # on a flat top, take its left end
+        while i_star > 0 and slopes[i_star - 1] <= s_tol:    # on a flat top, take its left end
             i_star -= 1
         if i_star == 0 or i_star == len(q) - 1:
             raise ConfigurationError("sampled flux capacity must be interior")
         # reject flat segments on the increasing branch: g would be set-valued
-        if np.any(slopes[:i_star] <= _TOL):
+        if np.any(slopes[:i_star] <= s_tol):
             raise ConfigurationError(
                 "sampled flux must be strictly increasing up to its capacity point"
             )
-        self._set_range(rho[-1], rho[i_star], q[i_star], (rho[1] - rho[0]) / (q[1] - q[0]))
         self._init_table(pts, i_star)
+        self._set_range(rho[-1], rho[i_star], q[i_star], self._kinks[0])
 
     def _set_range(self, rho_jam, rho_star, f_max, free_flow_pace):
         """Set the derived quantities, which rounding can push onto 0, rho_jam or inf."""
@@ -133,13 +139,31 @@ class FluxDescriptor:
         self.f_max = float(f_max)
         self.free_flow_pace = float(free_flow_pace)
 
-    def _init_table(self, pts, i_star):
+    def _init_table(self, pts, i_star, free_flow_pace=None):
         """Breakpoints ``pts`` (density, flow) with capacity point ``i_star``, g on
-        the rising branch, and the kinks p_k of g* (g's slopes) with g* = p_k*u_k - g(u_k)."""
+        the rising branch, and the kinks p_k of g* (g's slopes) with g* = p_k*u_k - g(u_k).
+
+        g is the convex hull of the rising breakpoints: a point where F's slope
+        does not fall (a collinear point, or a convex wobble that the sampled
+        checks forgive) is dropped, so the kinks increase strictly, as
+        ``np.interp`` needs.  A triangular flux passes its exact pace 1/v_free as
+        ``free_flow_pace`` in place of the rounded first kink.
+        """
         self._rho, self._q = pts[:, 0], pts[:, 1]
-        self._g_u, self._g_rho = self._q[: i_star + 1], self._rho[: i_star + 1]
+        u, rho = self._q[: i_star + 1], self._rho[: i_star + 1]
+
+        def kink(a, b):     # as np.diff(rho) / np.diff(u) computes it
+            return (rho[b] - rho[a]) / (u[b] - u[a])
+
+        hull = [0]
+        for i in range(1, i_star + 1):
+            while len(hull) > 1 and kink(hull[-2], hull[-1]) >= kink(hull[-1], i):
+                hull.pop()
+            hull.append(i)
+        self._g_u, self._g_rho = u[hull], rho[hull]
         self._kinks = np.diff(self._g_rho) / np.diff(self._g_u)
-        self._kinks[0] = self.free_flow_pace     # exactly 1 / v_free for a triangular flux
+        if free_flow_pace is not None:
+            self._kinks[0] = free_flow_pace
         self._kinks.flags.writeable = False
         self._gstar = self._kinks * self._g_u[:-1] - self._g_rho[:-1]
 
@@ -196,9 +220,11 @@ class FluxDescriptor:
                 val = R * (ap - 1.0) ** 2 / (4.0 * ap)
             out = np.where(p_arr <= self.free_flow_pace, 0.0, val)
         else:
-            # linear between kinks, slope F_max beyond the last
+            # linear between kinks, slope F_max beyond the last; with one kink,
+            # a triangular flux's, the interpolated g* is the constant g*(p_0) = 0
             out = self.f_max * np.maximum(0.0, p_arr - self._kinks[-1])
-            out += np.interp(p_arr, self._kinks, self._gstar)
+            if len(self._kinks) > 1:
+                out += np.interp(p_arr, self._kinks, self._gstar)
         return float(out) if np.isscalar(p) else out
 
     def conjugate_inverse(self, x):
@@ -216,7 +242,10 @@ class FluxDescriptor:
             out = (1.0 + 2.0 * x_arr / R + 2.0 * np.sqrt(x_arr * (R + x_arr)) / R) / a
         else:
             out = np.maximum(0.0, x_arr - self._gstar[-1]) / self.f_max
-            out += np.interp(x_arr, self._gstar, self._kinks)
+            if len(self._kinks) > 1:
+                out += np.interp(x_arr, self._gstar, self._kinks)
+            else:
+                out += self._kinks[0]
         return float(out) if np.isscalar(x) else out
 
     def wave_pace(self, u):

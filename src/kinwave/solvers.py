@@ -18,6 +18,11 @@ from .loading import DepartureProfile, LoadingResult, arrival_time_path, network
 from .network import Network, SolverBounds, compute_bounds
 
 _EMPTY_FRAC = 1e-9   # bins carrying less than this fraction of G_k count as empty
+# adaptive Nash step (Malitsky and Tam, SIAM J. Optim. 30, 2020): the step
+# grows by at most _STEP_GROWTH per load and stays within _STEP_THETA of the
+# inverse local Lipschitz estimate; theta 0.7 and 1.0 stalled on a congested arc
+_STEP_THETA = 0.5
+_STEP_GROWTH = 1.5
 _GL_ORDER = 8
 
 _gl_nodes, _gl_weights = leggauss(_GL_ORDER)
@@ -103,6 +108,8 @@ class EquilibriumReport:
     gap: float
     iterations: int = 0
     converged: bool = True
+    stop_reason: str | None = None           # "tol" or "max_iter" after a solve
+    step: float | None = None                # the last step taken, after a solve
     gap_history: list = field(default_factory=list)
     rate_bound: float | None = None          # kappa diagnostic bound
     max_rate: float | None = None
@@ -115,6 +122,8 @@ class EquilibriumReport:
             "gap": self.gap,
             "converged": self.converged,
             "iterations": self.iterations,
+            "stop_reason": self.stop_reason,
+            "step": self.step,
             "groups": [
                 {
                     "used_cost": self.group_used_cost[k],
@@ -213,9 +222,18 @@ def solve_nash(network: Network, *, bins=64, tol=1e-3, max_iter=5000,
     in [0, 4*kappa].  Popov's past-extragradient uses the costs F(y) twice:
     the anchor steps to x' = swap(x, F(y)) and the next predictor is
     swap(x', F(y)), so queueing feedback does not induce limit cycles.
+
+    The step lambda is adaptive, in per-group mass fractions y = m / G_k
+    with F(y) the cell costs at bin midpoints.  It starts at ``damping`` and
+    after each later load becomes min(1.5 * lambda, 0.5 * |dy| / |dF|) over
+    the last two predictors, so it grows where the costs barely move and
+    shrinks where they are steep, at no extra load.
+
     Returns the loaded predictor with the least gap and its diagnostics;
-    ``converged`` is False if that gap is above ``tol``.  With max_iter = 0
-    that is the uniform start, loaded once, and ``iterations`` is 0.
+    ``converged`` is False if that gap is above ``tol``, and ``stop_reason``
+    says whether the last load met ``tol`` or used up ``max_iter``.  With
+    max_iter = 0 that is the uniform start, loaded once, and ``iterations``
+    is 0.
     """
     if bins < 2:
         raise ConfigurationError("solve_nash needs at least 2 bins")
@@ -231,6 +249,7 @@ def solve_nash(network: Network, *, bins=64, tol=1e-3, max_iter=5000,
     best_profile, best_report = None, None
     history = []
     rc = cap * (1 + 1e-9)
+    step, y_prev, F_prev = damping, None, None
     for it in range(1, max(max_iter, 1) + 1):   # max_iter = 0 still loads the start
         loading = network_load(network, predictor, dt=dt, rate_cap=rc)
         costs = cost_profile(network, loading)
@@ -240,14 +259,36 @@ def solve_nash(network: Network, *, bins=64, tol=1e-3, max_iter=5000,
             best_profile, best_report = predictor, report
         if report.gap <= tol or it >= max_iter:
             break
-        anchor = _swap_step(network, anchor, costs, damping, cap)
-        predictor = _swap_step(network, anchor, costs, damping, cap)
+        y, F = _fractions_and_costs(network, predictor, costs)
+        if F_prev is not None:
+            dF = float(np.linalg.norm(F - F_prev))
+            step *= _STEP_GROWTH
+            if dF > 0:
+                step = min(step, _STEP_THETA * float(np.linalg.norm(y - y_prev)) / dF)
+        y_prev, F_prev = y, F
+        anchor = _swap_step(network, anchor, costs, step, cap)
+        predictor = _swap_step(network, anchor, costs, step, cap)
 
     best_report.iterations = min(it, max_iter)
     best_report.converged = best_report.gap <= tol
+    best_report.stop_reason = "tol" if report.gap <= tol else "max_iter"
+    best_report.step = step   # the last step taken; ``damping`` if none was
     best_report.gap_history = history
     _attach_diagnostics(network, best_profile, best_report, bounds)
     return best_profile, best_report
+
+
+def _fractions_and_costs(network, profile, costs):
+    """The step's coordinates: every group's (path, bin) masses as fractions
+    of its size, and their midpoint costs, concatenated over the groups."""
+    y, F = [], []
+    for k, g in enumerate(network.groups):
+        if g.size <= 0:
+            continue
+        for p in network.paths_for_group(k):
+            y.append(profile.rates[k, p] * (profile.bin_width / g.size))
+            F.append(costs.midpoints(k, p))
+    return np.concatenate([[], *y]), np.concatenate([[], *F])
 
 
 def _project_box_simplex(v, total, cap=np.inf):
@@ -273,7 +314,7 @@ def _project_box_simplex(v, total, cap=np.inf):
     return np.clip(v - theta, 0.0, cap)
 
 
-def _swap_step(network, profile, costs, damping, cap):
+def _swap_step(network, profile, costs, step, cap):
     """One damped mass transfer: shift each group's mass toward its cheap
     (path, bin) cells.
 
@@ -291,7 +332,7 @@ def _swap_step(network, profile, costs, damping, cap):
         ps = network.paths_for_group(k)
         phi = np.concatenate([costs.midpoints(k, p) for p in ps])
         mass = np.concatenate([rates[k, p] * width for p in ps])
-        alpha = damping * max(g.size, 1e-12)
+        alpha = step * max(g.size, 1e-12)
         new = _project_box_simplex(mass - alpha * phi, g.size, cap_mass)
         split = new.reshape(len(ps), -1)
         for j, p in enumerate(ps):

@@ -79,3 +79,36 @@ def random_scenario(rng, max_nodes=6, max_groups=3, allow_greenshields=False,
         full[k, p] = rates
     profile = DepartureProfile(0.0, bin_width, full)
     return network, profile
+
+
+def nash_certificate_instances():
+    """The three criterion-6 Nash instances: name -> (network, solve_nash keywords)."""
+    phi = CostFunction.affine(0.0, -1.0)
+    psi = CostFunction.vickrey(1.0, 0.2, 0.4, 0.25)
+    tri = FluxDescriptor.triangular(1.0, 1.0, 1.0)
+    # (a) scalar free-flow: capacity far above demand
+    free_flow = Network(
+        ["a", "b"],
+        [ArcDescriptor("a", "b", 1.0, FluxDescriptor.triangular(1.0, 1.0, 2.0))],
+        [GroupDescriptor(0.03, "a", "b", phi, psi)],
+    )
+    # (b) symmetric diamond: two identical two-arc routes
+    diamond = Network(
+        ["1", "2", "3", "4"],
+        [ArcDescriptor("1", "2", 1.0, tri), ArcDescriptor("1", "3", 1.0, tri),
+         ArcDescriptor("2", "4", 1.0, tri), ArcDescriptor("3", "4", 1.0, tri)],
+        [GroupDescriptor(1.5, "1", "4", phi, psi)],
+    )
+    # (c) congested single arc: demand well above what the target window
+    # can serve, so the queue shapes the equilibrium
+    congested = Network(
+        ["a", "b"],
+        [ArcDescriptor("a", "b", 1.0, tri)],
+        [GroupDescriptor(0.3, "a", "b", phi, CostFunction.vickrey(1.3, 0.6, 0.6, 2.0))],
+    )
+    return {
+        "free_flow": (free_flow, {"bins": 256, "tol": 1e-3, "max_iter": 2000}),
+        "diamond": (diamond, {"bins": 64, "tol": 1e-3, "max_iter": 2000}),
+        "congested": (congested, {"bins": 512, "tol": 1e-3, "max_iter": 2500,
+                                  "damping": 0.2}),
+    }

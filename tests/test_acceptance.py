@@ -19,7 +19,7 @@ from kinwave import (ArcDescriptor, CostFunction, CumulativeCurve, DepartureProf
                      compute_bounds, lax_hopf_exit, modulus_of_continuity,
                      network_load, solve_global, solve_nash, total_cost)
 
-from helpers import random_scenario
+from helpers import nash_certificate_instances, random_scenario
 from oracles import greenshields_density, left_inverse, point_queue_sim
 
 _shared = {"slope_checks": [], "nash": None}
@@ -254,39 +254,8 @@ def _nash_instances():
     """Solve the three certificate instances once; cache for criterion 7."""
     if _shared["nash"] is not None:
         return _shared["nash"]
-    phi = CostFunction.affine(0.0, -1.0)
-    psi_a = CostFunction.vickrey(1.0, 0.2, 0.4, 0.25)
-    out = {}
-
-    # (a) scalar free-flow: capacity far above demand
-    net_a = Network(
-        ["a", "b"],
-        [ArcDescriptor("a", "b", 1.0, FluxDescriptor.triangular(1.0, 1.0, 2.0))],
-        [GroupDescriptor(0.03, "a", "b", phi, psi_a)],
-    )
-    out["free_flow"] = (net_a, *solve_nash(net_a, bins=256, tol=1e-3,
-                                           max_iter=2000))
-
-    # (b) symmetric diamond: two identical two-arc routes
-    tri = FluxDescriptor.triangular(1.0, 1.0, 1.0)
-    net_b = Network(
-        ["1", "2", "3", "4"],
-        [ArcDescriptor("1", "2", 1.0, tri), ArcDescriptor("1", "3", 1.0, tri),
-         ArcDescriptor("2", "4", 1.0, tri), ArcDescriptor("3", "4", 1.0, tri)],
-        [GroupDescriptor(1.5, "1", "4", phi, psi_a)],
-    )
-    out["diamond"] = (net_b, *solve_nash(net_b, bins=64, tol=1e-3, max_iter=2000))
-
-    # (c) congested single arc: demand well above what the target window
-    # can serve, so the queue shapes the equilibrium
-    net_c = Network(
-        ["a", "b"],
-        [ArcDescriptor("a", "b", 1.0, tri)],
-        [GroupDescriptor(0.3, "a", "b", phi,
-                         CostFunction.vickrey(1.3, 0.6, 0.6, 2.0))],
-    )
-    out["congested"] = (net_c, *solve_nash(net_c, bins=512, tol=1e-3,
-                                           max_iter=2500, damping=0.2))
+    out = {name: (net, *solve_nash(net, **kwargs))
+           for name, (net, kwargs) in nash_certificate_instances().items()}
     _shared["nash"] = out
     return out
 

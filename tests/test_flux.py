@@ -354,3 +354,55 @@ def test_sampled_conjugate_matches_vertex_max(inner, skew, v, R, mults):
     p = np.concatenate((kinks, np.array(mults) * kinks[-1]))
     g = vertex_conjugate(pts, p)
     assert np.all(np.abs(flux.conjugate(p) - g) <= 1e-15 * np.maximum(1.0, g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["triangular", "sampled-one-kink", "sampled"]),
+    a=st.floats(1e-3, 1e3),
+    b=st.floats(1e-3, 1e3),
+    R=st.floats(1e-3, 1e3),
+    mults=st.lists(st.floats(-2.0, 4.0), min_size=1, max_size=8),
+    xs=st.lists(st.floats(0.0, 1e4), max_size=8),
+)
+def test_conjugates_match_the_interp_path(kind, a, b, R, mults, xs):
+    """With one kink the table's interpolation term is skipped; the result is
+    bit for bit the one that adds it."""
+    if kind == "triangular":
+        flux = FluxDescriptor.triangular(a, b, R)
+    elif kind == "sampled-one-kink":
+        flux = FluxDescriptor.sampled([[0.0, 0.0], [R / (1 + b), a], [R, 0.0]])
+    else:
+        x = np.array([0.0, 0.2, 0.5, 0.8, 1.0])
+        flux = FluxDescriptor.sampled(np.column_stack((R * x, a * R * x * (1.0 - x))))
+    kinks, gstar = flux.conjugate_kinks(), flux._gstar
+    assert (len(kinks) == 1) == (kind != "sampled")
+    ps = np.array([m * kinks[-1] for m in mults] + [np.nextafter(kinks[0], 0.0), kinks[0],
+                                                    np.nextafter(kinks[0], INF)])
+    xs = np.array([0.0, *gstar, *xs])
+    want_conj = flux.f_max * np.maximum(0.0, ps - kinks[-1]) + np.interp(ps, kinks, gstar)
+    want_inv = np.maximum(0.0, xs - gstar[-1]) / flux.f_max + np.interp(xs, gstar, kinks)
+    assert np.array_equal(bits(flux.conjugate(ps)), bits(want_conj))
+    assert np.array_equal(bits(flux.conjugate_inverse(xs)), bits(want_inv))
+    for p, want in zip(ps, want_conj):
+        assert bits(flux.conjugate(float(p))) == bits(want)
+    for x, want in zip(xs, want_inv):
+        assert bits(flux.conjugate_inverse(float(x))) == bits(want)
+
+
+# F's slopes rise by 5e-10 at the third point, within the concavity tolerance
+WOBBLY = [[0.0, 0.0], [0.1, 0.1], [0.2, 0.2 + 5e-11], [0.3, 0.3], [0.5, 0.4], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize("rho_scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("flow_scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_sampled_wobble_repaired_at_any_scale(rho_scale, flow_scale):
+    """A wobble the checks forgive at one scale is forgiven at every scale, and
+    the table drops the point, so its kinks rise and the conjugate is exact."""
+    pts = np.array(WOBBLY) * [rho_scale, flow_scale]
+    flux = FluxDescriptor.sampled(pts)
+    kinks = flux.conjugate_kinks()
+    assert np.all(np.diff(kinks) > 0)
+    p = np.linspace(-1.0, 3.0, 4001) * kinks[-1]
+    g = vertex_conjugate(pts, p)
+    assert np.max(np.abs(flux.conjugate(p) - g)) <= 1e-12 * np.max(g)

@@ -11,6 +11,7 @@ from kinwave import (ArcDescriptor, ConfigurationError, CostFunction,
 from kinwave import solvers
 from kinwave.solvers import _project_box_simplex
 
+from helpers import nash_certificate_instances
 from oracles import riemann_cost, scalar_best_cost
 
 TRI = FluxDescriptor.triangular(1.0, 1.0, 1.0)
@@ -144,8 +145,9 @@ class TestSolveNash:
         net = build([("a", "b", 1.0, TRI)], [(0.05, "a", "b", PHI, PSI_V)])
         prof, report = solve_nash(net, bins=32, tol=5e-3, max_iter=500)
         d = report.as_dict()
-        assert set(d) >= {"gap", "converged", "iterations", "groups",
-                          "rate_bound", "support_window"}
+        assert set(d) >= {"gap", "converged", "iterations", "stop_reason", "step",
+                          "groups", "rate_bound", "support_window"}
+        assert d["stop_reason"] == "tol"
         assert report.rates_ok and report.support_ok
         assert len(report.gap_history) == report.iterations
 
@@ -194,6 +196,80 @@ class TestSolveNash:
         assert report.iterations == 0
         assert report.gap == nash_gap(net, prof).gap == report.gap_history[0]
         assert report.converged == (tol > 1.0)
+        assert report.stop_reason == ("tol" if tol > 1.0 else "max_iter")
+        assert report.step == 0.2      # no step taken: the first step, damping
+
+
+def _step_coordinates(network, profile, costs):
+    """Mass fractions m / G_k and midpoint costs, over every group and path."""
+    y, F = [], []
+    for k, g in enumerate(network.groups):
+        for p in network.paths_for_group(k):
+            y.append(profile.rates[k, p] * profile.bin_width / g.size)
+            F.append(costs.midpoints(k, p))
+    return np.concatenate(y), np.concatenate(F)
+
+
+@pytest.fixture(scope="module")
+def certificate_solves():
+    """Each criterion-6 instance solved once, with the step of every swap and
+    the step coordinates of every load recorded."""
+    real_swap, real_cost_profile = solvers._swap_step, solvers.cost_profile
+    out = {}
+    for name, (net, kwargs) in nash_certificate_instances().items():
+        steps, points = [], []
+
+        def swap(network, profile, costs, step, cap):
+            steps.append(step)
+            return real_swap(network, profile, costs, step, cap)
+
+        def costing(network, loading):
+            costs = real_cost_profile(network, loading)
+            points.append(_step_coordinates(network, loading.profile, costs))
+            return costs
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "_swap_step", swap)
+            mp.setattr(solvers, "cost_profile", costing)
+            report = solve_nash(net, **kwargs)[1]
+        assert steps[::2] == steps[1::2]     # anchor and predictor share a step
+        out[name] = (report, steps[::2], points)
+    return out
+
+
+class TestAdaptiveStep:
+    @pytest.mark.parametrize("name, ceiling", [
+        ("free_flow", 40), ("diamond", 11), ("congested", 891)])
+    def test_iteration_ceilings(self, certificate_solves, name, ceiling):
+        # the fixed step took 771, 11 and 891 iterations
+        report, steps, points = certificate_solves[name]
+        assert report.converged and report.stop_reason == "tol"
+        assert report.iterations <= ceiling
+        assert len(points) == report.iterations == len(steps) + 1
+        assert report.step == steps[-1]
+
+    def test_free_flow_step_grows_geometrically(self, certificate_solves):
+        # no queue forms, so the costs depend on the profile only by rounding,
+        # and the Lipschitz estimate never binds
+        report, steps, points = certificate_solves["free_flow"]
+        F0 = points[0][1]
+        assert all(np.max(np.abs(F - F0)) <= 1e-14 * np.max(np.abs(F0)) for _, F in points)
+        want = [0.2]
+        while len(want) < len(steps):
+            want.append(want[-1] * solvers._STEP_GROWTH)
+        assert steps == want
+
+    def test_congested_step_within_lipschitz_bound(self, certificate_solves):
+        report, steps, points = certificate_solves["congested"]
+        assert steps[0] == 0.2
+        bounded = 0
+        for k in range(1, len(steps)):
+            (y0, F0), (y1, F1) = points[k - 1], points[k]
+            dy, dF = np.linalg.norm(y1 - y0), np.linalg.norm(F1 - F0)
+            assert steps[k] <= steps[k - 1] * solvers._STEP_GROWTH
+            assert steps[k] * dF <= solvers._STEP_THETA * dy * (1 + 1e-12)
+            bounded += steps[k] < steps[k - 1] * solvers._STEP_GROWTH
+        assert bounded > 0      # the estimate binds, so the step adapts
 
 
 class TestSolveGlobal:
