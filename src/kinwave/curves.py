@@ -7,7 +7,10 @@ of the entry curve with the convex kernel built from the flux conjugate:
     exit(t) = min_tau { entry(tau) + L * g*((t - tau) / L) }
 
 For fluxes whose conjugate is piecewise linear (triangular, sampled) the
-convolution is evaluated exactly; for smooth conjugates (Greenshields) it
+convolution is evaluated exactly: a conjugate with one kink (every
+triangular flux) makes the kernel F_max * max(0, s - mu) and the exit
+Vickrey's point queue, a running minimum; more kinks take the lower
+envelope of the kernel's pieces.  For smooth conjugates (Greenshields) it
 is evaluated on a uniform time grid of step ``dt``.
 """
 from __future__ import annotations
@@ -78,10 +81,13 @@ class CumulativeCurve:
 
     @classmethod
     def combine(cls, curves):
-        """Pointwise sum of curves (exact on the union of breakpoints)."""
+        """Pointwise sum of curves (exact on the union of breakpoints); a
+        single curve is returned as it is."""
         curves = [c for c in curves if c is not None]
         if not curves:
             return cls.zero()
+        if len(curves) == 1:
+            return curves[0]
         ts = np.unique(np.concatenate([c.t for c in curves]))
         vs = np.sum([c(ts) for c in curves], axis=0)
         return cls(ts, vs, validate=False).simplify()
@@ -245,6 +251,40 @@ def _exact_minplus(entry: CumulativeCurve, arc: ArcDescriptor):
     return ts[keep], vs[keep]
 
 
+def _point_queue(entry: CumulativeCurve, arc: ArcDescriptor):
+    """Exact exit ``(t, v)`` for a one-kink conjugate: Vickrey's point queue.
+
+    The kernel is K(s) = F*max(0, s - mu), F = F_max, so exit(s + mu) =
+    F*s + M(s), M the running minimum of W = U - F*tau over tau <= s.  At a
+    breakpoint tau_i that is U_j + F*(tau_i - tau_j), j the last breakpoint
+    up to i where W meets its running minimum: U_i itself, copied, when the
+    queue is empty (j = i).  A segment on which W falls through the running
+    minimum gains the point where the queue empties, and a queue left at the
+    last breakpoint drains at capacity by (G - U_j)/F after tau_j, when that
+    time is finite.  Between these points the exit is linear.
+    """
+    F, taus, U = arc.flux.f_max, entry.t, entry.v
+    W = U - F * taus
+    m = np.minimum.accumulate(W)
+    j = np.maximum.accumulate(np.where(W <= m, np.arange(len(W)), 0))
+    vs = U[j] + F * (taus - taus[j])
+    # segments i where the queue empties inside: x = tau_i + Q_i / (F - r_i)
+    i = np.flatnonzero((W[:-1] > m[:-1]) & (W[1:] < m[:-1]))
+    dt, du = taus[i + 1] - taus[i], U[i + 1] - U[i]
+    xs = taus[i] + (U[i] - vs[i]) * dt / (F * dt - du)
+    inside = (xs > taus[i]) & (xs < taus[i + 1])
+    i, xs = i[inside], xs[inside]
+    ts = np.insert(taus, i + 1, xs)
+    vs = np.insert(vs, i + 1, U[j[i]] + F * (xs - taus[j[i]]))
+    with np.errstate(over="ignore"):
+        t_drain = taus[j[-1]] + (U[-1] - U[j[-1]]) / F
+    if taus[-1] < t_drain < np.inf:
+        ts, vs = np.append(ts, t_drain), np.append(vs, U[-1])
+    ts = ts + arc.mu
+    keep = np.concatenate(([True], np.diff(ts) > 0))   # the shift may round times together
+    return ts[keep], vs[keep]
+
+
 def _monge_row_minima(ts, taus, U, kernel):
     """Row minima of A[r, c] = U[c] + K(ts[r] - taus[c]) by divide and conquer.
 
@@ -313,8 +353,12 @@ def lax_hopf_exit(entry: CumulativeCurve, arc: ArcDescriptor, dt: float = 1e-3):
     """Exit curve of an arc fed by ``entry``, via the variational formula.
 
     Always the whole curve, from entry.t[0] + mu to the entry's total mass.
-    Exact for piecewise-linear conjugates; sampled on a grid of step ``dt``
-    otherwise.
+    A conjugate with one kink (a triangular flux, or a table whose hull has
+    one kink) gives the point queue, exactly; more kinks give the exact
+    lower envelope; a smooth flux gives the envelope on a grid of step
+    ``dt``.  Raises LoadingError, naming the arc, when the exit's total
+    misses the entry's by more than 1e-9 * max(1, total): a drain time too
+    large for a float, for one.
     """
     if not np.isfinite(entry.total):
         raise DomainError("entry curve must carry bounded total mass")
@@ -322,10 +366,13 @@ def lax_hopf_exit(entry: CumulativeCurve, arc: ArcDescriptor, dt: float = 1e-3):
     total = entry.total
     if total <= 0.0:
         return CumulativeCurve([entry.t[0] + arc.mu], [0.0], validate=False)
-    if arc.flux.conjugate_kinks() is not None:
-        ts, vs = _exact_minplus(entry, arc)
-    else:
+    kinks = arc.flux.conjugate_kinks()
+    if kinks is None:
         ts, vs = _grid_minplus(entry, arc, dt)
+    elif len(kinks) == 1:
+        ts, vs = _point_queue(entry, arc)
+    else:
+        ts, vs = _exact_minplus(entry, arc)
     vs = np.maximum.accumulate(np.clip(vs, 0.0, total))
     curve = CumulativeCurve(ts, vs, validate=False).simplify()
     # Snap tail values that are within rounding error of the final total:
@@ -338,6 +385,9 @@ def lax_hopf_exit(entry: CumulativeCurve, arc: ArcDescriptor, dt: float = 1e-3):
         v = curve.v.copy()
         v[near] = total
         curve = CumulativeCurve(curve.t, v).simplify()
+    if abs(curve.total - total) > 1e-9 * max(1.0, total):
+        raise LoadingError(f"arc {arc.key}: the exit carries {curve.total:.6g} of the "
+                           f"entry's {total:.6g} vehicles")
     return curve
 
 

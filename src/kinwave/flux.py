@@ -215,10 +215,12 @@ class FluxDescriptor:
         p_arr = np.asarray(p, dtype=float)
         if self.kind == "greenshields":
             a, R = self.params["v_free"], self.params["rho_jam"]
-            ap = a * p_arr
-            with np.errstate(divide="ignore", invalid="ignore"):
-                val = R * (ap - 1.0) ** 2 / (4.0 * ap)
-            out = np.where(p_arr <= self.free_flow_pace, 0.0, val)
+            # R*(ap - 1)**2 / (4*ap) as 0.25*R*d*(d/ap), d = ap - 1: no square to
+            # overflow at huge paces, d exact near ap = 1, and ap >= 1 keeps tiny
+            # paces, where g* is 0, from dividing by zero or overflowing
+            ap = np.maximum(a * p_arr, 1.0)
+            d = ap - 1.0
+            out = np.where(p_arr <= self.free_flow_pace, 0.0, 0.25 * R * d * (d / ap))
         else:
             # linear between kinks, slope F_max beyond the last; with one kink,
             # a triangular flux's, the interpolated g* is the constant g*(p_0) = 0

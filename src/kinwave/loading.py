@@ -133,10 +133,16 @@ def _split_exit(exit_curve, entry_curve, comps, t_hi):
     piecewise-linear data: the (k,p) count among the first ``exit(t)``
     leavers equals that component's count at the matched entry time.  The
     curves end at the smaller of ``t_hi``, up to which the exit is exact,
-    and the exit's drain time.
+    and the exit's drain time.  A lone component is the entry itself, so
+    its share is the whole exit, cut there.
     """
     t_hi = min(t_hi, exit_curve.inverse(exit_curve.total))
     cut = float(exit_curve(t_hi))
+    if len(comps) == 1:
+        keep = exit_curve.t < t_hi
+        lone = CumulativeCurve(np.append(exit_curve.t[keep], t_hi),
+                               np.append(exit_curve.v[keep], cut), validate=False)
+        return dict.fromkeys(comps, lone)
     vals = np.concatenate([entry_curve.v] + [entry_curve(c.t) for c in comps.values()])
     reach = np.minimum(vals[vals <= cut + 1e-15 * max(1.0, cut)], exit_curve.total)
     ts = np.unique(np.concatenate(

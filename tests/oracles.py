@@ -9,6 +9,8 @@ replaced.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from kinwave import (AdmissibilityError, CumulativeCurve, DomainError, ExitComputation,
@@ -66,6 +68,25 @@ def brute_lax_hopf(entry_t, entry_v, conj, length, t, tau_step=1e-4):
     U = np.interp(taus, entry_t, entry_v)
     vals = U + length * np.asarray(conj((t - taus) / length), dtype=float)
     return float(np.min(vals))
+
+
+def rational_point_queue(entry_t, entry_v, f_max, mu, t):
+    """min over tau of U(tau) + f_max * max(0, t - mu - tau), in exact rational
+    arithmetic on the float inputs: the minimum over tau = t - mu and the
+    breakpoints before it, U being piecewise linear."""
+    T = [Fraction(x) for x in entry_t]
+    U = [Fraction(x) for x in entry_v]
+    F, s = Fraction(f_max), Fraction(t) - Fraction(mu)
+    k = sum(1 for x in T if x <= s)       # breakpoints at or before s
+    if k == 0:
+        best = U[0]
+    elif k == len(T):
+        best = U[-1]
+    else:
+        best = U[k - 1] + (U[k] - U[k - 1]) * (s - T[k - 1]) / (T[k] - T[k - 1])
+    for Tj, Uj in zip(T[:k], U[:k]):
+        best = min(best, Uj + F * (s - Tj))
+    return best
 
 
 # ---------------------------------------------------------------------

@@ -318,10 +318,11 @@ def test_bad_flag_exits_2_with_flag_named(tmp_path, command, flag, value, messag
     ({"length": 2.5,
       "flux": {"kind": "triangular", "v_free": 1e-300, "w_back": 1e-300, "rho_jam": 1e-3}},
      {}, "error: scenario: report.json: Out of range float"),
-    # free-flow time 1e-300: the sweep bound overflows, the tiny capacity never drains
+    # free-flow time 1e-300: the sweep bound overflows, and the capacity 2.5e-300
+    # drains the 0.1 vehicles at 4e298, where the total cost overflows to inf
     ({"length": 1e-300,
       "flux": {"kind": "triangular", "v_free": 1.0, "w_back": 1e-300, "rho_jam": 2.5}},
-     {}, "error: scenario: network did not drain"),
+     {}, "error: scenario: report.json: Out of range float"),
 ], ids=["oversized-exit-grid", "cost-overflow", "sweep-bound-overflow"])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_load_at_extreme_scales_exits_2(tmp_path, arc, solver, message):

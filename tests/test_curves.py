@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinwave import (ArcDescriptor, CumulativeCurve, DomainError, ExitComputation,
-                     FluxDescriptor, exit_time, lax_hopf_exit, modulus_of_continuity)
+                     FluxDescriptor, LoadingError, exit_time, lax_hopf_exit,
+                     modulus_of_continuity)
 from kinwave import curves
-from kinwave.curves import _REL, _monge_row_minima
+from kinwave.curves import _REL, _exact_minplus, _monge_row_minima, _point_queue
 
-from oracles import brute_lax_hopf, greenshields_density, modulus_by_search, reference_inverse
+from oracles import (brute_lax_hopf, greenshields_density, modulus_by_search,
+                     rational_point_queue, reference_inverse)
 
 GS_ARC = ArcDescriptor("a", "b", 1.0, FluxDescriptor.greenshields(1.0, 1.0))
 TRI_ARC = ArcDescriptor("a", "b", 1.0, FluxDescriptor.triangular(1.0, 1.0, 1.0))
@@ -338,6 +340,103 @@ class TestLaxHopfExit:
             comp.validate(tol=1e-6)
 
 
+@st.composite
+def one_kink_entries(draw):
+    """A one-kink arc, triangular or its three-point sampled table, and an
+    entry of up to 10 rate runs: zero runs, runs at capacity (flat W), runs
+    above it, and no run at all (a single breakpoint), from a start time in
+    [-20, 20]."""
+    a, w, R = (draw(st.floats(0.3, 3.0)) for _ in range(3))
+    flux = FluxDescriptor.triangular(a, w, R)
+    if draw(st.booleans()):
+        flux = FluxDescriptor.sampled([[0.0, 0.0], [flux.rho_star, flux.f_max], [R, 0.0]])
+    arc = ArcDescriptor("a", "b", draw(st.floats(0.2, 3.0)), flux)
+    F = flux.f_max
+    rate = st.one_of(st.just(0.0), st.just(F), st.floats(0.0, 3.0 * F))
+    runs = draw(st.lists(st.tuples(rate, st.floats(0.01, 2.0)), max_size=10))
+    start = draw(st.floats(-20.0, 20.0))
+    if not runs:
+        return arc, CumulativeCurve.zero(start)
+    times = start + np.concatenate(([0.0], np.cumsum([width for _, width in runs])))
+    return arc, CumulativeCurve.from_step_rates(times, [r for r, _ in runs])
+
+
+class TestPointQueue:
+    @settings(max_examples=200, deadline=None)
+    @given(one_kink_entries())
+    def test_matches_rational_oracle_and_envelope(self, case):
+        arc, entry = case
+        assert len(arc.flux.conjugate_kinks()) == 1
+        ts, vs = _point_queue(entry, arc)
+        ref_t, ref_v = _exact_minplus(entry, arc)
+        assert np.all(np.diff(ts) > 0) and ts[0] == entry.t[0] + arc.mu
+        grid = np.union1d(ts, ref_t)
+        got = np.interp(grid, ts, vs)
+        exact = [float(rational_point_queue(entry.t, entry.v, arc.flux.f_max, arc.mu, t))
+                 for t in grid]
+        scale = max(1.0, entry.total)
+        assert np.max(np.abs(got - exact)) <= 1e-14 * scale
+        # the envelope accepts a crossing within 1e-11 * max(1, G) of the true one
+        assert np.max(np.abs(got - np.interp(grid, ref_t, ref_v))) <= 1e-11 * scale
+        assert vs[-1] == pytest.approx(entry.total, abs=1e-14 * scale)
+
+    @pytest.mark.parametrize("arc, envelopes", [
+        (TRI_ARC, 0),
+        (ArcDescriptor("a", "b", 1.0, FluxDescriptor.sampled([[0, 0], [0.5, 0.25], [1, 0]])), 0),
+        (SAMPLED_ARC, 1),
+    ], ids=["triangular", "one-kink-sampled", "two-kink-sampled"])
+    def test_kink_count_picks_the_exit(self, arc, envelopes, monkeypatch):
+        calls = []
+
+        def counted(entry, arc):
+            calls.append(arc)
+            return _exact_minplus(entry, arc)
+
+        monkeypatch.setattr(curves, "_exact_minplus", counted)
+        lax_hopf_exit(CumulativeCurve.from_step_rates([0.0, 1.0, 2.0], [0.9, 0.1]), arc)
+        assert len(calls) == envelopes
+
+    def test_drains_past_a_tiny_capacity(self):
+        # capacity 2.5e-300 drains 0.1 vehicles at 4e298, which a float holds
+        arc = ArcDescriptor("a", "b", 1e-300, FluxDescriptor.triangular(1.0, 1e-300, 2.5))
+        out = lax_hopf_exit(CumulativeCurve.from_step_rates([0.0, 1.0], [0.1]), arc)
+        assert out.total == 0.1
+        assert out.t[-1] == pytest.approx(0.1 / arc.flux.f_max, rel=1e-12)
+
+
+class TestMassGuard:
+    """An exit that misses its entry's mass is an error naming the arc, on each exit path."""
+
+    def test_point_queue(self):
+        # capacity 2.5e-300 would drain 1e10 vehicles at 4e309, past the float range
+        arc = ArcDescriptor("a", "b", 1.0, FluxDescriptor.triangular(1.0, 1e-300, 2.5))
+        entry = CumulativeCurve.from_step_rates([0.0, 1.0], [1e10])
+        with pytest.raises(LoadingError, match=r"arc \('a', 'b'\): the exit carries 2.5e-300 "
+                                               r"of the entry's 1e\+10 vehicles"):
+            lax_hopf_exit(entry, arc)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_envelope(self):
+        # SAMPLED_ARC's flows scaled by 1e-300: the drain times overflow
+        scaled = [[0, 0], [0.2, 0.18e-300], [0.5, 0.25e-300], [0.8, 0.12e-300], [1, 0]]
+        arc = ArcDescriptor("a", "b", 1.0, FluxDescriptor.sampled(scaled))
+        entry = CumulativeCurve.from_step_rates([0.0, 1.0], [1e10])
+        with pytest.raises(LoadingError, match=r"arc \('a', 'b'\): the exit carries 0 "
+                                               r"of the entry's 1e\+10 vehicles"):
+            lax_hopf_exit(entry, arc)
+
+    def test_grid(self, monkeypatch):
+        def halved(ts, taus, U, kernel):
+            vals, args = _monge_row_minima(ts, taus, U, kernel)
+            return 0.5 * vals, args
+
+        monkeypatch.setattr(curves, "_monge_row_minima", halved)
+        entry = CumulativeCurve.from_step_rates([0.0, 1.0], [0.16])
+        with pytest.raises(LoadingError, match=r"arc \('a', 'b'\): the exit carries 0.08 "
+                                               r"of the entry's 0.16 vehicles"):
+            lax_hopf_exit(entry, GS_ARC, dt=1e-2)
+
+
 class TestExitTime:
     def test_free_flow(self):
         assert exit_time(CumulativeCurve.zero(), GS_ARC, 4.0) == pytest.approx(5.0)
@@ -512,6 +611,7 @@ def random_arcs(draw):
     return ArcDescriptor("a", "b", draw(st.floats(0.2, 3.0)), flux)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(random_arcs(), st.floats(0.0, 50.0))
 def test_kernel_capacity_lower_bound(arc, span):

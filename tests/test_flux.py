@@ -1,4 +1,6 @@
 """Flux functions: closed forms, inverses, conjugates, and kernels."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,6 +94,18 @@ class TestLegendre:
             greenshields_conjugate_grid(2.0), abs=1e-6
         )
         assert GS.conjugate(2.0) == pytest.approx(0.125, abs=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p", [1.0 + 2.0**-30, 1.5, 3.0, 1e150, 1e300])
+    def test_greenshields_at_extreme_paces(self, p):
+        # g*(p) = R*(a*p - 1)**2 / (4*a*p), a = 2 and R = 3 here: finite and to a
+        # few ulps from just above the free-flow pace to paces whose square
+        # overflows, and 0 up to that pace, subnormal ones included
+        flux = FluxDescriptor.greenshields(2.0, 3.0)
+        ap = 2 * Fraction(p)
+        exact = 3 * (ap - 1) ** 2 / (4 * ap)
+        assert flux.conjugate(p) == pytest.approx(float(exact), rel=4e-16)
+        assert np.all(flux.conjugate(np.array([-1.0, 0.0, 5e-324, 0.5])) == 0.0)
 
     @pytest.mark.parametrize("flux", ALL_KINDS)
     def test_monotone_and_nonnegative(self, flux):

@@ -8,10 +8,11 @@ from kinwave import (AdmissibilityError, ArcDescriptor, CostFunction, Cumulative
                      DepartureProfile, DomainError, FluxDescriptor, GroupDescriptor,
                      LoadingError, Network, arrival_time_path, modulus_of_continuity,
                      network_load, per_driver_times)
-from kinwave import curves
+from kinwave import curves, lax_hopf_exit, loading
+from kinwave.loading import _split_exit
 
-from helpers import random_scenario
-from oracles import brute_lax_hopf, window_network_load
+from helpers import random_flux, random_scenario
+from oracles import _window_split_exit, brute_lax_hopf, window_network_load
 
 TRI = FluxDescriptor.triangular(1.0, 1.0, 1.0)
 GS = FluxDescriptor.greenshields(1.0, 1.0)
@@ -99,15 +100,28 @@ class TestNetworkLoad:
 
     def test_short_grid_exit_is_an_error(self, monkeypatch):
         # a grid exit that never drains must stop the loading with an error
-        # naming the starved path, not return short arrival curves
+        # naming the arc, not return short arrival curves
         def zeros(ts, taus, U, kernel):
             return np.zeros(len(ts)), np.zeros(len(ts), dtype=int)
 
         monkeypatch.setattr(curves, "_monge_row_minima", zeros)
         net = single_arc(flux=GS, size=0.16)
         prof = DepartureProfile(0.0, 1.0, np.full((1, 1, 1), 0.16))
-        with pytest.raises(LoadingError, match=r"group 0 on path 0 Path\(a->b\)"):
+        with pytest.raises(LoadingError, match=r"arc \('a', 'b'\): the exit carries 0 of "
+                                               r"the entry's 0.16 vehicles"):
             network_load(net, prof, dt=1e-2)
+
+    def test_short_arrivals_name_the_path(self, monkeypatch):
+        # arrivals that fall short of the departures after the last sweep
+        # stop the loading with an error naming the starved path
+        def half_exit(entry, arc, dt):
+            return CumulativeCurve([entry.t[0] + arc.mu, entry.t[-1] + arc.mu],
+                                   [0.0, 0.5 * entry.total])
+
+        monkeypatch.setattr(loading, "lax_hopf_exit", half_exit)
+        prof = DepartureProfile(0.0, 1.0, np.full((1, 1, 1), 0.16))
+        with pytest.raises(LoadingError, match=r"group 0 on path 0 Path\(a->b\)"):
+            network_load(single_arc(), prof)
 
     def test_two_group_merge_conserves_per_group(self):
         net = make_network(
@@ -231,6 +245,28 @@ class TestSweepsMatchWindows:
         assert ref.windows == 8
         assert 1 < res.windows < ref.windows
         assert_same_loading(res, ref)
+
+
+class TestLoneComponentSplit:
+    """A lone component's share is the whole exit, cut where the window split cuts it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_matches_window_split(self, seed, finite):
+        rng = np.random.default_rng(seed)
+        arc = ArcDescriptor("a", "b", rng.uniform(0.3, 1.5), random_flux(rng, True))
+        rates = rng.uniform(0.0, 2.0 * arc.flux.f_max, 4) * (rng.random(4) > 0.3)
+        entry = CumulativeCurve.from_step_rates(np.linspace(0.0, 2.0, 5), rates)
+        exit_c = lax_hopf_exit(entry, arc, dt=1e-2)
+        drain = exit_c.inverse(exit_c.total)
+        t_hi = rng.uniform(exit_c.t[0], drain) if finite else np.inf
+        got = _split_exit(exit_c, entry, {"c": entry}, t_hi)["c"]
+        # the window split reads t_hi as a time the exit reaches, so it gets the drain time
+        want = _window_split_exit(exit_c, entry, {"c": entry}, min(t_hi, drain))["c"]
+        ts = np.union1d(got.t, want.t)
+        assert np.max(np.abs(got(ts) - want(ts))) <= 1e-12 * max(1.0, entry.total)
+        assert got.t[-1] == min(t_hi, drain)
+        assert got.t[-1] == pytest.approx(want.t[-1], abs=1e-12)
 
 
 class TestArrivalTimePath:
