@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .curves import write_curve_csv
+from .curves import csv_rows, write_curve_csv
 from .errors import DomainError, KinwaveError, ScenarioError
 from .flux import ArcDescriptor, FluxDescriptor
 from .loading import DepartureProfile, network_load
@@ -228,17 +228,13 @@ def _dump_curves(loading, out_dir):
 
 
 def _emit_plot_data(loading, out_dir):
-    rows = ["series,t,value"]
+    rows = ["series,t,value\n"]
     for key, comp in sorted(loading.arc_flows.items()):
         for name, curve in (("entry", comp.entry), ("exit", comp.exit)):
-            series = f"arc_{key[0]}_{key[1]}_{name}"
-            for t, v in zip(curve.t, curve.v):
-                rows.append(f"{series},{t:.17g},{v:.17g}")
+            rows.append(csv_rows(curve, f"arc_{key[0]}_{key[1]}_{name},"))
     for (k, p), curve in sorted(loading.arrivals.items()):
-        series = f"arrivals_g{k}_p{p}"
-        for t, v in zip(curve.t, curve.v):
-            rows.append(f"{series},{t:.17g},{v:.17g}")
-    (out_dir / "plot_data.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        rows.append(csv_rows(curve, f"arrivals_g{k}_p{p},"))
+    (out_dir / "plot_data.csv").write_text("".join(rows), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------

@@ -362,7 +362,6 @@ def lax_hopf_exit(entry: CumulativeCurve, arc: ArcDescriptor, dt: float = 1e-3):
     """
     if not np.isfinite(entry.total):
         raise DomainError("entry curve must carry bounded total mass")
-    entry = entry.simplify()
     total = entry.total
     if total <= 0.0:
         return CumulativeCurve([entry.t[0] + arc.mu], [0.0], validate=False)
@@ -478,9 +477,13 @@ def modulus_of_continuity(arc: ArcDescriptor, M: float, G: float):
     return phi
 
 
+def csv_rows(curve: CumulativeCurve, prefix=""):
+    """A curve's breakpoints as ``<prefix>t,value`` lines at full precision."""
+    return "".join(f"{prefix}{t:.17g},{v:.17g}\n"
+                   for t, v in zip(curve.t.tolist(), curve.v.tolist()))
+
+
 def write_curve_csv(curve: CumulativeCurve, path):
     """Export a curve as ``t,value`` rows at full precision."""
     with open(path, "w", encoding="utf-8") as f:
-        f.write("t,value\n")
-        for t, v in zip(curve.t, curve.v):
-            f.write(f"{t:.17g},{v:.17g}\n")
+        f.write("t,value\n" + csv_rows(curve))

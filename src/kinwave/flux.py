@@ -243,7 +243,8 @@ class FluxDescriptor:
             a, R = self.params["v_free"], self.params["rho_jam"]
             out = (1.0 + 2.0 * x_arr / R + 2.0 * np.sqrt(x_arr * (R + x_arr)) / R) / a
         else:
-            out = np.maximum(0.0, x_arr - self._gstar[-1]) / self.f_max
+            with np.errstate(over="ignore"):     # a pace past the float range is inf
+                out = np.maximum(0.0, x_arr - self._gstar[-1]) / self.f_max
             if len(self._kinks) > 1:
                 out += np.interp(x_arr, self._gstar, self._kinks)
             else:

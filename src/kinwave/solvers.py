@@ -71,30 +71,28 @@ def total_cost(network: Network, profile: DepartureProfile, *,
 class CostProfile:
     """Per-(group, path) driver cost sampled on the profile's bin grid.
 
-    ``times`` holds bin edges and midpoints; ``values[(k, p)]`` the cost
-    phi_k(t) + psi_k(arrival at destination) for a departure at each time.
+    ``times`` interleaves the bin edges (``times[0::2]``) with the bin
+    midpoints (``times[1::2]``); ``values[k, p]`` holds the cost
+    phi_k(t) + psi_k(arrival at destination) for a departure at each time,
+    NaN on the paths group k cannot take.
     """
 
     times: np.ndarray
-    values: dict
-    midpoint_index: np.ndarray   # positions of bin midpoints within times
-
-    def midpoints(self, k, p):
-        return self.values[(k, p)][self.midpoint_index]
+    values: np.ndarray   # (groups, paths, times)
 
 
 def cost_profile(network: Network, loading: LoadingResult) -> CostProfile:
     prof = loading.profile
     edges = prof.bin_edges
-    mids = edges[:-1] + 0.5 * prof.bin_width
-    times = np.unique(np.concatenate((edges, mids)))
-    mid_idx = np.searchsorted(times, mids)
-    values = {}
+    times = np.empty(2 * prof.n_bins + 1)
+    times[0::2] = edges
+    times[1::2] = edges[:-1] + 0.5 * prof.bin_width
+    values = np.full((len(network.groups), len(network.paths), times.size), np.nan)
     for k, g in enumerate(network.groups):
         for p in network.paths_for_group(k):
             arr = arrival_time_path(loading, network.paths[p], times)
-            values[(k, p)] = g.departure_cost.value(times) + g.arrival_cost.value(arr)
-    return CostProfile(times, values, mid_idx)
+            values[k, p] = g.departure_cost.value(times) + g.arrival_cost.value(arr)
+    return CostProfile(times, values)
 
 
 @dataclass
@@ -146,21 +144,16 @@ def _gap_from_costs(network, profile, costs: CostProfile) -> EquilibriumReport:
     width = profile.bin_width
     used, sup_min, best, gaps = [], [], [], []
     for k, g in enumerate(network.groups):
-        thresh = _EMPTY_FRAC * max(1.0, g.size)
-        c_used = -np.inf
-        c_sup_min = np.inf
-        c_best = np.inf
-        for p in network.paths_for_group(k):
-            phi_mid = costs.midpoints(k, p)
-            c_best = min(c_best, float(np.min(costs.values[(k, p)])))
-            mass = profile.rates[k, p] * width
-            live = mass > thresh
-            if np.any(live):
-                c_used = max(c_used, float(np.max(phi_mid[live])))
-                c_sup_min = min(c_sup_min, float(np.min(phi_mid[live])))
-        if not np.isfinite(c_used):     # zero-mass group
-            c_used = c_best
-            c_sup_min = c_best
+        ps = network.paths_for_group(k)
+        values = costs.values[k, ps]
+        c_best = float(np.min(values))
+        live = profile.rates[k, ps] * width > _EMPTY_FRAC * max(1.0, g.size)
+        support = values[:, 1::2][live]
+        if support.size:
+            c_used = float(np.max(support))
+            c_sup_min = float(np.min(support))
+        else:                           # zero-mass group
+            c_used = c_sup_min = c_best
         used.append(c_used)
         sup_min.append(c_sup_min)
         best.append(c_best)
@@ -171,16 +164,14 @@ def _gap_from_costs(network, profile, costs: CostProfile) -> EquilibriumReport:
     )
 
 
-def nash_gap(network: Network, profile: DepartureProfile, *,
-             loading: LoadingResult | None = None, dt=1e-3) -> EquilibriumReport:
+def nash_gap(network: Network, profile: DepartureProfile) -> EquilibriumReport:
     """Equilibrium gap: realized support cost minus best alternative cost.
 
     Zero (within tolerance) exactly when the profile is a Nash
     equilibrium on its bin grid.
     """
     profile.validate(network)
-    if loading is None:
-        loading = network_load(network, profile, dt=dt)
+    loading = network_load(network, profile)
     return _gap_from_costs(network, profile, cost_profile(network, loading))
 
 
@@ -207,14 +198,12 @@ def _uniform_start(network, bounds, bins, start, width):
         overlap = np.full(bins, width)
     for k, g in enumerate(network.groups):
         ps = network.paths_for_group(k)
-        share = g.size / len(ps)
-        for p in ps:
-            rates[k, p] = share * overlap / (overlap.sum() * width)
+        rates[k, ps] = g.size / len(ps) * overlap / (overlap.sum() * width)
     return rates
 
 
 def solve_nash(network: Network, *, bins=64, tol=1e-3, max_iter=5000,
-               damping=0.2, dt=1e-3, bounds: SolverBounds | None = None):
+               damping=0.2, dt=1e-3):
     """Seek a Nash equilibrium by damped mass transfer toward cheap cells.
 
     Each iteration loads the network once, at the predictor y, and shifts
@@ -237,8 +226,7 @@ def solve_nash(network: Network, *, bins=64, tol=1e-3, max_iter=5000,
     """
     if bins < 2:
         raise ConfigurationError("solve_nash needs at least 2 bins")
-    if bounds is None:
-        bounds = compute_bounds(network)
+    bounds = compute_bounds(network)
     start, width = _make_grid(bounds, bins)
     cap = 4.0 * bounds.kappa
     rates = _uniform_start(network, bounds, bins, start, width)
@@ -285,9 +273,9 @@ def _fractions_and_costs(network, profile, costs):
     for k, g in enumerate(network.groups):
         if g.size <= 0:
             continue
-        for p in network.paths_for_group(k):
-            y.append(profile.rates[k, p] * (profile.bin_width / g.size))
-            F.append(costs.midpoints(k, p))
+        ps = network.paths_for_group(k)
+        y.append((profile.rates[k, ps] * (profile.bin_width / g.size)).ravel())
+        F.append(costs.values[k, ps, 1::2].ravel())
     return np.concatenate([[], *y]), np.concatenate([[], *F])
 
 
@@ -314,6 +302,18 @@ def _project_box_simplex(v, total, cap=np.inf):
     return np.clip(v - theta, 0.0, cap)
 
 
+def _project_groups(network, mass, cap=np.inf):
+    """Project each group's viable cells of a (groups, paths, bins) mass
+    array onto {0 <= m <= cap, sum m = G_k}, path after path; the cells of
+    paths a group cannot take are zero."""
+    out = np.zeros_like(mass)
+    for k, g in enumerate(network.groups):
+        ps = network.paths_for_group(k)
+        new = _project_box_simplex(mass[k, ps].ravel(), g.size, cap)
+        out[k, ps] = new.reshape(len(ps), -1)
+    return out
+
+
 def _swap_step(network, profile, costs, step, cap):
     """One damped mass transfer: shift each group's mass toward its cheap
     (path, bin) cells.
@@ -324,20 +324,10 @@ def _swap_step(network, profile, costs, step, cap):
     sizes scale with the cost excess, so steps shrink as the gap closes.
     """
     width = profile.bin_width
-    rates = profile.rates.copy()
-    cap_mass = cap * width
-    for k, g in enumerate(network.groups):
-        if g.size <= 0:
-            continue
-        ps = network.paths_for_group(k)
-        phi = np.concatenate([costs.midpoints(k, p) for p in ps])
-        mass = np.concatenate([rates[k, p] * width for p in ps])
-        alpha = step * max(g.size, 1e-12)
-        new = _project_box_simplex(mass - alpha * phi, g.size, cap_mass)
-        split = new.reshape(len(ps), -1)
-        for j, p in enumerate(ps):
-            rates[k, p] = split[j] / width
-    return DepartureProfile(profile.start, width, rates)
+    alpha = step * np.array([max(g.size, 1e-12) for g in network.groups])
+    mass = profile.rates * width - alpha[:, None, None] * costs.values[..., 1::2]
+    new = _project_groups(network, mass, cap * width)
+    return DepartureProfile(profile.start, width, new / width)
 
 
 def _attach_diagnostics(network, profile, report, bounds):
@@ -365,9 +355,7 @@ def _attach_diagnostics(network, profile, report, bounds):
 
 
 def solve_global(network: Network, *, bins=16, tol=1e-6, max_iter=100,
-                 restarts=2, dt=1e-3, seed=0,
-                 bounds: SolverBounds | None = None,
-                 init: DepartureProfile | None = None):
+                 restarts=2, dt=1e-3, seed=0, init: DepartureProfile | None = None):
     """Minimize aggregate cost over admissible departure patterns.
 
     Projected gradient descent with central finite differences on the
@@ -377,86 +365,69 @@ def solve_global(network: Network, *, bins=16, tol=1e-6, max_iter=100,
     """
     if bins < 2:
         raise ConfigurationError("solve_global needs at least 2 bins")
-    if bounds is None:
-        bounds = compute_bounds(network)
+    bounds = compute_bounds(network)
     start, width = _make_grid(bounds, bins)
     rng = np.random.default_rng(seed)
     K, P = len(network.groups), len(network.paths)
     group_paths = [network.paths_for_group(k) for k in range(K)]
 
-    def to_profile(masses):
-        rates = np.zeros((K, P, bins))
+    def objective(mass):
+        profile = DepartureProfile(start, width, mass / width)
+        return total_cost(network, profile, dt=dt, check_mass=False)
+
+    def group_mass(fill):
+        """A mass array holding fill(k, ps) on each group's viable paths ps."""
+        mass = np.zeros((K, P, bins))
         for k, ps in enumerate(group_paths):
-            for j, p in enumerate(ps):
-                rates[k, p] = masses[k][j] / width
-        return DepartureProfile(start, width, rates)
-
-    def from_profile(prof):
-        return [
-            np.array([prof.rates[k, p] * prof.bin_width for p in ps])
-            for k, ps in enumerate(group_paths)
-        ]
-
-    def objective(masses):
-        return total_cost(network, to_profile(masses), dt=dt, check_mass=False)
+            mass[k, ps] = fill(k, ps)
+        return mass
 
     starts = []
     if init is not None:
         if abs(init.start - start) > 1e-12 or abs(init.bin_width - width) > 1e-12 or \
                 init.n_bins != bins:
             raise ConfigurationError("init profile must share the solver's bin grid")
-        starts.append(from_profile(init))
+        starts.append(group_mass(lambda k, ps: init.rates[k, ps] * init.bin_width))
     for _ in range(restarts):
-        masses = []
-        for k, ps in enumerate(group_paths):
-            w = rng.dirichlet(np.ones(len(ps) * bins)).reshape(len(ps), bins)
-            masses.append(w * network.groups[k].size)
-        starts.append(masses)
-    if not starts:
-        starts.append(from_profile(to_profile(
-            [np.full((len(ps), bins), network.groups[k].size / (len(ps) * bins))
-             for k, ps in enumerate(group_paths)])))
+        starts.append(group_mass(lambda k, ps: rng.dirichlet(np.ones(len(ps) * bins))
+                                 .reshape(len(ps), bins) * network.groups[k].size))
+    if not starts:      # the uniform rate, times the bin width
+        starts.append(group_mass(
+            lambda k, ps: network.groups[k].size / (len(ps) * bins) / width * width))
 
-    best_masses, best_J = None, np.inf
-    for masses in starts:
-        masses = [m.copy() for m in masses]
-        J = objective(masses)
+    cells = [(k, p, i) for k, ps in enumerate(group_paths) for p in ps for i in range(bins)]
+    best_mass, best_J = None, np.inf
+    for mass in starts:
+        J = objective(mass)
         for _ in range(max_iter):
-            grad = []
-            for k, ps in enumerate(group_paths):
+            grad = np.zeros_like(mass)
+            for k, p, i in cells:
                 h = 1e-4 * max(network.groups[k].size, 1e-6)
-                gk = np.zeros_like(masses[k])
-                flat = masses[k].ravel()
-                gf = gk.ravel()
-                for i in range(flat.size):
-                    saved = flat[i]
-                    flat[i] = saved + h
-                    J_hi = objective(masses)
-                    flat[i] = max(saved - h, 0.0)
-                    # at an empty cell the lower probe is the iterate itself
-                    J_lo = J if flat[i] == saved else objective(masses)
-                    flat[i] = saved
-                    gf[i] = (J_hi - J_lo) / (h + min(saved, h))
-                grad.append(gk)
-            gnorm = np.sqrt(sum(float(np.sum(g * g)) for g in grad))
+                saved = mass[k, p, i]
+                mass[k, p, i] = saved + h
+                J_hi = objective(mass)
+                mass[k, p, i] = max(saved - h, 0.0)
+                # at an empty cell the lower probe is the iterate itself
+                J_lo = J if mass[k, p, i] == saved else objective(mass)
+                mass[k, p, i] = saved
+                grad[k, p, i] = (J_hi - J_lo) / (h + min(saved, h))
+            # summed group by group: one sum over all cells would round differently
+            gnorm = np.sqrt(sum(float(np.sum(grad[k, ps] * grad[k, ps]))
+                                for k, ps in enumerate(group_paths)))
             if gnorm <= 1e-14:
                 break
             lr = max(network.total_demand, 1e-3) / gnorm
             improved = False
             while lr > 1e-12:
-                trial = [
-                    _project_box_simplex((m - lr * g).ravel(), network.groups[k].size)
-                    .reshape(m.shape)
-                    for k, (m, g) in enumerate(zip(masses, grad))
-                ]
+                trial = _project_groups(network, mass - lr * grad)
                 J_t = objective(trial)
                 if J_t < J - 1e-15:
                     improved = J - J_t > tol
-                    masses, J = trial, J_t
+                    mass, J = trial, J_t
                     break
                 lr *= 0.5
             if not improved:
                 break
         if J < best_J:
-            best_masses, best_J = masses, J
-    return to_profile(best_masses), best_J
+            best_mass, best_J = mass, J
+    return DepartureProfile(start, width, best_mass / width), best_J

@@ -160,10 +160,14 @@ class TestCommands:
                                    "rates": [[[0.1]]]})
         path = write_scenario(tmp_path / "s.json", doc)
         res = self.run("load", "--scenario", path, "--out", str(tmp_path / "o"),
-                       "--emit-plot-data")
+                       "--emit-plot-data", "--dump-curves")
         assert res.exit_code == 0
-        assert (tmp_path / "o" / "plot_data.csv").exists()
         assert "total_cost" in res.output
+        # the plot data repeats each dumped curve's rows, prefixed by its series
+        plot = (tmp_path / "o" / "plot_data.csv").read_text().splitlines()
+        for series in ("arc_a_b_entry", "arc_a_b_exit", "arrivals_g0_p0"):
+            dumped = (tmp_path / "o" / "curves" / f"{series}.csv").read_text().splitlines()[1:]
+            assert [r[len(series) + 1:] for r in plot if r.startswith(series + ",")] == dumped
 
     def test_opt_zero_iterations_writes_best(self, tmp_path):
         doc = minimal_doc(solver={"bins": 4, "max_iter": 0, "restarts": 1})

@@ -415,7 +415,7 @@ class TestMassGuard:
                                                r"of the entry's 1e\+10 vehicles"):
             lax_hopf_exit(entry, arc)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_envelope(self):
         # SAMPLED_ARC's flows scaled by 1e-300: the drain times overflow
         scaled = [[0, 0], [0.2, 0.18e-300], [0.5, 0.25e-300], [0.8, 0.12e-300], [1, 0]]

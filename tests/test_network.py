@@ -229,6 +229,29 @@ class TestBounds:
         assert b.horizon == pytest.approx(b.t0 + 0.1 / b.kappa, rel=1e-12)
         assert b.delta_min == pytest.approx(1.0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.sampled_from(sorted(CostFunction.KINDS)),
+           st.floats(-1e3, 1e3), st.floats(1e-3, 2e3))
+    def test_derivative_extremes_at_window_ends(self, data, kind, lo, width):
+        # compute_bounds and validate_assumptions read each cost derivative
+        # at the window's two ends only: every kind's derivative is monotone
+        params = data.draw(st.fixed_dictionaries({
+            "affine": {"a": st.floats(-50, 50), "b": st.floats(-50, 50)},
+            "quadratic": {"a": st.floats(-50, 50), "b": st.floats(-50, 50),
+                          "c": st.floats(-5, 5)},
+            "vickrey": {"target": st.floats(-50, 50), "early_rate": st.floats(0, 10),
+                        "late_rate": st.floats(0, 10), "smoothing": st.floats(1e-3, 10)},
+        }[kind]))
+        cost = CostFunction(kind, params)
+        d_ends = cost.deriv(np.array([lo, lo + width]))
+        d_grid = cost.deriv(np.linspace(lo, lo + width, 10**4))
+        # a few ulps of the derivative's largest term
+        scale = 1.0 + np.max(np.abs(d_grid)) + params.get("early_rate", 0.0) + \
+            params.get("late_rate", 0.0)
+        tol = 4 * np.spacing(scale)
+        assert np.max(d_ends) >= np.max(d_grid) - tol
+        assert np.min(d_ends) <= np.min(d_grid) + tol
+
     def test_kappa_invariant_under_cost_offsets(self):
         psi_a = CostFunction.quadratic(0.0, 1.0, 0.05)
         psi_b = CostFunction.quadratic(7.0, 1.0, 0.05)

@@ -77,7 +77,7 @@ class TestCostProfile:
         prof = DepartureProfile(0.0, 0.5, np.full((1, 1, 4), 0.2))
         costs = cost_profile(net, network_load(net, prof))
         mids = prof.bin_edges[:-1] + 0.25
-        assert np.allclose(costs.times[costs.midpoint_index], mids)
+        assert np.allclose(costs.times[1::2], mids)
 
 
 class TestNashGap:
@@ -206,7 +206,7 @@ def _step_coordinates(network, profile, costs):
     for k, g in enumerate(network.groups):
         for p in network.paths_for_group(k):
             y.append(profile.rates[k, p] * profile.bin_width / g.size)
-            F.append(costs.midpoints(k, p))
+            F.append(costs.values[k, p, 1::2])
     return np.concatenate(y), np.concatenate(F)
 
 
@@ -318,11 +318,56 @@ class TestSolveGlobal:
         assert len(loaded) > 1 + 4 + 2      # the iterate, 4 up and 2 down probes
         assert len(set(loaded)) == len(loaded)
 
+    def test_no_start_given_is_uniform(self, monkeypatch):
+        # restarts=0 and no init: the descent starts from the uniform rate
+        net = build([("a", "b", 1.0, TRI)], [(0.2, "a", "b", PHI, PSI_V)])
+        loaded = []
+
+        def recording(network, profile, **kwargs):
+            loaded.append(profile.rates.copy())
+            return total_cost(network, profile, **kwargs)
+
+        monkeypatch.setattr(solvers, "total_cost", recording)
+        prof, J = solve_global(net, bins=4, max_iter=0, restarts=0)
+        monkeypatch.undo()
+        assert len(loaded) == 1
+        assert np.allclose(prof.rates, 0.2 / (4 * prof.bin_width), rtol=1e-15, atol=0.0)
+        assert np.array_equal(loaded[0], prof.rates)
+        assert J == total_cost(net, prof)
+
     def test_init_grid_mismatch(self):
         net = build([("a", "b", 1.0, TRI)], [(0.3, "a", "b", PHI, PSI_V)])
         bad = DepartureProfile(0.0, 1.0, np.full((1, 1, 1), 0.3))
         with pytest.raises(ConfigurationError):
             solve_global(net, bins=4, init=bad)
+
+
+class TestTwoGroups:
+    """Groups 0 (a->b) and 1 (a->c) share arc a->b, and each has one of the
+    two paths it cannot take."""
+
+    NET = build([("a", "b", 1.0, TRI), ("b", "c", 1.0, TRI)],
+                [(0.2, "a", "b", PHI, PSI_V), (0.3, "a", "c", PHI, PSI_V)])
+
+    def check_masses(self, prof):
+        viable = [self.NET.paths_for_group(k) for k in range(2)]
+        assert [len(ps) for ps in viable] == [1, 1] and viable[0] != viable[1]
+        for k, (ps, other) in enumerate(zip(viable, viable[::-1])):
+            assert np.all(prof.rates[k, other] == 0.0)
+            assert np.all(prof.rates[k, ps] >= 0.0)
+        assert prof.group_masses() == pytest.approx([0.2, 0.3], rel=1e-12)
+
+    def test_nash(self):
+        prof, report = solve_nash(self.NET, bins=16, tol=5e-3, max_iter=60)
+        assert report.iterations > 1
+        self.check_masses(prof)
+        assert report.gap == nash_gap(self.NET, prof).gap
+        assert report.group_gap == nash_gap(self.NET, prof).group_gap
+
+    def test_global(self):
+        prof, J = solve_global(self.NET, bins=4, max_iter=2, restarts=1)
+        self.check_masses(prof)
+        assert J == total_cost(self.NET, prof)
 
 
 @settings(max_examples=80, deadline=None)

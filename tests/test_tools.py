@@ -88,3 +88,19 @@ class TestMain:
         assert out == ["profile.json: only in B",
                        "report.json: gap_history: length 2 != 1",
                        "3 files, 2 over tolerance"]
+
+
+def test_every_traced_layer_resolves():
+    """Each ``perfbench/spans.py`` site names a function that kinwave still
+    looks up there, so ``--trace 1`` can wrap it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for span, sites in spans.LAYERS.items():
+        for site in sites:
+            mod = importlib.import_module(site[0])
+            if len(site) == 2:      # a module function, replaced by setattr
+                assert callable(getattr(mod, site[1], None)), (span, site)
+            else:                   # a method, read from the class __dict__
+                assert site[2] in vars(getattr(mod, site[1])), (span, site)
