@@ -213,28 +213,39 @@ def _profile_dict(profile):
 
 
 def _dump_curves(loading, out_dir):
+    """One CSV per arc flow, component curve and arrival curve.  A curve
+    object can back several files (an arc's exit is often the next arc's
+    component entry and a group's arrivals), so the files are grouped by
+    curve and each curve is formatted once."""
     cdir = out_dir / "curves"
     cdir.mkdir(parents=True, exist_ok=True)
+    files = {}      # id(curve) -> (curve, [paths])
+
+    def add(curve, name):
+        files.setdefault(id(curve), (curve, []))[1].append(cdir / name)
+
     for key, comp in sorted(loading.arc_flows.items()):
         stem = f"arc_{key[0]}_{key[1]}"
-        write_curve_csv(comp.entry, cdir / f"{stem}_entry.csv")
-        write_curve_csv(comp.exit, cdir / f"{stem}_exit.csv")
+        add(comp.entry, f"{stem}_entry.csv")
+        add(comp.exit, f"{stem}_exit.csv")
     for (k, p, key), curve in sorted(loading.comp_entry.items()):
-        write_curve_csv(curve, cdir / f"comp_g{k}_p{p}_{key[0]}_{key[1]}_entry.csv")
+        add(curve, f"comp_g{k}_p{p}_{key[0]}_{key[1]}_entry.csv")
     for (k, p, key), curve in sorted(loading.comp_exit.items()):
-        write_curve_csv(curve, cdir / f"comp_g{k}_p{p}_{key[0]}_{key[1]}_exit.csv")
+        add(curve, f"comp_g{k}_p{p}_{key[0]}_{key[1]}_exit.csv")
     for (k, p), curve in sorted(loading.arrivals.items()):
-        write_curve_csv(curve, cdir / f"arrivals_g{k}_p{p}.csv")
+        add(curve, f"arrivals_g{k}_p{p}.csv")
+    for curve, paths in files.values():
+        write_curve_csv(curve, *paths)
 
 
 def _emit_plot_data(loading, out_dir):
-    rows = ["series,t,value\n"]
-    for key, comp in sorted(loading.arc_flows.items()):
-        for name, curve in (("entry", comp.entry), ("exit", comp.exit)):
-            rows.append(csv_rows(curve, f"arc_{key[0]}_{key[1]}_{name},"))
-    for (k, p), curve in sorted(loading.arrivals.items()):
-        rows.append(csv_rows(curve, f"arrivals_g{k}_p{p},"))
-    (out_dir / "plot_data.csv").write_text("".join(rows), encoding="utf-8")
+    with open(out_dir / "plot_data.csv", "w", encoding="utf-8") as f:
+        f.write("series,t,value\n")
+        for key, comp in sorted(loading.arc_flows.items()):
+            for name, curve in (("entry", comp.entry), ("exit", comp.exit)):
+                f.write(csv_rows(curve, f"arc_{key[0]}_{key[1]}_{name},"))
+        for (k, p), curve in sorted(loading.arrivals.items()):
+            f.write(csv_rows(curve, f"arrivals_g{k}_p{p},"))
 
 
 # ---------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .flux import ArcDescriptor
 
 _REL = 1e-12
 _MAX_GRID_POINTS = 10**6    # per time grid of a smooth-flux exit
+_RUN_HEAD = 32              # points of a collinear run that simplify tests in Python
 
 
 class CumulativeCurve:
@@ -64,20 +65,27 @@ class CumulativeCurve:
 
     @classmethod
     def from_step_rates(cls, times, rates):
-        """Curve with piecewise-constant rate ``rates[i]`` on [times[i], times[i+1])."""
+        """Curve with piecewise-constant rate ``rates[i]`` on [times[i], times[i+1]).
+
+        Checked here, so the curve is built without the constructor's checks:
+        a NaN or infinity in ``times`` or ``rates`` (0 * inf included) makes
+        the last value, a sum of nonnegative terms, non-finite.
+        """
         times = np.asarray(times, dtype=float)
         rates = np.asarray(rates, dtype=float)
-        if len(times) != len(rates) + 1:
+        if rates.ndim != 1 or times.shape != (len(rates) + 1,):
             raise DomainError("need len(times) == len(rates) + 1")
         if np.any(rates < 0):
             raise DomainError("rates must be nonnegative")
         widths = np.diff(times)
         if np.any(widths <= 0):
             raise DomainError("breakpoint times must be strictly increasing")
-        v = np.concatenate(([0.0], np.cumsum(rates * widths)))
+        v = np.cumsum(np.concatenate(([0.0], rates * widths)))   # 0.0 + x turns -0.0 into 0.0
+        if not (np.isfinite(times[0]) and np.isfinite(v[-1])):
+            raise DomainError("curve breakpoints must be finite")
         keep = np.ones(len(times), dtype=bool)
         keep[1:-1] = rates[1:] != rates[:-1]    # an edge between equal rates is collinear
-        return cls(times[keep], v[keep]).simplify()
+        return cls(times[keep], v[keep], validate=False).simplify()
 
     @classmethod
     def combine(cls, curves):
@@ -148,7 +156,8 @@ class CumulativeCurve:
 
         Left to right, point i goes when |cross(a, i, i+1)| <= _REL * scale *
         (t[i+1] - t[a]), a being the last kept point and scale = max(1, max|v|).
-        Only the points after a dropped one need the Python loop.
+        Only the points after a dropped one need a second look: each run of
+        dropped points is found by ``_run_end`` from its anchor.
         """
         t, v = self.t, self.v
         tol = _REL * max(1.0, float(np.abs(v).max()))
@@ -157,18 +166,44 @@ class CumulativeCurve:
         cands = np.flatnonzero(np.abs(cross) <= tol * span)   # anchors a with a+1 droppable
         if not len(cands):
             return self
-        tl, vl, keep, i = t.tolist(), v.tolist(), np.ones(len(t), dtype=bool), 0
+        keep, end = np.ones(len(t), dtype=bool), 0
         for a in cands.tolist():
-            if a < i:
+            if a < end:
                 continue    # a+1 was already tested against an earlier anchor
-            i, ta, va = a + 1, tl[a], vl[a]
-            while i < len(tl) - 1:
-                cr = (tl[i] - ta) * (vl[i + 1] - va) - (tl[i + 1] - ta) * (vl[i] - va)
-                if abs(cr) > tol * max(tl[i + 1] - ta, 1e-300):
-                    break   # i is kept and anchors the points after it
-                keep[i] = False
-                i += 1
+            end = _run_end(t, v, a, tol)
+            keep[a + 1:end] = False
         return CumulativeCurve(t[keep], v[keep], validate=False)
+
+
+def _run_end(t, v, a, tol):
+    """The first point after anchor ``a`` that ``simplify`` keeps.
+
+    Point i > a goes when |cross(a, i, i+1)| <= tol * (t[i+1] - t[a]), a test
+    that reads no other point of the run, so the run ends at the first i that
+    fails it, or at the last point.  The first _RUN_HEAD points are tested in
+    Python (a queue on a Nash arc makes runs of about 25), the rest in numpy
+    chunks that double in size (a grid exit's flat tail runs to thousands);
+    both evaluate (t_i - t_a)*(v_{i+1} - v_a) - (t_{i+1} - t_a)*(v_i -
+    v_a) with the same operations in the same order, so they agree bit for bit.
+    """
+    n = len(t)
+    stop = min(a + _RUN_HEAD + 2, n)
+    tl, vl = t[a:stop].tolist(), v[a:stop].tolist()
+    ta, va = tl[0], vl[0]
+    for k in range(1, len(tl) - 1):
+        cr = (tl[k] - ta) * (vl[k + 1] - va) - (tl[k + 1] - ta) * (vl[k] - va)
+        if abs(cr) > tol * max(tl[k + 1] - ta, 1e-300):
+            return a + k
+    i, size = stop - 1, 2 * _RUN_HEAD
+    while i < n - 1:
+        j = min(i + size, n - 1)
+        dt, dv = t[i:j + 1] - ta, v[i:j + 1] - va
+        bad = np.abs(dt[:-1] * dv[1:] - dt[1:] * dv[:-1]) > tol * np.maximum(dt[1:], 1e-300)
+        k = int(bad.argmax())
+        if bad[k]:
+            return i + k
+        i, size = j, 2 * size
+    return n - 1
 
 
 # ---------------------------------------------------------------------
@@ -478,12 +513,19 @@ def modulus_of_continuity(arc: ArcDescriptor, M: float, G: float):
 
 
 def csv_rows(curve: CumulativeCurve, prefix=""):
-    """A curve's breakpoints as ``<prefix>t,value`` lines at full precision."""
-    return "".join(f"{prefix}{t:.17g},{v:.17g}\n"
-                   for t, v in zip(curve.t.tolist(), curve.v.tolist()))
+    """A curve's breakpoints as ``<prefix>t,value`` lines at full precision.
+
+    One ``%`` operation formats them all; ``%.17g`` writes a float as
+    ``f"{x:.17g}"`` does, and a ``%`` in ``prefix`` is escaped.
+    """
+    pairs = np.column_stack((curve.t, curve.v)).ravel().tolist()
+    return ((prefix.replace("%", "%%") + "%.17g,%.17g\n") * len(curve.t)) % tuple(pairs)
 
 
-def write_curve_csv(curve: CumulativeCurve, path):
-    """Export a curve as ``t,value`` rows at full precision."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("t,value\n" + csv_rows(curve))
+def write_curve_csv(curve: CumulativeCurve, *paths):
+    """Export a curve as ``t,value`` rows at full precision to each of
+    ``paths``, formatting it once."""
+    text = "t,value\n" + csv_rows(curve)
+    for path in paths:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)

@@ -4,8 +4,8 @@ Everything here is deliberately written from first principles (bisection,
 grid search, stepped simulation) rather than reusing the package's
 machinery, so that agreement is evidence and not tautology.  The
 exceptions are the regression oracles at the end, ``reference_inverse``,
-``window_network_load`` and the closed forms that the flux and cost tables
-replaced.
+``reference_simplify``, ``reference_csv_rows``, ``window_network_load``
+and the closed forms that the flux and cost tables replaced.
 """
 from __future__ import annotations
 
@@ -261,6 +261,46 @@ def reference_inverse(curve, beta):
     frac = np.where(dv > 0, (b[rest] - curve.v[i - 1]) / np.where(dv > 0, dv, 1.0), 1.0)
     out[rest] = curve.t[i - 1] + frac * (curve.t[i] - curve.t[i - 1])
     return float(out[0]) if scalar else out
+
+
+# ---------------------------------------------------------------------
+# Regression oracles: the point-by-point simplify and the f-string rows
+# ---------------------------------------------------------------------
+#
+# ``CumulativeCurve.simplify`` as it was before it tested long collinear
+# runs in numpy chunks: every point after a dropped one goes through the
+# Python loop.  The keep/drop test is the same, so the two must agree bit
+# for bit.  ``curves.csv_rows`` as it was before it formatted a curve with
+# one ``%`` operation; the two must agree byte for byte.
+
+
+def reference_simplify(curve):
+    """Drop interior breakpoints that are collinear with the last kept one."""
+    t, v = curve.t, curve.v
+    tol = 1e-12 * max(1.0, float(np.abs(v).max()))
+    cross = (t[1:-1] - t[:-2]) * (v[2:] - v[:-2]) - (t[2:] - t[:-2]) * (v[1:-1] - v[:-2])
+    span = np.maximum(t[2:] - t[:-2], 1e-300)
+    cands = np.flatnonzero(np.abs(cross) <= tol * span)
+    if not len(cands):
+        return curve
+    tl, vl, keep, i = t.tolist(), v.tolist(), np.ones(len(t), dtype=bool), 0
+    for a in cands.tolist():
+        if a < i:
+            continue
+        i, ta, va = a + 1, tl[a], vl[a]
+        while i < len(tl) - 1:
+            cr = (tl[i] - ta) * (vl[i + 1] - va) - (tl[i + 1] - ta) * (vl[i] - va)
+            if abs(cr) > tol * max(tl[i + 1] - ta, 1e-300):
+                break
+            keep[i] = False
+            i += 1
+    return CumulativeCurve(t[keep], v[keep], validate=False)
+
+
+def reference_csv_rows(curve, prefix=""):
+    """The f-string row formatter that ``csv_rows`` replaced."""
+    return "".join(f"{prefix}{t:.17g},{v:.17g}\n"
+                   for t, v in zip(curve.t.tolist(), curve.v.tolist()))
 
 
 # ---------------------------------------------------------------------

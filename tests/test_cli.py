@@ -11,8 +11,10 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kinwave import CostFunction, FluxDescriptor, ScenarioError
+from kinwave import CostFunction, FluxDescriptor, ScenarioError, network_load
 from kinwave.cli import main, parse_scenario
+
+from oracles import reference_csv_rows
 
 
 def write_scenario(path, doc):
@@ -168,6 +170,40 @@ class TestCommands:
         for series in ("arc_a_b_entry", "arc_a_b_exit", "arrivals_g0_p0"):
             dumped = (tmp_path / "o" / "curves" / f"{series}.csv").read_text().splitlines()[1:]
             assert [r[len(series) + 1:] for r in plot if r.startswith(series + ",")] == dumped
+
+    def test_dumped_files_match_their_curves(self, tmp_path):
+        # node ids with % and braces reach the row formatter as prefixes; on
+        # a chain one curve object backs several files, formatted once
+        doc = minimal_doc(nodes=["o%s", "m%%", "d{}"],
+                          profile={"start": 0.0, "bin_width": 1.0, "rates": [[[0.1, 0.3]]]})
+        tri = doc["arcs"][0]["flux"]
+        doc["arcs"] = [{"from": "o%s", "to": "m%%", "length": 1.0, "flux": tri},
+                       {"from": "m%%", "to": "d{}", "length": 0.5, "flux": tri}]
+        doc["groups"][0].update(size=0.4, origin="o%s", destination="d{}")
+        path = write_scenario(tmp_path / "s.json", doc)
+        res = self.run("load", "--scenario", path, "--out", str(tmp_path / "o"),
+                       "--emit-plot-data", "--dump-curves")
+        assert res.exit_code == 0
+        scenario = parse_scenario(path)
+        loading = network_load(scenario.network, scenario.profile)
+        want, plot = {}, ["series,t,value\n"]
+        for (a, b), comp in sorted(loading.arc_flows.items()):
+            for name, curve in (("entry", comp.entry), ("exit", comp.exit)):
+                want[f"arc_{a}_{b}_{name}.csv"] = curve
+                plot.append(reference_csv_rows(curve, f"arc_{a}_{b}_{name},"))
+        for side, comps in (("entry", loading.comp_entry), ("exit", loading.comp_exit)):
+            for (k, p, (a, b)), curve in comps.items():
+                want[f"comp_g{k}_p{p}_{a}_{b}_{side}.csv"] = curve
+        for (k, p), curve in sorted(loading.arrivals.items()):
+            want[f"arrivals_g{k}_p{p}.csv"] = curve
+            plot.append(reference_csv_rows(curve, f"arrivals_g{k}_p{p},"))
+        shared = len(want) - len({id(c) for c in want.values()})
+        assert shared >= 2
+        cdir = tmp_path / "o" / "curves"
+        assert sorted(p.name for p in cdir.iterdir()) == sorted(want)
+        for name, curve in want.items():
+            assert (cdir / name).read_text(encoding="utf-8") == "t,value\n" + reference_csv_rows(curve)
+        assert (tmp_path / "o" / "plot_data.csv").read_text(encoding="utf-8") == "".join(plot)
 
     def test_opt_zero_iterations_writes_best(self, tmp_path):
         doc = minimal_doc(solver={"bins": 4, "max_iter": 0, "restarts": 1})

@@ -10,10 +10,12 @@ from kinwave import (ArcDescriptor, CumulativeCurve, DomainError, ExitComputatio
                      FluxDescriptor, LoadingError, exit_time, lax_hopf_exit,
                      modulus_of_continuity)
 from kinwave import curves
-from kinwave.curves import _REL, _exact_minplus, _monge_row_minima, _point_queue
+from kinwave.curves import (_REL, _RUN_HEAD, _exact_minplus, _monge_row_minima, _point_queue,
+                            csv_rows)
 
 from oracles import (brute_lax_hopf, greenshields_density, modulus_by_search,
-                     rational_point_queue, reference_inverse)
+                     rational_point_queue, reference_csv_rows, reference_inverse,
+                     reference_simplify)
 
 GS_ARC = ArcDescriptor("a", "b", 1.0, FluxDescriptor.greenshields(1.0, 1.0))
 TRI_ARC = ArcDescriptor("a", "b", 1.0, FluxDescriptor.triangular(1.0, 1.0, 1.0))
@@ -273,6 +275,147 @@ class TestCumulativeCurve:
         assert np.array_equal(c.t[idx], s.t) and np.array_equal(c.v[idx], s.v)
         grid = np.concatenate((c.t, np.linspace(-1.0, c.t[-1] + 1.0, 101)))
         assert np.max(np.abs(s(grid) - c(grid))) <= 1e-9 * max(1.0, c.total)
+
+
+# run lengths where simplify's run test changes hands: the Python head ends
+# after _RUN_HEAD points, and numpy chunks of 2, 4, 8, ... times _RUN_HEAD
+# points follow, so chunks end after (2**k - 1) * _RUN_HEAD points
+CHUNK_EDGES = sorted({(2**k - 1) * _RUN_HEAD + d for k in range(1, 8) for d in (-1, 0, 1)})
+
+
+@st.composite
+def grid_curves(draw):
+    """Curves like a grid exit: pieces of constant slope on a uniform grid,
+    flat ones included (heads and tails), so that each piece is a collinear
+    run of its length, with noise near the simplify tolerance on some points."""
+    lengths = draw(st.lists(st.sampled_from(CHUNK_EDGES) | st.integers(1, 600),
+                            min_size=1, max_size=12))
+    slopes = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 3.0),
+                           min_size=len(lengths), max_size=len(lengths)))
+    steps = np.repeat(slopes, lengths)[:5000]
+    dt = draw(st.sampled_from([1e-3, 0.37, 1.0]))
+    t = draw(st.floats(-50.0, 50.0)) + dt * np.arange(len(steps) + 1)
+    v = np.concatenate(([0.0], np.cumsum(steps * dt)))
+    scale = max(1.0, v[-1])
+    noisy = draw(st.lists(st.integers(0, len(v) - 1), max_size=20))
+    rel = draw(st.lists(st.sampled_from([1e-13, -1e-13, 1e-12, -1e-12, 1e-11, -1e-11])
+                        | st.floats(-1e-11, 1e-11), min_size=len(noisy), max_size=len(noisy)))
+    v[noisy] += np.array(rel) * scale
+    return CumulativeCurve(t, np.maximum.accumulate(np.maximum(v, 0.0)) - max(v[0], 0.0))
+
+
+class TestSimplifyRuns:
+    """``simplify`` tests long collinear runs in numpy chunks; it must keep
+    and drop exactly the points that the point-by-point loop does."""
+
+    @staticmethod
+    def assert_same_bits(c):
+        got, want = c.simplify(), reference_simplify(c)
+        for a, b in ((got.t, want.t), (got.v, want.v)):
+            assert a.shape == b.shape
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid_curves())
+    def test_matches_reference_bits(self, c):
+        self.assert_same_bits(c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3), st.floats(-10.0, 10.0), st.data())
+    def test_short_curves(self, n, t0, data):
+        gaps = data.draw(st.lists(st.floats(1e-9, 5.0), min_size=n - 1, max_size=n - 1))
+        rises = data.draw(st.lists(st.sampled_from([0.0, 1e-13]) | st.floats(0.0, 3.0),
+                                   min_size=n - 1, max_size=n - 1))
+        self.assert_same_bits(CumulativeCurve(t0 + np.concatenate(([0.0], np.cumsum(gaps))),
+                                              np.concatenate(([0.0], np.cumsum(rises)))))
+
+    @pytest.mark.parametrize("length", CHUNK_EDGES)
+    def test_run_ends_at_chunk_edges(self, length):
+        # a zero head of ``length`` intervals, a ramp, and a flat tail as long
+        t = np.arange(2 * length + 4, dtype=float)
+        v = np.concatenate((np.zeros(length + 1), np.arange(1.0, 4.0),
+                            np.full(length, 3.0)))
+        c = CumulativeCurve(t, v)
+        self.assert_same_bits(c)
+        assert c.simplify().t.tolist() == [0.0, length, length + 3, 2 * length + 3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=300),
+       st.sampled_from(["", "arc_a_b_exit,", "%,", "%%s%d,", "{}{0},", "a%(x)s{}%%,"])
+       | st.text(max_size=12))
+def test_csv_rows_matches_fstring(pairs, prefix):
+    t, v = np.array(pairs).T
+    c = CumulativeCurve(t, v, validate=False)      # any floats: the formatter checks nothing
+    assert csv_rows(c, prefix) == reference_csv_rows(c, prefix)
+    assert csv_rows(c) == reference_csv_rows(c)
+
+
+def test_write_curve_csv_writes_every_path(tmp_path):
+    c = CumulativeCurve([0.0, 0.1, 1.0 / 3.0], [0.0, 5e-324, 2.0])
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    curves.write_curve_csv(c, *paths)
+    for path in paths:
+        assert path.read_text(encoding="utf-8") == "t,value\n" + reference_csv_rows(c)
+
+
+class TestFromStepRatesChecks:
+    """``from_step_rates`` builds its curve unchecked, after its own checks."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 1, 3])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")     # inf - inf, 0 * inf
+    def test_nonfinite_times(self, bad, where):
+        for rates in ([0.5, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]):
+            times = [0.0, 1.0, 2.0, 3.0]
+            times[where] = bad
+            with pytest.raises(DomainError):
+                CumulativeCurve.from_step_rates(times, rates)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")     # 0 * inf
+    def test_nonfinite_rates(self, bad, where):
+        rates = [0.5, 0.0, 1.0]
+        rates[where] = bad
+        with pytest.raises(DomainError):
+            CumulativeCurve.from_step_rates([0.0, 1.0, 2.0, 3.0], rates)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_lone_time(self, bad):
+        with pytest.raises(DomainError):
+            CumulativeCurve.from_step_rates([bad], [])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")     # the overflow itself
+    def test_overflowing_mass(self):
+        with pytest.raises(DomainError):
+            CumulativeCurve.from_step_rates([-1e308, 1e308], [0.0])
+        with pytest.raises(DomainError):
+            CumulativeCurve.from_step_rates([0.0, 1e200], [1e200])
+
+    @pytest.mark.parametrize("times, rates", [
+        ([0.0, 1.0, 2.0], [0.5, -1e-300]), ([0.0, 1.0, 1.0], [0.5, 0.5]),
+        ([0.0, 2.0, 1.0], [0.5, 0.5]), ([0.0, 1.0], [0.5, 0.5]), ([[0.0, 1.0]], [0.5]),
+    ])
+    def test_rejects_as_before(self, times, rates):
+        with pytest.raises(DomainError):
+            CumulativeCurve.from_step_rates(times, rates)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ANY_RATE_RUNS | RATE_RUNS, st.floats(-10.0, 10.0), st.floats(1e-3, 2.0),
+           st.booleans())
+    def test_matches_checked_constructor(self, runs, start, width, negative_zero):
+        rates = step_rates(runs)
+        if negative_zero:
+            rates = np.where(rates == 0.0, -0.0, rates)
+        times = start + width * np.arange(len(rates) + 1)
+        v = np.concatenate(([0.0], np.cumsum(rates * np.diff(times))))
+        keep = np.ones(len(times), dtype=bool)
+        keep[1:-1] = rates[1:] != rates[:-1]
+        want = CumulativeCurve(times[keep], v[keep]).simplify()
+        got = CumulativeCurve.from_step_rates(times, rates)
+        for a, b in ((got.t, want.t), (got.v, want.v)):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestLaxHopfExit:
