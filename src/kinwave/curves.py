@@ -7,11 +7,12 @@ of the entry curve with the convex kernel built from the flux conjugate:
     exit(t) = min_tau { entry(tau) + L * g*((t - tau) / L) }
 
 For fluxes whose conjugate is piecewise linear (triangular, sampled) the
-convolution is evaluated exactly: a conjugate with one kink (every
-triangular flux) makes the kernel F_max * max(0, s - mu) and the exit
-Vickrey's point queue, a running minimum; more kinks take the lower
-envelope of the kernel's pieces.  For smooth conjugates (Greenshields) it
-is evaluated on a uniform time grid of step ``dt``.
+convolution is evaluated exactly, one kernel piece at a time in slope
+order: a window minimum for each piece below capacity, then Vickrey's
+point queue at F_max, a running minimum, then the free-flow shift.  A
+triangular flux has one kink, so its exit is the point queue alone.  For
+smooth conjugates (Greenshields) it is evaluated on a uniform time grid of
+step ``dt``.
 """
 from __future__ import annotations
 
@@ -69,7 +70,8 @@ class CumulativeCurve:
 
         Checked here, so the curve is built without the constructor's checks:
         a NaN or infinity in ``times`` or ``rates`` (0 * inf included) makes
-        the last value, a sum of nonnegative terms, non-finite.
+        the last value, a sum of nonnegative terms, non-finite, and so does
+        an overflow, which is computed without a warning.
         """
         times = np.asarray(times, dtype=float)
         rates = np.asarray(rates, dtype=float)
@@ -77,10 +79,11 @@ class CumulativeCurve:
             raise DomainError("need len(times) == len(rates) + 1")
         if np.any(rates < 0):
             raise DomainError("rates must be nonnegative")
-        widths = np.diff(times)
-        if np.any(widths <= 0):
-            raise DomainError("breakpoint times must be strictly increasing")
-        v = np.cumsum(np.concatenate(([0.0], rates * widths)))   # 0.0 + x turns -0.0 into 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            widths = np.diff(times)
+            if np.any(widths <= 0):
+                raise DomainError("breakpoint times must be strictly increasing")
+            v = np.cumsum(np.concatenate(([0.0], rates * widths)))   # 0.0 + x turns -0.0 into 0.0
         if not (np.isfinite(times[0]) and np.isfinite(v[-1])):
             raise DomainError("curve breakpoints must be finite")
         keep = np.ones(len(times), dtype=bool)
@@ -212,93 +215,88 @@ def _run_end(t, v, a, tol):
 
 
 def _exact_minplus(entry: CumulativeCurve, arc: ArcDescriptor):
-    """Exact inf-convolution ``(t, v)`` for piecewise-linear conjugates."""
-    flux = arc.flux
-    L = arc.length
-    mu = arc.mu
-    total = entry.total
-    taus, U = entry.t, entry.v
-    paces = np.asarray(flux.conjugate_kinks(), dtype=float)
-    s_kinks = L * paces  # s_kinks[0] == mu
-    K_at_kinks = L * flux.conjugate(paces)
+    """Exact exit ``(t, v)`` for a piecewise-linear conjugate, as a cascade.
 
-    # candidate kink times of the lower envelope; the envelope reaches the
-    # total mass once every member function has, so collect each member's
-    # reach-total time as well
-    drain_a = taus + arc.minplus_kernel_inverse(total - U)
-    drain_b = entry.inverse(np.maximum(0.0, total - K_at_kinks)) + s_kinks
-    cands = (taus[:, None] + s_kinks[None, :]).ravel()
-    cands = np.unique(np.concatenate((cands, drain_a, drain_b, [taus[0] + mu])))
-    t_end = float(max(np.max(drain_a), np.max(drain_b)))
-    cands = cands[(cands >= taus[0] + mu - 1e-15) & (cands <= t_end + 1e-15)]
-    if cands[-1] < t_end:
-        cands = np.append(cands, t_end)
-
-    def eval_all(tvec):
-        tvec = np.atleast_1d(np.asarray(tvec, dtype=float))
-        fam_a = U[None, :] + arc.minplus_kernel(tvec[:, None] - taus[None, :])
-        fam_b = entry(tvec[:, None] - s_kinks[None, :]) + K_at_kinks[None, :]
-        return np.concatenate((fam_a, fam_b), axis=1)
-
-    mat = eval_all(cands)
-    vals = mat.min(axis=1)
-    winners = mat.argmin(axis=1)
-    scale = max(1.0, total)
-
-    pts = [(float(cands[0]), float(vals[0]))]
-
-    def refine(a, va, wa, b, vb, wb, mat_a, mat_b, depth=0):
-        # all member functions are affine on [a, b]; insert envelope kinks
-        if wa == wb or b - a <= 1e-13 * max(1.0, abs(a), abs(b)) or depth > 30:
-            pts.append((float(b), float(vb)))
-            return
-        fa1, fb1 = mat_a[wa], mat_b[wa]
-        fa2, fb2 = mat_a[wb], mat_b[wb]
-        m1 = (fb1 - fa1) / (b - a)
-        m2 = (fb2 - fa2) / (b - a)
-        if abs(m1 - m2) < 1e-300:
-            pts.append((float(b), float(vb)))
-            return
-        x = a + (fa2 - fa1) / (m1 - m2)
-        if not (a + 1e-13 < x < b - 1e-13):
-            pts.append((float(b), float(vb)))
-            return
-        row = eval_all([x])[0]
-        vx = row.min()
-        wx = int(row.argmin())
-        cross_val = fa1 + m1 * (x - a)
-        if vx < cross_val - 1e-11 * scale:
-            refine(a, va, wa, x, vx, wx, mat_a, row, depth + 1)
-            refine(x, vx, wx, b, vb, wb, row, mat_b, depth + 1)
-        else:
-            pts.append((float(x), float(cross_val)))
-            pts.append((float(b), float(vb)))
-
-    for i in range(len(cands) - 1):
-        refine(
-            cands[i], vals[i], winners[i], cands[i + 1], vals[i + 1], winners[i + 1],
-            mat[i], mat[i + 1],
-        )
-
-    ts = np.array([p[0] for p in pts])
-    vs = np.array([p[1] for p in pts])
-    keep = np.concatenate(([True], np.diff(ts) > 1e-14 * max(1.0, abs(ts[-1]))))
+    After mu the kernel is convex with slopes u_1 < ... < u_m = F_max over
+    lengths L*(p_k - p_{k-1}) between the conjugate kinks p_k, and a min-plus
+    convolution with it is the chain of convolutions with its pieces in
+    slope order (Le Boudec and Thiran, Network Calculus, 2001, sec. 3.1):
+    m - 1 window minima, then the point queue at F_max, then the shift by mu.
+    A triangular flux has m = 1: its exit is the point queue alone.
+    """
+    flux, p = arc.flux, arc.flux.conjugate_kinks()
+    t, v = entry.t, entry.v
+    for u, ell in zip(flux._g_u[1:-1], arc.length * (p[1:] - p[:-1])):
+        t, v = _window_min(t, v, u, ell)
+    ts, vs = _point_queue(t, v, flux.f_max)
+    ts = ts + arc.mu
+    keep = np.concatenate(([True], np.diff(ts) > 0))   # the shift may round times together
     return ts[keep], vs[keep]
 
 
-def _point_queue(entry: CumulativeCurve, arc: ArcDescriptor):
-    """Exact exit ``(t, v)`` for a one-kink conjugate: Vickrey's point queue.
+def _window_min(t, v, u, ell):
+    """Exact ``(x, w)`` of Win V(x) = min over 0 <= s <= ell of V(x - s) + u*s.
 
-    The kernel is K(s) = F*max(0, s - mu), F = F_max, so exit(s + mu) =
-    F*s + M(s), M the running minimum of W = U - F*tau over tau <= s.  At a
-    breakpoint tau_i that is U_j + F*(tau_i - tau_j), j the last breakpoint
-    up to i where W meets its running minimum: U_i itself, copied, when the
-    queue is empty (j = i).  A segment on which W falls through the running
-    minimum gains the point where the queue empties, and a queue left at the
-    last breakpoint drains at capacity by (G - U_j)/F after tau_j, when that
-    time is finite.  Between these points the exit is linear.
+    V is returned as it is when none of its rates exceeds u.  Otherwise,
+    between consecutive candidates (the times t and t + ell) no breakpoint
+    enters or leaves the window, so Win V is the least of three lines: the
+    head V(x), the tail V(x - ell) + u*ell, and v_j + u*(x - t_j) for the j
+    that minimises v_i - u*t_i over the breakpoints lo <= i < hi inside the
+    window all along the interval.  That range minimum is one
+    ``np.minimum.reduceat`` over the ranks of v - u*t.  The breakpoints are
+    the candidates where the least line changes and the crossings of two
+    lines under the third, each evaluated at its own time; dropping the
+    others keeps a cascade of passes from doubling its points at each pass.
     """
-    F, taus, U = arc.flux.f_max, entry.t, entry.v
+    if not np.any(v[1:] - v[:-1] > u * (t[1:] - t[:-1])):
+        return t, v
+    n = len(t)
+    tl, vl = t + ell, v + u * ell
+    x = np.sort(np.concatenate((t, tl)))
+    x0, x1 = x[:-1], x[1:]
+    lo, hi = np.searchsorted(tl, x1), np.searchsorted(t, x0, "right")
+    order = np.argsort(v - u * t, kind="stable")
+    rank = np.append(np.argsort(order), 0)    # one past the end, as hi may be n
+    j = order[np.minimum.reduceat(rank, np.column_stack((lo, hi)).ravel())[::2]]
+    vj, tj = np.where(lo < hi, v[j], np.inf), t[j]   # none inside: no interior line
+    H, T = np.interp(x, t, v), np.interp(x, tl, vl)
+    # the lines at both ends of each interval, the head repeated last so
+    # that each row minus the next is the difference of a pair
+    m0 = np.array((H[:-1], T[:-1], vj + u * (x0 - tj), H[:-1]))
+    m1 = np.array((H[1:], T[1:], vj + u * (x1 - tj), H[1:]))
+    # a candidate is a kink where the least line changes, by member and by
+    # segment or j; a tie at either end of an interval counts as a crossing
+    ids, cols = np.array((hi, lo + n + 1, j + 2 * n + 2)), np.arange(len(x0))
+    k0, k1 = m0[:3].argmin(axis=0), m1[:3].argmin(axis=0)
+    kink = np.concatenate(([True], ids[k1[:-1], cols[:-1]] != ids[k0[1:], cols[1:]]))
+    w0 = m0[k0, cols]
+    d0, d1 = m0[:-1] - m0[1:], m1[:-1] - m1[1:]
+    r, a = np.nonzero(np.sign(d0) != np.sign(d1))    # no product to underflow
+    d0, d1 = d0[r, a], d1[r, a]
+    xc = x0[a] + (x1[a] - x0[a]) * (d0 / (d0 - d1))
+    mc = np.array((np.interp(xc, t, v), np.interp(xc, tl, vl), vj[a] + u * (xc - tj[a])))
+    cols = np.arange(len(a))
+    on = mc[(r + 2) % 3, cols] >= np.minimum(mc[r, cols], mc[(r + 1) % 3, cols])
+    xs = np.concatenate((x0[kink], xc[on], x[-1:]))
+    ws = np.concatenate((w0[kink], mc.min(axis=0)[on], v[-1:]))
+    order = np.argsort(xs, kind="stable")
+    xs, ws = xs[order], ws[order]
+    keep = np.concatenate(([True], xs[1:] > xs[:-1]))   # t and t + ell may coincide
+    return xs[keep], ws[keep]
+
+
+def _point_queue(taus, U, F):
+    """Exit ``(t, v)`` of Vickrey's point queue of capacity F, before the shift by mu.
+
+    The kernel is F*max(0, s), so exit(s) = F*s + M(s), M the running
+    minimum of W = U - F*tau over tau <= s.  At a breakpoint tau_i that is
+    U_j + F*(tau_i - tau_j), j the last breakpoint up to i where W meets its
+    running minimum: U_i itself, copied, when the queue is empty (j = i).  A
+    segment on which W falls through the running minimum gains the point
+    where the queue empties, and a queue left at the last breakpoint drains
+    at capacity by (G - U_j)/F after tau_j, when that time is finite.
+    Between these points the exit is linear.
+    """
     W = U - F * taus
     m = np.minimum.accumulate(W)
     j = np.maximum.accumulate(np.where(W <= m, np.arange(len(W)), 0))
@@ -306,7 +304,8 @@ def _point_queue(entry: CumulativeCurve, arc: ArcDescriptor):
     # segments i where the queue empties inside: x = tau_i + Q_i / (F - r_i)
     i = np.flatnonzero((W[:-1] > m[:-1]) & (W[1:] < m[:-1]))
     dt, du = taus[i + 1] - taus[i], U[i + 1] - U[i]
-    xs = taus[i] + (U[i] - vs[i]) * dt / (F * dt - du)
+    with np.errstate(divide="ignore", invalid="ignore"):   # a rate F to rounding: not inside
+        xs = taus[i] + (U[i] - vs[i]) * dt / (F * dt - du)
     inside = (xs > taus[i]) & (xs < taus[i + 1])
     i, xs = i[inside], xs[inside]
     ts = np.insert(taus, i + 1, xs)
@@ -315,9 +314,7 @@ def _point_queue(entry: CumulativeCurve, arc: ArcDescriptor):
         t_drain = taus[j[-1]] + (U[-1] - U[j[-1]]) / F
     if taus[-1] < t_drain < np.inf:
         ts, vs = np.append(ts, t_drain), np.append(vs, U[-1])
-    ts = ts + arc.mu
-    keep = np.concatenate(([True], np.diff(ts) > 0))   # the shift may round times together
-    return ts[keep], vs[keep]
+    return ts, vs
 
 
 def _monge_row_minima(ts, taus, U, kernel):
@@ -388,23 +385,20 @@ def lax_hopf_exit(entry: CumulativeCurve, arc: ArcDescriptor, dt: float = 1e-3):
     """Exit curve of an arc fed by ``entry``, via the variational formula.
 
     Always the whole curve, from entry.t[0] + mu to the entry's total mass.
-    A conjugate with one kink (a triangular flux, or a table whose hull has
-    one kink) gives the point queue, exactly; more kinks give the exact
-    lower envelope; a smooth flux gives the envelope on a grid of step
-    ``dt``.  Raises LoadingError, naming the arc, when the exit's total
-    misses the entry's by more than 1e-9 * max(1, total): a drain time too
-    large for a float, for one.
+    A piecewise-linear conjugate (triangular and sampled fluxes) gives the
+    exact exit, window minima then the point queue (``_exact_minplus``); a
+    smooth flux gives the minimum on a grid of step ``dt``.  Raises
+    LoadingError, naming the arc, when the exit's total misses the entry's
+    by more than 1e-9 * max(1, total): a drain time too large for a float,
+    for one.
     """
     if not np.isfinite(entry.total):
         raise DomainError("entry curve must carry bounded total mass")
     total = entry.total
     if total <= 0.0:
         return CumulativeCurve([entry.t[0] + arc.mu], [0.0], validate=False)
-    kinks = arc.flux.conjugate_kinks()
-    if kinks is None:
+    if arc.flux.conjugate_kinks() is None:
         ts, vs = _grid_minplus(entry, arc, dt)
-    elif len(kinks) == 1:
-        ts, vs = _point_queue(entry, arc)
     else:
         ts, vs = _exact_minplus(entry, arc)
     vs = np.maximum.accumulate(np.clip(vs, 0.0, total))

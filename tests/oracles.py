@@ -4,11 +4,13 @@ Everything here is deliberately written from first principles (bisection,
 grid search, stepped simulation) rather than reusing the package's
 machinery, so that agreement is evidence and not tautology.  The
 exceptions are the regression oracles at the end, ``reference_inverse``,
-``reference_simplify``, ``reference_csv_rows``, ``window_network_load``
-and the closed forms that the flux and cost tables replaced.
+``reference_simplify``, ``reference_csv_rows``, ``reference_envelope``,
+``window_network_load`` and the closed forms that the flux and cost tables
+replaced.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -70,23 +72,41 @@ def brute_lax_hopf(entry_t, entry_v, conj, length, t, tau_step=1e-4):
     return float(np.min(vals))
 
 
-def rational_point_queue(entry_t, entry_v, f_max, mu, t):
-    """min over tau of U(tau) + f_max * max(0, t - mu - tau), in exact rational
-    arithmetic on the float inputs: the minimum over tau = t - mu and the
-    breakpoints before it, U being piecewise linear."""
+def rational_minplus(entry_t, entry_v, kinks, slopes, t):
+    """min over tau of U(tau) + K(t - tau), in exact rational arithmetic on the
+    float inputs.
+
+    K is zero up to kinks[0], then rises with slope slopes[k] from kinks[k]
+    to kinks[k + 1], and with slopes[-1] past kinks[-1]; a one-kink kernel
+    is a point queue's, slopes[0] * max(0, s - kinks[0]).  U is piecewise
+    linear with constant extension, so the minimum is taken at a breakpoint
+    tau_i or at a time t - kinks[k], where U or K has its kinks.
+    """
     T = [Fraction(x) for x in entry_t]
     U = [Fraction(x) for x in entry_v]
-    F, s = Fraction(f_max), Fraction(t) - Fraction(mu)
-    k = sum(1 for x in T if x <= s)       # breakpoints at or before s
-    if k == 0:
-        best = U[0]
-    elif k == len(T):
-        best = U[-1]
-    else:
-        best = U[k - 1] + (U[k] - U[k - 1]) * (s - T[k - 1]) / (T[k] - T[k - 1])
-    for Tj, Uj in zip(T[:k], U[:k]):
-        best = min(best, Uj + F * (s - Tj))
-    return best
+    S = [Fraction(x) for x in kinks]
+    R = [Fraction(x) for x in slopes]
+    t = Fraction(t)
+
+    def kernel(s):
+        out = Fraction(0)
+        for k, (start, rate) in enumerate(zip(S, R)):
+            if s <= start:
+                break
+            end = S[k + 1] if k + 1 < len(S) else s
+            out += rate * (min(s, end) - start)
+        return out
+
+    def entry(tau):
+        k = bisect_right(T, tau)      # breakpoints at or before tau
+        if k == 0:
+            return U[0]
+        if k == len(T):
+            return U[-1]
+        return U[k - 1] + (U[k] - U[k - 1]) * (tau - T[k - 1]) / (T[k] - T[k - 1])
+
+    return min([Ui + kernel(t - Ti) for Ti, Ui in zip(T, U)]
+               + [entry(t - s) + kernel(s) for s in S])
 
 
 # ---------------------------------------------------------------------
@@ -301,6 +321,91 @@ def reference_csv_rows(curve, prefix=""):
     """The f-string row formatter that ``csv_rows`` replaced."""
     return "".join(f"{prefix}{t:.17g},{v:.17g}\n"
                    for t, v in zip(curve.t.tolist(), curve.v.tolist()))
+
+
+# ---------------------------------------------------------------------
+# Regression oracle: the lower envelope of the kernel's pieces
+# ---------------------------------------------------------------------
+#
+# ``curves._exact_minplus`` as it was before it became a cascade of window
+# minima and the point queue: every member function U_i + K(t - tau_i) and
+# U(t - s_k) + K(s_k) is evaluated on candidate times, and ``refine``
+# inserts crossings, accepting one within 1e-11 * max(1, G) of the envelope.
+
+
+def reference_envelope(entry, arc):
+    """Inf-convolution ``(t, v)`` as the lower envelope of the kernel's pieces."""
+    flux = arc.flux
+    L = arc.length
+    mu = arc.mu
+    total = entry.total
+    taus, U = entry.t, entry.v
+    paces = np.asarray(flux.conjugate_kinks(), dtype=float)
+    s_kinks = L * paces  # s_kinks[0] == mu
+    K_at_kinks = L * flux.conjugate(paces)
+
+    # candidate kink times of the lower envelope; the envelope reaches the
+    # total mass once every member function has, so collect each member's
+    # reach-total time as well
+    drain_a = taus + arc.minplus_kernel_inverse(total - U)
+    drain_b = entry.inverse(np.maximum(0.0, total - K_at_kinks)) + s_kinks
+    cands = (taus[:, None] + s_kinks[None, :]).ravel()
+    cands = np.unique(np.concatenate((cands, drain_a, drain_b, [taus[0] + mu])))
+    t_end = float(max(np.max(drain_a), np.max(drain_b)))
+    cands = cands[(cands >= taus[0] + mu - 1e-15) & (cands <= t_end + 1e-15)]
+    if cands[-1] < t_end:
+        cands = np.append(cands, t_end)
+
+    def eval_all(tvec):
+        tvec = np.atleast_1d(np.asarray(tvec, dtype=float))
+        fam_a = U[None, :] + arc.minplus_kernel(tvec[:, None] - taus[None, :])
+        fam_b = entry(tvec[:, None] - s_kinks[None, :]) + K_at_kinks[None, :]
+        return np.concatenate((fam_a, fam_b), axis=1)
+
+    mat = eval_all(cands)
+    vals = mat.min(axis=1)
+    winners = mat.argmin(axis=1)
+    scale = max(1.0, total)
+
+    pts = [(float(cands[0]), float(vals[0]))]
+
+    def refine(a, va, wa, b, vb, wb, mat_a, mat_b, depth=0):
+        # all member functions are affine on [a, b]; insert envelope kinks
+        if wa == wb or b - a <= 1e-13 * max(1.0, abs(a), abs(b)) or depth > 30:
+            pts.append((float(b), float(vb)))
+            return
+        fa1, fb1 = mat_a[wa], mat_b[wa]
+        fa2, fb2 = mat_a[wb], mat_b[wb]
+        m1 = (fb1 - fa1) / (b - a)
+        m2 = (fb2 - fa2) / (b - a)
+        if abs(m1 - m2) < 1e-300:
+            pts.append((float(b), float(vb)))
+            return
+        x = a + (fa2 - fa1) / (m1 - m2)
+        if not (a + 1e-13 < x < b - 1e-13):
+            pts.append((float(b), float(vb)))
+            return
+        row = eval_all([x])[0]
+        vx = row.min()
+        wx = int(row.argmin())
+        cross_val = fa1 + m1 * (x - a)
+        if vx < cross_val - 1e-11 * scale:
+            refine(a, va, wa, x, vx, wx, mat_a, row, depth + 1)
+            refine(x, vx, wx, b, vb, wb, row, mat_b, depth + 1)
+        else:
+            pts.append((float(x), float(cross_val)))
+            pts.append((float(b), float(vb)))
+
+    for i in range(len(cands) - 1):
+        refine(
+            cands[i], vals[i], winners[i], cands[i + 1], vals[i + 1], winners[i + 1],
+            mat[i], mat[i + 1],
+        )
+
+    ts = np.array([p[0] for p in pts])
+    vs = np.array([p[1] for p in pts])
+    keep = np.concatenate(([True], np.diff(ts) > 1e-14 * max(1.0, abs(ts[-1]))))
+    return ts[keep], vs[keep]
 
 
 # ---------------------------------------------------------------------

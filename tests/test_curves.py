@@ -10,12 +10,11 @@ from kinwave import (ArcDescriptor, CumulativeCurve, DomainError, ExitComputatio
                      FluxDescriptor, LoadingError, exit_time, lax_hopf_exit,
                      modulus_of_continuity)
 from kinwave import curves
-from kinwave.curves import (_REL, _RUN_HEAD, _exact_minplus, _monge_row_minima, _point_queue,
-                            csv_rows)
+from kinwave.curves import _REL, _RUN_HEAD, _exact_minplus, _monge_row_minima, csv_rows
 
 from oracles import (brute_lax_hopf, greenshields_density, modulus_by_search,
-                     rational_point_queue, reference_csv_rows, reference_inverse,
-                     reference_simplify)
+                     rational_minplus, reference_csv_rows, reference_envelope,
+                     reference_inverse, reference_simplify)
 
 GS_ARC = ArcDescriptor("a", "b", 1.0, FluxDescriptor.greenshields(1.0, 1.0))
 TRI_ARC = ArcDescriptor("a", "b", 1.0, FluxDescriptor.triangular(1.0, 1.0, 1.0))
@@ -230,7 +229,9 @@ class TestCumulativeCurve:
         assert np.all(np.isin(c.t, times))
         assert np.max(np.abs(c(times) - exact)) <= 1e-9 * max(1.0, exact[-1])
 
-    @pytest.mark.parametrize("arc", [GS_ARC, TRI_ARC, SAMPLED_ARC])
+    # a short sampled arc: on SAMPLED_ARC these entries' exits are their kinks alone
+    @pytest.mark.parametrize("arc", [GS_ARC, TRI_ARC,
+                                     ArcDescriptor("a", "b", 0.2, SAMPLED_ARC.flux)])
     def test_simplify_matches_fixpoint_on_exits(self, arc, monkeypatch):
         inputs, simplify = [], CumulativeCurve.simplify
 
@@ -364,7 +365,7 @@ class TestFromStepRatesChecks:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [0, 1, 3])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")     # inf - inf, 0 * inf
+    @pytest.mark.filterwarnings("error::RuntimeWarning")      # inf - inf, 0 * inf
     def test_nonfinite_times(self, bad, where):
         for rates in ([0.5, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]):
             times = [0.0, 1.0, 2.0, 3.0]
@@ -374,7 +375,7 @@ class TestFromStepRatesChecks:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [0, 1, 2])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")     # 0 * inf
+    @pytest.mark.filterwarnings("error::RuntimeWarning")      # 0 * inf
     def test_nonfinite_rates(self, bad, where):
         rates = [0.5, 0.0, 1.0]
         rates[where] = bad
@@ -386,7 +387,7 @@ class TestFromStepRatesChecks:
         with pytest.raises(DomainError):
             CumulativeCurve.from_step_rates([bad], [])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")     # the overflow itself
+    @pytest.mark.filterwarnings("error::RuntimeWarning")      # the overflow itself
     def test_overflowing_mass(self):
         with pytest.raises(DomainError):
             CumulativeCurve.from_step_rates([-1e308, 1e308], [0.0])
@@ -510,12 +511,12 @@ class TestPointQueue:
     def test_matches_rational_oracle_and_envelope(self, case):
         arc, entry = case
         assert len(arc.flux.conjugate_kinks()) == 1
-        ts, vs = _point_queue(entry, arc)
-        ref_t, ref_v = _exact_minplus(entry, arc)
+        ts, vs = _exact_minplus(entry, arc)
+        ref_t, ref_v = reference_envelope(entry, arc)
         assert np.all(np.diff(ts) > 0) and ts[0] == entry.t[0] + arc.mu
         grid = np.union1d(ts, ref_t)
         got = np.interp(grid, ts, vs)
-        exact = [float(rational_point_queue(entry.t, entry.v, arc.flux.f_max, arc.mu, t))
+        exact = [float(rational_minplus(entry.t, entry.v, [arc.mu], [arc.flux.f_max], t))
                  for t in grid]
         scale = max(1.0, entry.total)
         assert np.max(np.abs(got - exact)) <= 1e-14 * scale
@@ -523,21 +524,24 @@ class TestPointQueue:
         assert np.max(np.abs(got - np.interp(grid, ref_t, ref_v))) <= 1e-11 * scale
         assert vs[-1] == pytest.approx(entry.total, abs=1e-14 * scale)
 
-    @pytest.mark.parametrize("arc, envelopes", [
-        (TRI_ARC, 0),
-        (ArcDescriptor("a", "b", 1.0, FluxDescriptor.sampled([[0, 0], [0.5, 0.25], [1, 0]])), 0),
-        (SAMPLED_ARC, 1),
-    ], ids=["triangular", "one-kink-sampled", "two-kink-sampled"])
-    def test_kink_count_picks_the_exit(self, arc, envelopes, monkeypatch):
+    @pytest.mark.parametrize("arc, exit_name", [
+        (TRI_ARC, "_exact_minplus"),
+        (ArcDescriptor("a", "b", 1.0, FluxDescriptor.sampled([[0, 0], [0.5, 0.25], [1, 0]])),
+         "_exact_minplus"),
+        (SAMPLED_ARC, "_exact_minplus"),
+        (GS_ARC, "_grid_minplus"),
+    ], ids=["triangular", "one-kink-sampled", "two-kink-sampled", "greenshields"])
+    def test_kink_count_picks_the_exit(self, arc, exit_name, monkeypatch):
+        # every piecewise-linear flux, whatever its kink count, takes the exact exit
         calls = []
+        for name in ("_exact_minplus", "_grid_minplus"):
+            def counted(*args, name=name, exit_fn=getattr(curves, name)):
+                calls.append(name)
+                return exit_fn(*args)
 
-        def counted(entry, arc):
-            calls.append(arc)
-            return _exact_minplus(entry, arc)
-
-        monkeypatch.setattr(curves, "_exact_minplus", counted)
+            monkeypatch.setattr(curves, name, counted)
         lax_hopf_exit(CumulativeCurve.from_step_rates([0.0, 1.0, 2.0], [0.9, 0.1]), arc)
-        assert len(calls) == envelopes
+        assert calls == [exit_name]
 
     def test_drains_past_a_tiny_capacity(self):
         # capacity 2.5e-300 drains 0.1 vehicles at 4e298, which a float holds
@@ -545,6 +549,107 @@ class TestPointQueue:
         out = lax_hopf_exit(CumulativeCurve.from_step_rates([0.0, 1.0], [0.1]), arc)
         assert out.total == 0.1
         assert out.t[-1] == pytest.approx(0.1 / arc.flux.f_max, rel=1e-12)
+
+
+@st.composite
+def multi_kink_entries(draw):
+    """A sampled arc whose conjugate has 2-6 kinks, and an entry of up to 10
+    rate runs: zero runs, runs at one of the kernel's slopes (a flat
+    v - u*t in that window, or in the point queue at capacity), runs above
+    capacity and no run at all, from a start time in [-20, 20].  Half the
+    cases take round numbers (powers of two and quarters), whose lines tie
+    exactly at candidate times."""
+    m = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        slopes = [2.0 ** (1 - k) for k in range(m)]
+        quarters = st.sampled_from([0.25, 0.5, 1.0])
+        width = run_width = jam = quarters
+        length = st.sampled_from([0.5, 1.0, 2.0])
+        rate = st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
+        start = st.integers(-20, 20).map(float)
+    else:
+        slopes = [draw(st.floats(0.3, 3.0))]
+        for _ in range(m - 1):      # strictly falling, so the hull keeps every point
+            slopes.append(slopes[-1] * draw(st.floats(0.1, 0.9)))
+        width, run_width, length = st.floats(0.05, 0.5), st.floats(0.01, 2.0), st.floats(0.2, 3.0)
+        jam, rate, start = st.floats(0.2, 2.0), None, st.floats(-20.0, 20.0)
+    widths = [draw(width) for _ in range(m)]
+    rho = np.concatenate(([0.0], np.cumsum(widths)))
+    flows = np.concatenate(([0.0], np.cumsum(np.multiply(slopes, widths))))
+    flux = FluxDescriptor.sampled(np.vstack((np.column_stack((rho, flows)),
+                                             [[rho[-1] + draw(jam), 0.0]])))
+    arc = ArcDescriptor("a", "b", draw(length), flux)
+    rate = st.one_of(st.just(0.0), st.sampled_from(flux._g_u[1:].tolist()),
+                     st.floats(0.0, 3.0 * flux.f_max) if rate is None else rate)
+    runs = draw(st.lists(st.tuples(rate, run_width), max_size=10))
+    start = draw(start)
+    if not runs:
+        return arc, CumulativeCurve.zero(start)
+    times = start + np.concatenate(([0.0], np.cumsum([w for _, w in runs])))
+    return arc, CumulativeCurve.from_step_rates(times, [r for r, _ in runs])
+
+
+def exact_exit_error(entry, arc, ts, vs, extra=()):
+    """Largest |exit - exact exit| at the exit's breakpoints, the midpoints
+    between them (where a missing kink shows) and the ``extra`` times.  The
+    exact exit is ``rational_minplus`` with the arc's kernel: kinks L * p_k
+    and slopes the flows of the flux table."""
+    grid = np.concatenate((ts, 0.5 * (ts[1:] + ts[:-1]), extra))
+    kinks, slopes = arc.length * arc.flux.conjugate_kinks(), arc.flux._g_u[1:]
+    exact = [float(rational_minplus(entry.t, entry.v, kinks, slopes, t)) for t in grid]
+    return np.max(np.abs(np.interp(grid, ts, vs) - exact))
+
+
+class TestExactMinplus:
+    """The cascade of window minima and the point queue, for 2-6 kinks."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(multi_kink_entries())
+    def test_matches_rational_oracle(self, case):
+        arc, entry = case
+        assert 2 <= len(arc.flux.conjugate_kinks()) <= 6
+        ts, vs = _exact_minplus(entry, arc)
+        assert np.all(np.diff(ts) > 0) and ts[0] == entry.t[0] + arc.mu
+        scale = max(1.0, entry.total)
+        assert exact_exit_error(entry, arc, ts, vs) <= 1e-14 * scale
+        assert vs[-1] == pytest.approx(entry.total, abs=1e-14 * scale)
+
+    def test_tiny_rate_before_a_jump(self):
+        # the envelope reported 1e-12 at mu + 5.6e-12, where the exit is 5.6e-24
+        entry = CumulativeCurve.from_step_rates([0.0, 1.0, 2.0], [1e-12, 0.5])
+        ts, vs = _exact_minplus(entry, SAMPLED_ARC)
+        ref_t, ref_v = reference_envelope(entry, SAMPLED_ARC)
+        assert exact_exit_error(entry, SAMPLED_ARC, ts, vs, ref_t) <= 1e-14 * entry.total
+        assert exact_exit_error(entry, SAMPLED_ARC, ref_t, ref_v) > 1e-13
+
+    def test_round_numbers_tie_exactly(self):
+        # lines tie exactly at a candidate time, where the least line changes
+        flux = FluxDescriptor.sampled([[0, 0], [0.25, 0.5], [0.5, 0.75], [1.5, 1.25], [2.5, 0]])
+        arc = ArcDescriptor("a", "b", 2.0, flux)
+        entry = CumulativeCurve.from_step_rates([0.0, 0.25, 0.5, 0.75, 1.25, 2.25],
+                                                [1.0, 2.0, 0.5, 1.0, 2.0])
+        ts, vs = _exact_minplus(entry, arc)
+        assert exact_exit_error(entry, arc, ts, vs) <= 1e-14 * entry.total
+
+    def test_passes_keep_only_kinks(self):
+        # a pass that kept every candidate t and t + ell would double the
+        # points at each of this table's 16 passes
+        rho = 0.5 * (np.arange(18) / 17) ** 1.5
+        flux = FluxDescriptor.sampled(np.column_stack((np.append(rho, 1.0),
+                                                       np.append(rho * (1 - rho), 0.0))))
+        arc = ArcDescriptor("a", "b", 1.0, flux)
+        assert len(flux.conjugate_kinks()) == 17
+        entry = CumulativeCurve.from_step_rates([0.0, 1.0, 2.0, 3.0, 4.0], [0.1, 0.3, 0.05, 0.2])
+        ts, vs = _exact_minplus(entry, arc)
+        assert len(ts) < 40
+        assert exact_exit_error(entry, arc, ts, vs) <= 1e-14 * entry.total
+
+    @pytest.mark.parametrize("rates", [[0.1, 0.1], [0.1, 0.0]])
+    def test_rates_up_to_the_first_slope_pass_through(self, rates):
+        # no window changes an entry whose rates stay at or below u_1 = 0.18
+        entry = CumulativeCurve.from_step_rates([0.0, 1.0, 2.0], rates)
+        ts, vs = _exact_minplus(entry, SAMPLED_ARC)
+        assert np.array_equal(ts, entry.t + SAMPLED_ARC.mu) and np.array_equal(vs, entry.v)
 
 
 class TestMassGuard:
@@ -560,11 +665,11 @@ class TestMassGuard:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_envelope(self):
-        # SAMPLED_ARC's flows scaled by 1e-300: the drain times overflow
+        # SAMPLED_ARC's flows scaled by 1e-300: the point queue's drain time overflows
         scaled = [[0, 0], [0.2, 0.18e-300], [0.5, 0.25e-300], [0.8, 0.12e-300], [1, 0]]
         arc = ArcDescriptor("a", "b", 1.0, FluxDescriptor.sampled(scaled))
         entry = CumulativeCurve.from_step_rates([0.0, 1.0], [1e10])
-        with pytest.raises(LoadingError, match=r"arc \('a', 'b'\): the exit carries 0 "
+        with pytest.raises(LoadingError, match=r"arc \('a', 'b'\): the exit carries 0.793651 "
                                                r"of the entry's 1e\+10 vehicles"):
             lax_hopf_exit(entry, arc)
 
