@@ -222,11 +222,9 @@ class FluxDescriptor:
             d = ap - 1.0
             out = np.where(p_arr <= self.free_flow_pace, 0.0, 0.25 * R * d * (d / ap))
         else:
-            # linear between kinks, slope F_max beyond the last; with one kink,
-            # a triangular flux's, the interpolated g* is the constant g*(p_0) = 0
-            out = self.f_max * np.maximum(0.0, p_arr - self._kinks[-1])
-            if len(self._kinks) > 1:
-                out += np.interp(p_arr, self._kinks, self._gstar)
+            # linear between kinks, slope F_max beyond the last
+            out = self.f_max * np.maximum(0.0, p_arr - self._kinks[-1]) + np.interp(
+                p_arr, self._kinks, self._gstar)
         return float(out) if np.isscalar(p) else out
 
     def conjugate_inverse(self, x):
@@ -245,10 +243,7 @@ class FluxDescriptor:
         else:
             with np.errstate(over="ignore"):     # a pace past the float range is inf
                 out = np.maximum(0.0, x_arr - self._gstar[-1]) / self.f_max
-            if len(self._kinks) > 1:
-                out += np.interp(x_arr, self._gstar, self._kinks)
-            else:
-                out += self._kinks[0]
+            out += np.interp(x_arr, self._gstar, self._kinks)
         return float(out) if np.isscalar(x) else out
 
     def wave_pace(self, u):

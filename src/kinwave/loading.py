@@ -53,12 +53,15 @@ class DepartureProfile:
 
     def validate(self, network: Network, rate_cap=None, tol=_MASS_TOL,
                  check_mass=True):
-        """Check shape, nonnegativity, caps, path viability, and mass balance."""
+        """Check shape, finiteness, nonnegativity, caps, path viability, and
+        mass balance."""
         K, P = len(network.groups), len(network.paths)
         if self.rates.shape[:2] != (K, P):
             raise AdmissibilityError(
                 f"rates shaped {self.rates.shape}, expected ({K}, {P}, n_bins)"
             )
+        if not np.all(np.isfinite(self.rates)):
+            raise AdmissibilityError("departure rates must be finite")
         if np.any(self.rates < -tol):
             raise AdmissibilityError("departure rates must be nonnegative")
         if rate_cap is not None and np.any(self.rates > rate_cap + tol):
@@ -184,8 +187,6 @@ def network_load(network: Network, profile: DepartureProfile, *, dt=1e-3,
     finite-difference cost probes, which perturb one bin at a time).
     """
     profile.validate(network, rate_cap=rate_cap, check_mass=check_mass)
-    if not np.all(np.isfinite(profile.rates)):
-        raise AdmissibilityError("departure rates must be finite")
 
     result = LoadingResult(network, profile)
     G = network.total_demand

@@ -93,6 +93,41 @@ class CostFunction:
             out = 1.0 + dpen
         return float(out) if np.isscalar(t) else out
 
+    def mean(self, a, b):
+        """Exact mean of the cost over each interval [a, b], elementwise, a < b.
+
+        Affine and quadratic: value(m) + c*w**2/12, m the midpoint, w the width.
+        Vickrey: c(t) = (1 - early)*t + early*target + (early + late)*R(x),
+        x = t - target, where R(x) = (x + s)/2, s = sqrt(x**2 + eps**2), is the
+        smoothed ramp; so written, t and early*t do not cancel far before the
+        target when early is near 1.  R's antiderivative is
+        (x**2 + x*s + eps**2*asinh(x/eps))/4.  Across the target its two ends
+        have opposite signs and are summed, with R taken as eps**2/(2*(s - x))
+        for x < 0.  On one side R is max(x, 0) + R(-|x|), and the mean of
+        R(-|x|) is written by difference formulas, so that short segments far
+        from the target keep their digits.  Where x**2 overflows, as it does in
+        ``value``, the mean is inf.
+        """
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        m, w = 0.5 * (a + b), b - a
+        p = self.params
+        if self.kind != "vickrey":
+            return self.value(m) + p.get("c", 0.0) * w * w / 12.0
+        early, eps = p["early_rate"], p["smoothing"]
+        x = np.stack([a, b]) - p["target"]
+        s = np.sqrt(x * x + eps * eps)
+        (x0, x1), (s0, s1) = x, s
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # one side: R(-|x|) has antiderivative eps**2*(|x|/(s + |x|) + asinh(|x|/eps))/4
+            u = (x0 + x1) / (x1 * s0 + x0 * s1)
+            ramp = np.maximum(0.5 * (x0 + x1), 0.0) + 0.25 * eps * eps * (
+                eps * eps * u / np.prod(s + np.abs(x), axis=0) + np.arcsinh(w * u) / w)
+            anti = 0.25 * (x * np.where(x >= 0, x + s, eps * eps / (s - x))
+                           + eps * eps * np.arcsinh(x / eps))
+            ramp = np.where((x0 < 0) & (x1 > 0), (anti[1] - anti[0]) / (x1 - x0), ramp)
+        ramp = np.where(np.isinf(s0 + s1), np.inf, ramp)
+        return (1.0 - early) * m + early * p["target"] + (early + p["late_rate"]) * ramp
+
     def __call__(self, t):
         return self.value(t)
 
@@ -269,13 +304,15 @@ _SCAN_CAP = 10**6
 
 
 def scan_window(network: Network, t_max: float) -> float:
-    """Smallest t0 = t_init + _SCAN_STEP*j, j <= _SCAN_CAP, outside which
-    departing is certainly worse than the crude strategy of leaving at t = 0.
+    """Smallest t0 = _SCAN_STEP*j, 1 <= j <= _SCAN_CAP, such that every
+    group's combined cost has its minimum in [-t0, t0] (its derivative is
+    <= 0 at -t0 and >= 0 at t0) and exceeds at both -t0 and t0 the cost of
+    the crude strategy of leaving at t = 0.
 
-    t_init is the smallest window containing all cost minima.  Doubling and
-    bisection find the same t0 as a step-by-step scan: combined costs are
-    convex (checked below), so monotone past their minimisers, which t_init
-    passes up to ``_initial_window``'s step (<= _SCAN_STEP for |minima| < 512).
+    Combined costs are convex (checked below), so both conditions stay met
+    once met, and doubling and bisection find the same t0 as a step-by-step
+    scan.  At _SCAN_CAP the error names the first group that fails and why:
+    a flat cost, a minimum not bracketed, or a cost that never grows.
     """
     rhs = max(
         g.departure_cost.value(0.0) + g.arrival_cost.value(t_max) for g in network.groups
@@ -285,23 +322,30 @@ def scan_window(network: Network, t_max: float) -> float:
             raise ConfigurationError(f"group {k} combined cost is not convex: its "
                                      "quadratic coefficients sum below zero")
 
-    t_init = _initial_window(network)
+    def failure(j):
+        """The first group that fails at step j, with the reason, or None."""
+        ends = np.array([-_SCAN_STEP * j, _SCAN_STEP * j])
+        for k, g in enumerate(network.groups):
+            d = g.departure_cost.deriv(ends) + g.arrival_cost.deriv(ends)
+            if d[0] == 0 == d[1]:
+                return f"group {k} combined cost is flat: it has no minimum to bracket"
+            if d[0] > 0 or d[1] < 0:
+                return (f"could not bracket group {k}'s cost minimum within "
+                        f"+-{ends[1]:g}; check costs")
+            if not np.all(g.combined_cost(ends) > rhs):
+                return (f"group {k} combined cost does not grow at the scan horizon "
+                        f"+-{ends[1]:g}; check cost coercivity")
+        return None
 
-    def stops(j):
-        t0 = t_init + _SCAN_STEP * j
-        return not any(g.combined_cost(t) <= rhs for g in network.groups for t in (t0, -t0))
-
-    lo, hi = -1, 0      # invariant: not stops(lo) (j = -1 stands below the grid)
-    while not stops(hi):
+    lo, hi = 0, 1       # invariant: failure(lo) (j = 0 stands below the grid)
+    while (reason := failure(hi)) is not None:
         if hi == _SCAN_CAP:
-            raise ConfigurationError(
-                "combined costs do not grow at the scan horizon; check cost coercivity"
-            )
-        lo, hi = hi, min(2 * hi + 1, _SCAN_CAP)
+            raise ConfigurationError(reason)
+        lo, hi = hi, min(2 * hi, _SCAN_CAP)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if stops(mid) else (mid, hi)
-    return t_init + _SCAN_STEP * hi
+        lo, hi = (lo, mid) if failure(mid) is None else (mid, hi)
+    return _SCAN_STEP * hi
 
 
 def compute_bounds(network: Network) -> SolverBounds:
@@ -326,31 +370,6 @@ def compute_bounds(network: Network) -> SolverBounds:
     delta_min = min(a.mu for a in network.arcs)
     return SolverBounds(t_max=t_max, t0=t0, kappa=kappa, horizon=t0 + G / kappa,
                         delta_min=delta_min)
-
-
-def _initial_window(network):
-    """Smallest window (rounded to 0.25) containing every group's cost minimum;
-    a cost flat up to rounding has none (``argmin`` would pick a noise point)."""
-    extent = 1.0
-    while True:
-        grid = np.linspace(-extent, extent, 4097)
-        interior = True
-        t_far = 0.0
-        for k, g in enumerate(network.groups):
-            vals = g.combined_cost(grid)
-            if np.ptp(vals) <= 64 * np.finfo(float).eps * max(1.0, np.max(np.abs(vals))):
-                raise ConfigurationError(f"group {k} combined cost is flat: it has no "
-                                         "minimum to bracket")
-            i = int(np.argmin(vals))
-            if i == 0 or i == len(grid) - 1:
-                interior = False
-                break
-            t_far = max(t_far, abs(grid[i]))
-        if interior:
-            return max(0.25, float(np.ceil(t_far / 0.25) * 0.25))
-        extent *= 2.0
-        if extent > 1e9:
-            raise ConfigurationError("could not bracket the cost minima; check costs")
 
 
 @dataclass

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .curves import CumulativeCurve
 from .errors import ConfigurationError
@@ -23,30 +22,15 @@ _EMPTY_FRAC = 1e-9   # bins carrying less than this fraction of G_k count as emp
 # inverse local Lipschitz estimate; theta 0.7 and 1.0 stalled on a congested arc
 _STEP_THETA = 0.5
 _STEP_GROWTH = 1.5
-_GL_ORDER = 8
-
-_gl_nodes, _gl_weights = leggauss(_GL_ORDER)
 
 
 def _integrate_against(curve: CumulativeCurve, cost) -> float:
-    """Exact-ish Stieltjes integral of a cost function against a curve.
-
-    Gauss-Legendre per linear segment: exact for polynomial costs up to
-    degree 15, spectrally accurate for the smoothed schedule penalty.
-    """
-    t, v = curve.t, curve.v
-    if len(t) < 2:
-        return 0.0
-    dm = np.diff(v)
+    """Stieltjes integral of a cost against a curve: the curve is linear
+    between breakpoints, so each segment's mass times the cost's exact mean
+    over it."""
+    dm = np.diff(curve.v)
     live = dm > 0
-    if not np.any(live):
-        return 0.0
-    a, b = t[:-1][live], t[1:][live]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    nodes = mid[:, None] + half[:, None] * _gl_nodes[None, :]
-    vals = cost.value(nodes.ravel()).reshape(nodes.shape)
-    seg = (vals * _gl_weights[None, :]).sum(axis=1) * 0.5
-    return float(np.sum(seg * dm[live]))
+    return float(np.dot(dm[live], cost.mean(curve.t[:-1][live], curve.t[1:][live])))
 
 
 def total_cost(network: Network, profile: DepartureProfile, *,

@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from kinwave import (AdmissibilityError, CumulativeCurve, DomainError, ExitComputation,
@@ -237,6 +238,44 @@ def modulus_by_search(kernel, mu, M, G, xis, bisect_iters=50, ternary_iters=80):
     tau = _least_true(feasible, np.full_like(xi, mu), bisect_iters)
     flat = _least_true(lambda d: kernel(mu + d) >= target, np.zeros_like(xi), bisect_iters)
     return np.maximum(xi + tau - mu, flat)
+
+
+def cost_mean_by_quad(cost, a, b, digits=40):
+    """Mean of a cost over [a, b] by mpmath quadrature at ``digits`` digits,
+    split at a Vickrey target inside the interval, from the cost's formula."""
+    p = {k: mpmath.mpf(v) for k, v in cost.params.items()}
+    lo, hi = mpmath.mpf(a), mpmath.mpf(b)
+    with mpmath.workdps(digits):
+        if cost.kind != "vickrey":
+            def f(t):
+                return p["a"] + p["b"] * t + p.get("c", 0) * t * t
+            cuts = [lo, hi]
+        else:
+            def ramp(x):
+                return (x + mpmath.sqrt(x * x + p["smoothing"] ** 2)) / 2
+
+            def f(t):
+                x = t - p["target"]
+                return t + p["early_rate"] * ramp(-x) + p["late_rate"] * ramp(x)
+            cuts = [lo, p["target"], hi] if lo < p["target"] < hi else [lo, hi]
+        return float(mpmath.quad(f, cuts) / (hi - lo))
+
+
+def linear_bracket_window(groups, step=0.25, cap=10**6):
+    """First t = step*j, 1 <= j <= cap, at which every group's combined cost
+    slopes down or is level at -t and slopes up or is level at t, tested one
+    j at a time: a convex cost then has its minimum in [-t, t].
+
+    Returns None when no j up to ``cap`` qualifies.
+    """
+    def slope(g, t):
+        return g.departure_cost.deriv(t) + g.arrival_cost.deriv(t)
+
+    for j in range(1, cap + 1):
+        t = step * j
+        if all(slope(g, -t) <= 0 <= slope(g, t) for g in groups):
+            return t
+    return None
 
 
 def linear_scan_window(groups, t_max, t_init, step=0.25, cap=10**6):

@@ -51,6 +51,16 @@ class TestProfileValidation:
             prof.validate(net)
         prof.validate(net, check_mass=False)  # probe mode skips the balance
 
+    @pytest.mark.parametrize("check_mass", [True, False])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_rates(self, bad, check_mass):
+        # NaN compares False with everything, so the sign, viability and mass
+        # checks all let it through; only an explicit finiteness check stops it
+        net = single_arc(size=0.1)
+        prof = DepartureProfile(0.0, 1.0, np.array([[[0.1, bad]]]))
+        with pytest.raises(AdmissibilityError, match="finite"):
+            prof.validate(net, check_mass=check_mass)
+
     def test_rate_cap(self):
         net = single_arc(size=1.0)
         prof = DepartureProfile(0.0, 1.0, np.full((1, 1, 1), 1.0))

@@ -3,15 +3,16 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kinwave import (ArcDescriptor, ConfigurationError, CostFunction, FluxDescriptor,
                      GroupDescriptor, Network, SolverBounds, compute_bounds,
                      enumerate_paths, max_travel_time, validate_assumptions)
-from kinwave.network import _initial_window, scan_window
+from kinwave.network import scan_window
 
-from oracles import affine_deriv, affine_value, count_simple_paths, linear_scan_window
+from oracles import (affine_deriv, affine_value, cost_mean_by_quad, count_simple_paths,
+                     linear_bracket_window, linear_scan_window)
 
 TRI = FluxDescriptor.triangular(1.0, 1.0, 1.0)
 GS = FluxDescriptor.greenshields(1.0, 1.0)
@@ -78,6 +79,56 @@ class TestCostFunction:
             h = 1e-6
             fd = (c.value(ts + h) - c.value(ts - h)) / (2 * h)
             assert np.max(np.abs(fd - c.deriv(ts))) < 1e-6
+
+    @staticmethod
+    def _assert_means_exact(cost, a, b):
+        got = cost.mean(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        for lo, hi, mean in zip(a, b, got):
+            ref = cost_mean_by_quad(cost, lo, hi)
+            assert abs(mean - ref) <= 1e-13 * max(1.0, abs(ref)), (cost, lo, hi, mean, ref)
+
+    @pytest.mark.parametrize("cost", [
+        CostFunction.affine(2.0, -0.7), CostFunction.quadratic(4.0, -3.0, 1.0),
+        CostFunction.vickrey(1.0, 0.5, 2.0, 0.05), CostFunction.vickrey(-3.0, 0.9, 4.0, 0.25),
+        CostFunction.vickrey(40.0, 0.999, 0.1, 1e-3),
+    ], ids=["affine", "quadratic", "vickrey", "vickrey-wide", "vickrey-early-near-1"])
+    def test_mean_matches_quadrature(self, cost):
+        # segments 100 smoothings long on either side of the target and across
+        # it, 1e-9 wide near |t| = 1e3, and 1e-12 wide across and at the target
+        target = cost.params.get("target", 0.0)
+        eps = cost.params.get("smoothing", 0.05)
+        a = [target - 100 * eps, target, target - 50 * eps, target - 300 * eps,
+             target + 7 * eps, -1e3 - 1e-9, 1e3, -987.654321, 1003.0625,
+             target - 5e-13, target - 1e-12, target, target - 3e-13]
+        b = [target, target + 100 * eps, target + 50 * eps, target - 200 * eps,
+             target + 107 * eps, -1e3, 1e3 + 1e-9, -987.654321 + 1e-9, 1003.0625 + 1e-9,
+             target + 5e-13, target, target + 1e-12, target + 7e-13]
+        self._assert_means_exact(cost, a, b)
+
+    def test_vickrey_mean_keeps_digits_at_early_rate_one(self):
+        # early = 1 makes the cost target + (1 + late)*R(x): t and early*t
+        # cancel exactly far before the target, so the mean, about 0.7 there,
+        # keeps its last digits (m - early*(m - target) loses about 1e-13)
+        cost = CostFunction.vickrey(0.7, 1.0, 0.4, 0.25)
+        a = np.array([-1000.3, -987.654321, -750.25])
+        b = a + np.array([1e-9, 1e-9, 2.0])
+        for lo, hi, mean in zip(a, b, cost.mean(a, b)):
+            assert mean == pytest.approx(cost_mean_by_quad(cost, lo, hi), rel=1e-15, abs=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from(sorted(CostFunction.KINDS)),
+           st.floats(-1e3, 1e3), st.floats(-12.0, 3.0))
+    def test_mean_matches_quadrature_drawn(self, data, kind, lo, log_width):
+        params = data.draw(st.fixed_dictionaries({
+            "affine": {"a": st.floats(-50, 50), "b": st.floats(-50, 50)},
+            "quadratic": {"a": st.floats(-50, 50), "b": st.floats(-50, 50),
+                          "c": st.floats(-5, 5)},
+            "vickrey": {"target": st.floats(-50, 50), "early_rate": st.floats(0, 10),
+                        "late_rate": st.floats(0, 10), "smoothing": st.floats(1e-3, 10)},
+        }[kind]))
+        hi = lo + 10.0 ** log_width
+        assume(hi > lo)
+        self._assert_means_exact(CostFunction(kind, params), [lo], [hi])
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ConfigurationError):
@@ -290,9 +341,8 @@ class TestBounds:
             groups.append(GroupDescriptor(0.1, "a", "b", CostFunction.affine(0.0, -1.0),
                                           psi))
         net = Network(["a", "b"], [ArcDescriptor("a", "b", 1.0, TRI)], groups)
-        try:
-            t_init = _initial_window(net)
-        except ConfigurationError:
+        t_init = linear_bracket_window(net.groups, cap=4000)
+        if t_init is None:
             with pytest.raises(ConfigurationError):
                 scan_window(net, t_max)
             return
@@ -317,6 +367,21 @@ class TestBounds:
         net = single_arc_network(psi=CostFunction.affine(1.5451834406094775, 1.0))
         with pytest.raises(ConfigurationError, match="group 0 combined cost is flat"):
             compute_bounds(net)
+
+    @pytest.mark.parametrize("psi, reason", [
+        (CostFunction.affine(0.5, 1.0), "group 1 combined cost is flat"),
+        (CostFunction.affine(0.0, 2.0), "could not bracket group 1's cost minimum"),
+        (CostFunction.vickrey(1.0, 0.2, 1e-7, 0.25), "group 1 combined cost does not grow"),
+    ], ids=["flat", "unbracketed", "no-growth"])
+    def test_cap_failure_names_its_cause(self, psi, reason):
+        # beside a well-posed group 0, group 1 departs at cost -t and arrives
+        # at cost psi: a constant sum, the sum t with no minimum, and a late
+        # penalty too small to pass the crude cost within 0.25e6
+        groups = [simple_group(), GroupDescriptor(0.1, "a", "b",
+                                                  CostFunction.affine(0.0, -1.0), psi)]
+        net = Network(["a", "b"], [ArcDescriptor("a", "b", 1.0, TRI)], groups)
+        with pytest.raises(ConfigurationError, match=reason):
+            scan_window(net, 1.0)
 
     def test_rejects_nonconvex_combined_cost(self):
         # |t| - 0.1 t^2 rises above the crude cost only on a short stretch
