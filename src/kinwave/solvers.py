@@ -22,6 +22,10 @@ _EMPTY_FRAC = 1e-9   # bins carrying less than this fraction of G_k count as emp
 # inverse local Lipschitz estimate; theta 0.7 and 1.0 stalled on a congested arc
 _STEP_THETA = 0.5
 _STEP_GROWTH = 1.5
+# grid continuation (nested iteration, Brandt, Math. Comp. 31, 1977): solve_nash
+# works from _COARSEST_BINS up, and a coarser grid stops after _COARSE_LOADS
+_COARSEST_BINS = 32
+_COARSE_LOADS = 8
 
 
 def _integrate_against(curve: CumulativeCurve, cost) -> float:
@@ -186,6 +190,15 @@ def _uniform_start(network, bounds, bins, start, width):
     return rates
 
 
+def _grid_sequence(bins):
+    """The bin counts solve_nash works through, coarsest first: ``bins``
+    halved while the count is even and the half keeps _COARSEST_BINS."""
+    grids = [bins]
+    while grids[-1] % 2 == 0 and grids[-1] // 2 >= _COARSEST_BINS:
+        grids.append(grids[-1] // 2)
+    return grids[::-1]
+
+
 def solve_nash(network: Network, *, bins=64, tol=1e-3, max_iter=5000,
                damping=0.2, dt=1e-3):
     """Seek a Nash equilibrium by damped mass transfer toward cheap cells.
@@ -197,39 +210,82 @@ def solve_nash(network: Network, *, bins=64, tol=1e-3, max_iter=5000,
     swap(x', F(y)), so queueing feedback does not induce limit cycles.
 
     The step lambda is adaptive, in per-group mass fractions y = m / G_k
-    with F(y) the cell costs at bin midpoints.  It starts at ``damping`` and
-    after each later load becomes min(1.5 * lambda, 0.5 * |dy| / |dF|) over
-    the last two predictors, so it grows where the costs barely move and
-    shrinks where they are steep, at no extra load.
+    with F(y) the cell costs at bin midpoints.  After each later load it
+    becomes min(1.5 * lambda, 0.5 * |dy| / |dF|) over the last two
+    predictors, so it grows where the costs barely move and shrinks where
+    they are steep, at no extra load.  It stays at most 1 / tol, where a
+    cell costing tol above its group's cheapest sheds the whole group mass.
 
-    Returns the loaded predictor with the least gap and its diagnostics;
-    ``converged`` is False if that gap is above ``tol``, and ``stop_reason``
-    says whether the last load met ``tol`` or used up ``max_iter``.  With
-    max_iter = 0 that is the uniform start, loaded once, and ``iterations``
-    is 0.
+    The grids run coarsest first (see _grid_sequence).  The first starts
+    uniform with the step ``damping``; each finer one starts from the
+    previous grid's best profile, each bin's rate copied to its two halves,
+    with half the previous grid's last step, or ``damping`` if larger.  A
+    grid of b bins stops at a gap of tol * bins / b, since a bin's cost dip
+    grows with its width, and a coarser grid after _COARSE_LOADS loads.
+    ``max_iter`` bounds the loads over all grids, and ``iterations`` and
+    ``gap_history`` count them all.
+
+    Returns the final grid's loaded predictor with the least gap and its
+    diagnostics; ``converged`` is False if that gap is above ``tol``, and
+    ``stop_reason`` says whether the last load met ``tol`` or used up
+    ``max_iter``.  With max_iter = 0 that is the uniform start on ``bins``
+    bins, loaded once, and ``iterations`` is 0.
     """
     if bins < 2:
         raise ConfigurationError("solve_nash needs at least 2 bins")
+    if not tol > 0:
+        raise ConfigurationError("solve_nash needs tol > 0")
     bounds = compute_bounds(network)
-    start, width = _make_grid(bounds, bins)
     cap = 4.0 * bounds.kappa
-    rates = _uniform_start(network, bounds, bins, start, width)
-    if np.any(rates > cap):
-        raise ConfigurationError("initial uniform rates exceed the 4*kappa cap")
-    anchor = predictor = DepartureProfile(start, width, rates)
-
-    best_profile, best_report = None, None
+    grids = _grid_sequence(bins)[-max(max_iter, 1):]   # at least one load per grid
     history = []
+    for i, b in enumerate(grids):
+        start, width = _make_grid(bounds, b)
+        if i == 0:
+            rates = _uniform_start(network, bounds, b, start, width)
+            if np.any(rates > cap):
+                raise ConfigurationError("initial uniform rates exceed the 4*kappa cap")
+            step = damping
+        else:
+            # halving the bin width doubles the Lipschitz constant in mass fractions
+            rates = np.repeat(profile.rates, 2, axis=2)
+            step = max(damping, 0.5 * step)
+        finer = len(grids) - 1 - i
+        loads = max_iter - len(history) - finer
+        if finer:
+            loads = min(_COARSE_LOADS, loads)
+        profile, report, step, last_gap = _descend(
+            network, DepartureProfile(start, width, rates), cap=cap,
+            tol=tol * bins / b, loads=loads, step=step, dt=dt, history=history)
+
+    report.iterations = min(len(history), max_iter)
+    report.converged = report.gap <= tol
+    report.stop_reason = "tol" if last_gap <= tol else "max_iter"
+    report.step = step   # the final grid's last step; its first if it took none
+    report.gap_history = history
+    _attach_diagnostics(network, profile, report, bounds)
+    return profile, report
+
+
+def _descend(network, profile, *, cap, tol, loads, step, dt, history):
+    """Popov's past extragradient with the Malitsky-Tam step, on the grid of
+    ``profile`` and from it, until a load's gap is at most ``tol`` or after
+    ``loads`` loads (at least one); appends each load's gap to ``history``.
+    Returns the loaded predictor with the least gap, its report, the last
+    step taken and the last load's gap.
+    """
+    anchor = predictor = profile
+    best_profile, best_report = None, None
     rc = cap * (1 + 1e-9)
-    step, y_prev, F_prev = damping, None, None
-    for it in range(1, max(max_iter, 1) + 1):   # max_iter = 0 still loads the start
+    y_prev = F_prev = None
+    for it in range(1, max(loads, 1) + 1):
         loading = network_load(network, predictor, dt=dt, rate_cap=rc)
         costs = cost_profile(network, loading)
         report = _gap_from_costs(network, predictor, costs)
         history.append(report.gap)
         if best_report is None or report.gap < best_report.gap:
             best_profile, best_report = predictor, report
-        if report.gap <= tol or it >= max_iter:
+        if report.gap <= tol or it >= loads:
             break
         y, F = _fractions_and_costs(network, predictor, costs)
         if F_prev is not None:
@@ -237,17 +293,11 @@ def solve_nash(network: Network, *, bins=64, tol=1e-3, max_iter=5000,
             step *= _STEP_GROWTH
             if dF > 0:
                 step = min(step, _STEP_THETA * float(np.linalg.norm(y - y_prev)) / dF)
+            step = min(step, 1.0 / tol)
         y_prev, F_prev = y, F
         anchor = _swap_step(network, anchor, costs, step, cap)
         predictor = _swap_step(network, anchor, costs, step, cap)
-
-    best_report.iterations = min(it, max_iter)
-    best_report.converged = best_report.gap <= tol
-    best_report.stop_reason = "tol" if report.gap <= tol else "max_iter"
-    best_report.step = step   # the last step taken; ``damping`` if none was
-    best_report.gap_history = history
-    _attach_diagnostics(network, best_profile, best_report, bounds)
-    return best_profile, best_report
+    return best_profile, best_report, step, report.gap
 
 
 def _fractions_and_costs(network, profile, costs):
@@ -306,10 +356,15 @@ def _swap_step(network, profile, costs, step, cap):
     box-constrained mass simplex: cells costlier than the projection
     threshold send mass, all cheaper cells receive, and the transfer
     sizes scale with the cost excess, so steps shrink as the gap closes.
+    Phi is each cell's cost above its group's cheapest: the projection is
+    the same for any shift, and this one leaves the cheap cells' masses
+    unrounded however large alpha is.
     """
     width = profile.bin_width
     alpha = step * np.array([max(g.size, 1e-12) for g in network.groups])
-    mass = profile.rates * width - alpha[:, None, None] * costs.values[..., 1::2]
+    F = costs.values[..., 1::2]
+    excess = F - np.nanmin(F, axis=(1, 2), keepdims=True)
+    mass = profile.rates * width - alpha[:, None, None] * excess
     new = _project_groups(network, mass, cap * width)
     return DepartureProfile(profile.start, width, new / width)
 

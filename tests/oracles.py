@@ -670,3 +670,67 @@ def affine_value(a, b, t):
 
 def affine_deriv(a, b, t):
     return np.full_like(np.asarray(t, dtype=float), b)
+
+
+# ---------------------------------------------------------------------
+# Solver oracle: the closed-form equilibrium of one bottleneck
+# ---------------------------------------------------------------------
+
+
+class BottleneckEquilibrium:
+    """Departure-time equilibrium of G drivers through one bottleneck of
+    capacity F and free-flow time mu, with departure cost -t and the smoothed
+    Vickrey arrival cost psi(s) = s + early*R(target - s) + late*R(s - target),
+    R(x) = (x + sqrt(x^2 + eps^2)) / 2 (Vickrey, Amer. Econ. Rev. 59, 1969;
+    for LWR on one road, Bressan and Han, SIAM J. Math. Anal. 43, 2011).
+
+    Arrivals run at capacity over [T_a, T_a + G/F].  The first and the last
+    driver meet no queue and pay the same, so psi(T_a + G/F) - psi(T_a) = G/F,
+    and everyone pays c* = mu + psi(T_a) - T_a.  The driver who arrives at s
+    departs at tau(s) = psi(s) - c*, so the cumulative departures are
+    D*(tau(s)) = F (s - T_a).  Needs early < 1, so that tau increases.
+    """
+
+    def __init__(self, size, capacity, free_flow_time, target, early_rate, late_rate,
+                 smoothing):
+        self.size, self.capacity, self.mu = size, capacity, free_flow_time
+        self.params = (target, early_rate, late_rate, smoothing)
+        self.duration = size / capacity
+        with mpmath.workdps(40):
+            dur = mpmath.mpf(size) / capacity
+            lo, hi = mpmath.mpf(target) - dur, mpmath.mpf(target)
+            # psi(T + dur) - psi(T) - dur rises through 0 on [target - dur, target]
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                if self._psi(mid + dur, mpmath) - self._psi(mid, mpmath) - dur < 0:
+                    lo = mid
+                else:
+                    hi = mid
+            t_a = (lo + hi) / 2
+            self.arrival_start = float(t_a)
+            self.cost = float(free_flow_time + self._psi(t_a, mpmath) - t_a)
+
+    def _psi(self, s, lib):
+        target, early, late, eps = self.params
+        x = s - target
+        relu = lambda z: (z + lib.sqrt(z * z + eps * eps)) / 2    # noqa: E731
+        return s + early * relu(-x) + late * relu(x)
+
+    def departures(self, t):
+        """D*(t), by bisection on s in [T_a, T_a + G/F] for tau(s) = t."""
+        t = np.asarray(t, dtype=float)
+        lo = np.full(t.shape, self.arrival_start)
+        hi = lo + self.duration
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            early = self._psi(mid, np) - self.cost < t
+            lo, hi = np.where(early, mid, lo), np.where(early, hi, mid)
+        return np.minimum(self.capacity * (0.5 * (lo + hi) - self.arrival_start), self.size)
+
+
+def bottleneck_equilibrium(size, capacity, free_flow_time, arrival_cost):
+    """The closed-form equilibrium of one bottleneck for a Vickrey
+    ``arrival_cost`` given as its parameter dict (see BottleneckEquilibrium)."""
+    p = arrival_cost
+    return BottleneckEquilibrium(size, capacity, free_flow_time, p["target"],
+                                 p["early_rate"], p["late_rate"], p["smoothing"])

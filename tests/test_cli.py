@@ -261,6 +261,38 @@ class TestNashRoundTrip:
         )
 
 
+def _certificate_doc(name):
+    """Criterion 6's free-flow arc or symmetric diamond as a scenario."""
+    doc = minimal_doc()
+    if name == "free_flow":
+        doc["arcs"][0]["flux"]["rho_jam"] = 2.0
+        doc["groups"][0]["size"] = 0.03
+    else:
+        doc["nodes"] = ["1", "2", "3", "4"]
+        doc["arcs"] = [dict(doc["arcs"][0], **{"from": a, "to": b})
+                       for a, b in (("1", "2"), ("1", "3"), ("2", "4"), ("3", "4"))]
+        doc["groups"][0].update(size=1.5, origin="1", destination="4")
+    return doc
+
+
+@pytest.mark.parametrize("name", ["free_flow", "diamond"])
+@pytest.mark.parametrize("bins", [4, 8, 16])
+def test_nash_on_grids_too_coarse_for_tol_keeps_mass(tmp_path, name, bins):
+    # the gap cannot reach tol on these grids and the costs barely move, so
+    # the step grows until its bound; unbounded, it passed 4e14 by load 96,
+    # the swap lost the group's mass and nash exited 2
+    doc = _certificate_doc(name)
+    doc["solver"] = {"bins": bins, "tol": 1e-3, "max_iter": 200}
+    path = write_scenario(tmp_path / "s.json", doc)
+    res = CliRunner().invoke(main, ["nash", "--scenario", path, "--out", str(tmp_path / "o")])
+    assert res.exit_code in (0, 1), res.output
+    eq = json.loads((tmp_path / "o" / "report.json").read_text())["equilibrium"]
+    assert np.isfinite(eq["step"]) and eq["step"] <= 1.0 / 1e-3
+    prof = json.loads((tmp_path / "o" / "profile.json").read_text())
+    mass = np.sum(prof["rates"]) * prof["bin_width"]
+    assert mass == pytest.approx(doc["groups"][0]["size"], rel=1e-9, abs=0.0)
+
+
 def _set(*path_and_value):
     *path, key, value = path_and_value
 

@@ -362,8 +362,9 @@ class TestBounds:
             scan_window(net(1e-7), t_max)
 
     def test_rejects_flat_combined_cost(self):
-        # -t + (c + t) is constant, so any minimum argmin finds on the grid is
-        # rounding noise (with this c, one at t = 129.5)
+        # -t + (c + t) is constant, so the combined derivative is exactly 0 at
+        # both ends of every scan step; with this c its values carry rounding
+        # noise (a least value at t = 129.5), which no scan may take for a minimum
         net = single_arc_network(psi=CostFunction.affine(1.5451834406094775, 1.0))
         with pytest.raises(ConfigurationError, match="group 0 combined cost is flat"):
             compute_bounds(net)

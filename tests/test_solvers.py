@@ -12,7 +12,7 @@ from kinwave import solvers
 from kinwave.solvers import _project_box_simplex
 
 from helpers import nash_certificate_instances
-from oracles import riemann_cost, scalar_best_cost
+from oracles import bottleneck_equilibrium, riemann_cost, scalar_best_cost
 
 TRI = FluxDescriptor.triangular(1.0, 1.0, 1.0)
 
@@ -155,6 +155,8 @@ class TestSolveNash:
         net = build([("a", "b", 1.0, TRI)], [(0.05, "a", "b", PHI, PSI_V)])
         with pytest.raises(ConfigurationError):
             solve_nash(net, bins=1)
+        with pytest.raises(ConfigurationError, match="tol > 0"):   # the step bound is 1 / tol
+            solve_nash(net, bins=32, tol=0.0)
 
     @pytest.mark.parametrize("max_iter", [6, 400])
     def test_one_load_per_iteration(self, monkeypatch, max_iter):
@@ -210,66 +212,159 @@ def _step_coordinates(network, profile, costs):
     return np.concatenate(y), np.concatenate(F)
 
 
+def _record_solve(network, kwargs):
+    """Solve with the step of every swap and the step coordinates of every
+    load recorded, each beside its grid's bin count."""
+    real_swap, real_cost_profile = solvers._swap_step, solvers.cost_profile
+    steps, points = [], []
+
+    def swap(network, profile, costs, step, cap):
+        steps.append((profile.n_bins, step))
+        return real_swap(network, profile, costs, step, cap)
+
+    def costing(network, loading):
+        costs = real_cost_profile(network, loading)
+        points.append((loading.profile.n_bins,
+                       _step_coordinates(network, loading.profile, costs)))
+        return costs
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_swap_step", swap)
+        mp.setattr(solvers, "cost_profile", costing)
+        report = solve_nash(network, **kwargs)[1]
+    assert steps[::2] == steps[1::2]     # anchor and predictor share a step
+    return report, steps[::2], points
+
+
+def _per_grid(recorded):
+    """Recorded (bins, item) pairs as {bins: [items]}, coarsest grid first."""
+    out = {}
+    for bins, item in recorded:
+        out.setdefault(bins, []).append(item)
+    return dict(sorted(out.items()))
+
+
 @pytest.fixture(scope="module")
 def certificate_solves():
-    """Each criterion-6 instance solved once, with the step of every swap and
-    the step coordinates of every load recorded."""
-    real_swap, real_cost_profile = solvers._swap_step, solvers.cost_profile
+    """Each criterion-6 instance solved once: its report, and the steps and
+    step coordinates of each grid."""
     out = {}
     for name, (net, kwargs) in nash_certificate_instances().items():
-        steps, points = [], []
-
-        def swap(network, profile, costs, step, cap):
-            steps.append(step)
-            return real_swap(network, profile, costs, step, cap)
-
-        def costing(network, loading):
-            costs = real_cost_profile(network, loading)
-            points.append(_step_coordinates(network, loading.profile, costs))
-            return costs
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solvers, "_swap_step", swap)
-            mp.setattr(solvers, "cost_profile", costing)
-            report = solve_nash(net, **kwargs)[1]
-        assert steps[::2] == steps[1::2]     # anchor and predictor share a step
-        out[name] = (report, steps[::2], points)
+        report, steps, points = _record_solve(net, kwargs)
+        out[name] = (report, _per_grid(steps), _per_grid(points))
     return out
 
 
 class TestAdaptiveStep:
     @pytest.mark.parametrize("name, ceiling", [
-        ("free_flow", 40), ("diamond", 11), ("congested", 891)])
+        ("free_flow", 40), ("diamond", 11), ("congested", 200)])
     def test_iteration_ceilings(self, certificate_solves, name, ceiling):
-        # the fixed step took 771, 11 and 891 iterations
+        # one grid with the fixed step took 771, 11 and 891 iterations, and
+        # with the adaptive step 15, 5 and 776; the grids from 32 bins up take
+        # 27, 8 and 171, and the congested ceiling leaves 29 loads of margin
         report, steps, points = certificate_solves[name]
         assert report.converged and report.stop_reason == "tol"
         assert report.iterations <= ceiling
-        assert len(points) == report.iterations == len(steps) + 1
-        assert report.step == steps[-1]
+        assert list(points) == solvers._grid_sequence(max(points))
+        assert sum(map(len, points.values())) == report.iterations
+        # a grid swaps after every load but its last
+        assert all(len(steps.get(b, [])) == len(p) - 1 for b, p in points.items())
+        *coarse, final = points
+        assert all(len(points[b]) <= solvers._COARSE_LOADS for b in coarse)
+        assert report.step == steps[final][-1]
+        # a grid of b bins stops at its first load with gap <= tol * final / b
+        tol = nash_certificate_instances()[name][1]["tol"]
+        gaps = iter(report.gap_history)
+        for b, grid_points in points.items():
+            grid_gaps = [next(gaps) for _ in grid_points]
+            assert all(g > tol * final / b for g in grid_gaps[:-1])
 
     def test_free_flow_step_grows_geometrically(self, certificate_solves):
         # no queue forms, so the costs depend on the profile only by rounding,
-        # and the Lipschitz estimate never binds
+        # and the Lipschitz estimate never binds: on each grid the step grows
+        # from damping, or from half the coarser grid's last step if larger
         report, steps, points = certificate_solves["free_flow"]
-        F0 = points[0][1]
-        assert all(np.max(np.abs(F - F0)) <= 1e-14 * np.max(np.abs(F0)) for _, F in points)
-        want = [0.2]
-        while len(want) < len(steps):
-            want.append(want[-1] * solvers._STEP_GROWTH)
-        assert steps == want
+        last = None
+        for b, grid_steps in steps.items():
+            F0 = points[b][0][1]
+            assert all(np.max(np.abs(F - F0)) <= 1e-14 * np.max(np.abs(F0))
+                       for _, F in points[b])
+            want = [0.2 if last is None else max(0.2, 0.5 * last)]
+            while len(want) < len(grid_steps):
+                want.append(want[-1] * solvers._STEP_GROWTH)
+            assert grid_steps == want
+            last = grid_steps[-1]
 
     def test_congested_step_within_lipschitz_bound(self, certificate_solves):
         report, steps, points = certificate_solves["congested"]
-        assert steps[0] == 0.2
+        assert next(iter(steps.values()))[0] == 0.2
         bounded = 0
-        for k in range(1, len(steps)):
-            (y0, F0), (y1, F1) = points[k - 1], points[k]
-            dy, dF = np.linalg.norm(y1 - y0), np.linalg.norm(F1 - F0)
-            assert steps[k] <= steps[k - 1] * solvers._STEP_GROWTH
-            assert steps[k] * dF <= solvers._STEP_THETA * dy * (1 + 1e-12)
-            bounded += steps[k] < steps[k - 1] * solvers._STEP_GROWTH
+        for b, grid_steps in steps.items():
+            for k in range(1, len(grid_steps)):
+                (y0, F0), (y1, F1) = points[b][k - 1], points[b][k]
+                dy, dF = np.linalg.norm(y1 - y0), np.linalg.norm(F1 - F0)
+                assert grid_steps[k] <= grid_steps[k - 1] * solvers._STEP_GROWTH
+                assert grid_steps[k] * dF <= solvers._STEP_THETA * dy * (1 + 1e-12)
+                bounded += grid_steps[k] < grid_steps[k - 1] * solvers._STEP_GROWTH
         assert bounded > 0      # the estimate binds, so the step adapts
+
+    def test_coarse_grid_stops_within_its_budget(self, monkeypatch):
+        # on 16 bins the diamond's gap cannot reach its tolerance (4 times
+        # tol): without a budget that grid takes 1,998 of the 2,000 loads,
+        # one is left to each finer grid, and the solve does not converge
+        monkeypatch.setattr(solvers, "_COARSEST_BINS", 16)
+        net, kwargs = nash_certificate_instances()["diamond"]
+        report, steps, points = _record_solve(net, kwargs)
+        points = _per_grid(points)
+        assert list(points) == [16, 32, 64]
+        assert len(points[16]) == solvers._COARSE_LOADS
+        assert min(report.gap_history[:solvers._COARSE_LOADS]) > kwargs["tol"] * 4
+        # past the stuck grid, the solve stays within the diamond's ceiling
+        assert report.converged and report.iterations - solvers._COARSE_LOADS <= 11
+
+
+class TestBottleneckCertificate:
+    """solve_nash against the closed-form equilibrium of one bottleneck."""
+
+    @staticmethod
+    def congested():
+        net, kwargs = nash_certificate_instances()["congested"]
+        g = net.groups[0]
+        eq = bottleneck_equilibrium(g.size, net.arcs[0].flux.f_max,
+                                    net.paths[0].free_flow_time, g.arrival_cost.params)
+        return net, kwargs, eq
+
+    def test_oracle_self_check(self):
+        # equal early and late rates make the smoothed penalty even about the
+        # target, so the rush of G/F = 0.6 is centred on it: T_a = 1.3 - 0.3
+        net, _, eq = self.congested()
+        psi = net.groups[0].arrival_cost
+        assert eq.arrival_start == 1.0
+        assert psi.value(1.6) - psi.value(1.0) == pytest.approx(0.6, abs=1e-15)
+        assert eq.cost == pytest.approx(psi.value(1.0), abs=1e-15)   # mu = T_a = 1
+        tau = psi.value(np.array([1.0, 1.3, 1.6])) - eq.cost
+        assert eq.departures(tau) == pytest.approx([0.0, 0.15, 0.3], abs=1e-12)
+        assert eq.departures(tau[[0, -1]] + [-1.0, 1.0]).tolist() == [0.0, 0.3]
+
+    def test_oracle_sharp_vickrey(self):
+        # with a sharp penalty the early drivers' share is late / (early + late)
+        # (Arnott, de Palma and Lindsey, J. Urban Econ. 27, 1990)
+        eq = bottleneck_equilibrium(0.4, 0.5, 1.0, {"target": 2.0, "early_rate": 0.5,
+                                                    "late_rate": 1.5, "smoothing": 1e-12})
+        assert eq.arrival_start == pytest.approx(2.0 - 0.8 * 1.5 / 2.0, abs=1e-11)
+        assert eq.cost == pytest.approx(1.0 + 0.5 * 0.6, abs=1e-11)
+
+    def test_nash_departures_match(self):
+        # D at the bin edges within F * width / 16 of D* (7.3e-4 here); the
+        # single 512-bin grid was 5.5e-4 away and the grids from 32 bins up
+        # are 5.2e-4 away; every supported bin costs within tol of c*
+        net, kwargs, eq = self.congested()
+        prof, report = solve_nash(net, **kwargs)
+        D = np.concatenate(([0.0], np.cumsum(prof.rates[0, 0] * prof.bin_width)))
+        tol = net.arcs[0].flux.f_max * prof.bin_width / 16
+        assert np.max(np.abs(D - eq.departures(prof.bin_edges))) <= tol
+        for cost in (report.group_used_cost[0], report.group_support_min[0]):
+            assert cost == pytest.approx(eq.cost, abs=kwargs["tol"])
 
 
 class TestSolveGlobal:
@@ -368,6 +463,26 @@ class TestTwoGroups:
         prof, J = solve_global(self.NET, bins=4, max_iter=2, restarts=1)
         self.check_masses(prof)
         assert J == total_cost(self.NET, prof)
+
+
+def test_swap_with_huge_step_is_an_exact_best_response():
+    # bins 5 and 6 tie for the cheapest cost, so a huge step moves all the
+    # mass onto them and projects their two masses: each loses the same
+    # theta.  The step sheds alpha times each cell's excess over the group's
+    # cheapest cost, so the two keep their digits; by the raw costs near 2,
+    # alpha * F would be 6e8 and round them by 4e-8
+    net = build([("a", "b", 1.0, TRI)], [(0.3, "a", "b", PHI, PSI_V)])
+    m = 0.3 * np.arange(1, 17.0) / np.arange(1, 17.0).sum()
+    prof = DepartureProfile(-4.0, 0.5, m[None, None, :] / 0.5)
+    values = np.full((1, 1, 33), np.nan)
+    excess = np.maximum(np.maximum(5 - np.arange(16), np.arange(16) - 6), 0)
+    values[0, 0, 1::2] = 2.0 + 1e-3 * excess ** 2
+    costs = solvers.CostProfile(np.linspace(-4.0, 4.0, 33), values)
+    new = solvers._swap_step(net, prof, costs, 1e9, np.inf)
+    theta = (m[5] + m[6] - 0.3) / 2
+    want = np.zeros(16)
+    want[5:7] = m[5:7] - theta
+    assert np.allclose(new.rates[0, 0] * new.bin_width, want, rtol=1e-15, atol=0.0)
 
 
 @settings(max_examples=80, deadline=None)
