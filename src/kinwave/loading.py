@@ -66,10 +66,9 @@ class DepartureProfile:
             raise AdmissibilityError("departure rates must be nonnegative")
         if rate_cap is not None and np.any(self.rates > rate_cap + tol):
             raise AdmissibilityError(f"departure rate exceeds the cap {rate_cap}")
-        for k in range(K):
-            viable = set(network.paths_for_group(k))
-            for p in range(P):
-                if p not in viable and np.any(np.abs(self.rates[k, p]) > tol):
+        for k, viable in enumerate(network.viable):
+            for p, ok in enumerate(viable):
+                if not ok and np.any(np.abs(self.rates[k, p]) > tol):
                     raise AdmissibilityError(
                         f"group {k} assigns flow to non-connecting path {p}"
                     )
@@ -90,10 +89,11 @@ class LoadingResult:
 
     ``arc_flows[key]`` holds the aggregate entry/exit pair of an arc;
     ``comp_entry`` / ``comp_exit`` map (k, p, key) to that group-path's
-    share of the arc's curves; ``arrivals[(k, p)]`` is the cumulative
-    count delivered at the destination.  ``end_time`` is the last time an
-    arc exit drains and ``windows`` the number of loading sweeps, 1 on an
-    acyclic feeder graph.
+    share of the arc's curves; ``departures[(k, p)]`` and ``arrivals[(k, p)]``
+    are the cumulative counts leaving the origin and delivered at the
+    destination, for every cell of the network.  ``end_time`` is the last
+    time an arc exit drains and ``windows`` the number of loading sweeps, 1
+    on an acyclic feeder graph.
     """
 
     network: Network
@@ -107,11 +107,7 @@ class LoadingResult:
     windows: int = 0
 
     def arrival_total(self, k):
-        return sum(
-            self.arrivals[(k, p)].total
-            for p in self.network.paths_for_group(k)
-            if (k, p) in self.arrivals
-        )
+        return sum(self.arrivals[(k, p)].total for p in self.network.paths_for_group(k))
 
     def check_invariants(self, tol=1e-6):
         """Causality, capacity, composition, and conservation checks."""
@@ -179,10 +175,9 @@ def network_load(network: Network, profile: DepartureProfile, *, dt=1e-3,
     component entries, computes its whole exit and splits it among them.
     Its exit components are exact up to its mu plus the least exact-until
     time of its feeders: +inf for a departure or a final feeder, the first
-    live departure time for a hop not yet reached.  An arc whose feeders are
-    all final is loaded once.  Sweeps stop once every group's mass has
-    reached its destination, after one sweep on an acyclic feeder graph; at
-    most as many run as windows of the shortest mu would.
+    live departure time for a hop not yet reached.  Sweeps stop once every
+    group's mass has reached its destination, after one sweep on an acyclic
+    feeder graph; at most as many run as windows of the shortest mu would.
     ``check_mass=False`` skips the per-group mass-balance check (used for
     finite-difference cost probes, which perturb one bin at a time).
     """
@@ -192,28 +187,26 @@ def network_load(network: Network, profile: DepartureProfile, *, dt=1e-3,
     G = network.total_demand
     masses = profile.group_masses()
 
-    # (k, p) -> list of arcs along the path, and the reverse index:
-    # arc key -> list of (k, p, hop) feeding that arc
+    # live cells: (k, p) -> list of arcs along the path, and the reverse
+    # index: arc key -> list of (k, p, hop) feeding that arc.  Every other
+    # cell departs and arrives nothing.
     path_arcs = {}
     feeders = {a.key: [] for a in network.arcs}
     comp_exit = {}      # (k, p, hop) -> latest exit composition; hop -1: departures
-    for k in range(len(network.groups)):
-        for p in network.paths_for_group(k):
-            if masses[k] <= 0 or not np.any(profile.rates[k, p] > 0):
-                continue
-            arcs = network.paths[p].arcs
-            path_arcs[(k, p)] = arcs
-            for hop, arc in enumerate(arcs):
-                feeders[arc.key].append((k, p, hop))
-            result.departures[(k, p)] = profile.departure_curve(k, p)
-            comp_exit[(k, p, -1)] = result.departures[(k, p)]
+    for k, p in network.cells:
+        if masses[k] <= 0 or not np.any(profile.rates[k, p] > 0):
+            result.departures[(k, p)] = result.arrivals[(k, p)] = \
+                CumulativeCurve.zero(profile.start)
+            continue
+        arcs = network.paths[p].arcs
+        path_arcs[(k, p)] = arcs
+        for hop, arc in enumerate(arcs):
+            feeders[arc.key].append((k, p, hop))
+        result.departures[(k, p)] = profile.departure_curve(k, p)
+        comp_exit[(k, p, -1)] = result.departures[(k, p)]
 
     if not path_arcs:
-        t0 = profile.start
-        for k in range(len(network.groups)):
-            for p in network.paths_for_group(k):
-                result.arrivals[(k, p)] = CumulativeCurve.zero(t0)
-        result.end_time = t0
+        result.end_time = profile.start
         return result
 
     t_max = max(max_travel_time(network, network.paths[p], G) for (_, p) in path_arcs)
@@ -236,8 +229,6 @@ def network_load(network: Network, profile: DepartureProfile, *, dt=1e-3,
     max_sweeps = int(min(2**31, sweeps)) + 2     # min() also caps an overflowed (inf) ratio
     for sweep in range(max_sweeps):
         for arc in order:
-            if exact_until.get(arc.key) == np.inf:
-                continue    # its feeders are final, so its curves are too
             fed = feeders[arc.key]
             comps = {(k, p, h): comp_exit.get((k, p, h - 1), zero) for (k, p, h) in fed}
             exact_until[arc.key] = arc.mu + min(
@@ -264,11 +255,6 @@ def network_load(network: Network, profile: DepartureProfile, *, dt=1e-3,
             result.comp_exit[(k, p, arc.key)] = comp_exit[(k, p, hop)]
         result.arrivals[(k, p)] = comp_exit[(k, p, len(arcs) - 1)]
     result.end_time = max(c.t[-1] for c in result.arrivals.values())
-    for k in range(len(network.groups)):
-        for p in network.paths_for_group(k):
-            if (k, p) not in result.arrivals:
-                result.arrivals[(k, p)] = CumulativeCurve.zero(profile.start)
-                result.departures.setdefault((k, p), CumulativeCurve.zero(profile.start))
     return result
 
 

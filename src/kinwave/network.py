@@ -238,6 +238,12 @@ class Network:
                 raise ConfigurationError(
                     f"group {k} has no viable path {g.origin}->{g.destination}"
                 )
+        # the (group, path) cells: group-major, paths ascending, and as a mask
+        self.cells = tuple((k, p) for k in range(len(self.groups))
+                           for p in self.paths_for_group(k))
+        self.viable = np.zeros((len(self.groups), len(self.paths)), dtype=bool)
+        self.viable[tuple(zip(*self.cells))] = True
+        self.viable.flags.writeable = False
 
     @property
     def total_demand(self):

@@ -44,14 +44,12 @@ def total_cost(network: Network, profile: DepartureProfile, *,
     if loading is None:
         loading = network_load(network, profile, dt=dt, check_mass=check_mass)
     J = 0.0
-    for k, g in enumerate(network.groups):
-        for p in network.paths_for_group(k):
-            dep = loading.departures.get((k, p))
-            arr = loading.arrivals.get((k, p))
-            if dep is None or dep.total <= 0:
-                continue
+    for k, p in network.cells:
+        dep = loading.departures[(k, p)]
+        if dep.total > 0:
+            g = network.groups[k]
             J += _integrate_against(dep, g.departure_cost)
-            J += _integrate_against(arr, g.arrival_cost)
+            J += _integrate_against(loading.arrivals[(k, p)], g.arrival_cost)
     return J
 
 
@@ -76,10 +74,10 @@ def cost_profile(network: Network, loading: LoadingResult) -> CostProfile:
     times[0::2] = edges
     times[1::2] = edges[:-1] + 0.5 * prof.bin_width
     values = np.full((len(network.groups), len(network.paths), times.size), np.nan)
-    for k, g in enumerate(network.groups):
-        for p in network.paths_for_group(k):
-            arr = arrival_time_path(loading, network.paths[p], times)
-            values[k, p] = g.departure_cost.value(times) + g.arrival_cost.value(arr)
+    for k, p in network.cells:
+        g = network.groups[k]
+        arr = arrival_time_path(loading, network.paths[p], times)
+        values[k, p] = g.departure_cost.value(times) + g.arrival_cost.value(arr)
     return CostProfile(times, values)
 
 
@@ -132,10 +130,10 @@ def _gap_from_costs(network, profile, costs: CostProfile) -> EquilibriumReport:
     width = profile.bin_width
     used, sup_min, best, gaps = [], [], [], []
     for k, g in enumerate(network.groups):
-        ps = network.paths_for_group(k)
-        values = costs.values[k, ps]
+        viable = network.viable[k]
+        values = costs.values[k, viable]
         c_best = float(np.min(values))
-        live = profile.rates[k, ps] * width > _EMPTY_FRAC * max(1.0, g.size)
+        live = profile.rates[k, viable] * width > _EMPTY_FRAC * max(1.0, g.size)
         support = values[:, 1::2][live]
         if support.size:
             c_used = float(np.max(support))
@@ -158,7 +156,6 @@ def nash_gap(network: Network, profile: DepartureProfile) -> EquilibriumReport:
     Zero (within tolerance) exactly when the profile is a Nash
     equilibrium on its bin grid.
     """
-    profile.validate(network)
     loading = network_load(network, profile)
     return _gap_from_costs(network, profile, cost_profile(network, loading))
 
@@ -185,8 +182,8 @@ def _uniform_start(network, bounds, bins, start, width):
     if overlap.sum() <= 0:
         overlap = np.full(bins, width)
     for k, g in enumerate(network.groups):
-        ps = network.paths_for_group(k)
-        rates[k, ps] = g.size / len(ps) * overlap / (overlap.sum() * width)
+        viable = network.viable[k]
+        rates[k, viable] = g.size / viable.sum() * overlap / (overlap.sum() * width)
     return rates
 
 
@@ -277,6 +274,11 @@ def _descend(network, profile, *, cap, tol, loads, step, dt, history):
     anchor = predictor = profile
     best_profile, best_report = None, None
     rc = cap * (1 + 1e-9)
+    # the step's coordinates: each nonempty group's (path, bin) masses as
+    # fractions of its size, and their midpoint costs, group after group
+    sizes = np.array([g.size for g in network.groups])
+    cells = network.viable & (sizes > 0)[:, None]
+    per_rate = (profile.bin_width / sizes[cells.nonzero()[0]])[:, None]
     y_prev = F_prev = None
     for it in range(1, max(loads, 1) + 1):
         loading = network_load(network, predictor, dt=dt, rate_cap=rc)
@@ -287,7 +289,7 @@ def _descend(network, profile, *, cap, tol, loads, step, dt, history):
             best_profile, best_report = predictor, report
         if report.gap <= tol or it >= loads:
             break
-        y, F = _fractions_and_costs(network, predictor, costs)
+        y, F = predictor.rates[cells] * per_rate, costs.values[cells][:, 1::2]
         if F_prev is not None:
             dF = float(np.linalg.norm(F - F_prev))
             step *= _STEP_GROWTH
@@ -298,19 +300,6 @@ def _descend(network, profile, *, cap, tol, loads, step, dt, history):
         anchor = _swap_step(network, anchor, costs, step, cap)
         predictor = _swap_step(network, anchor, costs, step, cap)
     return best_profile, best_report, step, report.gap
-
-
-def _fractions_and_costs(network, profile, costs):
-    """The step's coordinates: every group's (path, bin) masses as fractions
-    of its size, and their midpoint costs, concatenated over the groups."""
-    y, F = [], []
-    for k, g in enumerate(network.groups):
-        if g.size <= 0:
-            continue
-        ps = network.paths_for_group(k)
-        y.append((profile.rates[k, ps] * (profile.bin_width / g.size)).ravel())
-        F.append(costs.values[k, ps, 1::2].ravel())
-    return np.concatenate([[], *y]), np.concatenate([[], *F])
 
 
 def _project_box_simplex(v, total, cap=np.inf):
@@ -342,9 +331,9 @@ def _project_groups(network, mass, cap=np.inf):
     paths a group cannot take are zero."""
     out = np.zeros_like(mass)
     for k, g in enumerate(network.groups):
-        ps = network.paths_for_group(k)
-        new = _project_box_simplex(mass[k, ps].ravel(), g.size, cap)
-        out[k, ps] = new.reshape(len(ps), -1)
+        cells = mass[k, network.viable[k]]
+        new = _project_box_simplex(cells.ravel(), g.size, cap)
+        out[k, network.viable[k]] = new.reshape(cells.shape)
     return out
 
 
@@ -407,34 +396,29 @@ def solve_global(network: Network, *, bins=16, tol=1e-6, max_iter=100,
     bounds = compute_bounds(network)
     start, width = _make_grid(bounds, bins)
     rng = np.random.default_rng(seed)
-    K, P = len(network.groups), len(network.paths)
-    group_paths = [network.paths_for_group(k) for k in range(K)]
+    viable = np.repeat(network.viable[..., None], bins, axis=2)
 
     def objective(mass):
         profile = DepartureProfile(start, width, mass / width)
         return total_cost(network, profile, dt=dt, check_mass=False)
-
-    def group_mass(fill):
-        """A mass array holding fill(k, ps) on each group's viable paths ps."""
-        mass = np.zeros((K, P, bins))
-        for k, ps in enumerate(group_paths):
-            mass[k, ps] = fill(k, ps)
-        return mass
 
     starts = []
     if init is not None:
         if abs(init.start - start) > 1e-12 or abs(init.bin_width - width) > 1e-12 or \
                 init.n_bins != bins:
             raise ConfigurationError("init profile must share the solver's bin grid")
-        starts.append(group_mass(lambda k, ps: init.rates[k, ps] * init.bin_width))
+        starts.append(np.where(viable, init.rates * init.bin_width, 0.0))
     for _ in range(restarts):
-        starts.append(group_mass(lambda k, ps: rng.dirichlet(np.ones(len(ps) * bins))
-                                 .reshape(len(ps), bins) * network.groups[k].size))
+        mass = np.zeros(viable.shape)
+        for k, g in enumerate(network.groups):
+            mass[k, viable[k]] = rng.dirichlet(np.ones(viable[k].sum())) * g.size
+        starts.append(mass)
     if not starts:      # the uniform rate, times the bin width
-        starts.append(group_mass(
-            lambda k, ps: network.groups[k].size / (len(ps) * bins) / width * width))
+        sizes = np.array([g.size for g in network.groups])[:, None, None]
+        starts.append(np.where(viable, sizes / viable.sum(axis=(1, 2), keepdims=True)
+                               / width * width, 0.0))
 
-    cells = [(k, p, i) for k, ps in enumerate(group_paths) for p in ps for i in range(bins)]
+    cells = [(k, p, i) for k, p in network.cells for i in range(bins)]
     best_mass, best_J = None, np.inf
     for mass in starts:
         J = objective(mass)
@@ -451,8 +435,8 @@ def solve_global(network: Network, *, bins=16, tol=1e-6, max_iter=100,
                 mass[k, p, i] = saved
                 grad[k, p, i] = (J_hi - J_lo) / (h + min(saved, h))
             # summed group by group: one sum over all cells would round differently
-            gnorm = np.sqrt(sum(float(np.sum(grad[k, ps] * grad[k, ps]))
-                                for k, ps in enumerate(group_paths)))
+            gnorm = np.sqrt(sum(float(np.sum(grad[k, ok] * grad[k, ok]))
+                                for k, ok in enumerate(network.viable)))
             if gnorm <= 1e-14:
                 break
             lr = max(network.total_demand, 1e-3) / gnorm

@@ -213,6 +213,39 @@ class TestCommands:
         assert (tmp_path / "o" / "profile.json").exists()
         assert (tmp_path / "o" / "report.json").exists()
 
+    def test_opt_curves_match_load_of_its_profile(self, tmp_path):
+        # opt loads its best profile once more for the curve files; they and
+        # its total_cost must be load's on the profile.json it writes
+        tri = minimal_doc()["arcs"][0]["flux"]
+        doc = minimal_doc(
+            nodes=["o", "a", "b", "m", "d"],
+            arcs=[{"from": a, "to": b, "length": L, "flux": tri}
+                  for a, b, L in (("o", "a", 0.5), ("a", "m", 0.6), ("o", "b", 0.4),
+                                  ("b", "m", 0.7), ("m", "d", 0.5))],
+            solver={"bins": 3, "max_iter": 3, "restarts": 1, "seed": 1})
+        doc["groups"][0].update(origin="o", destination="d")
+        flags = ["--dump-curves", "--emit-plot-data"]
+        res = self.run("opt", "--scenario", write_scenario(tmp_path / "s.json", doc),
+                       "--out", str(tmp_path / "opt"), *flags)
+        assert res.exit_code == 0, res.output
+        doc["profile"] = json.loads((tmp_path / "opt" / "profile.json").read_text())
+        rates = doc["profile"]["rates"][0]
+        assert len(rates) == 2 and all(any(r) for r in rates)     # both paths used
+        res = self.run("load", "--scenario", write_scenario(tmp_path / "l.json", doc),
+                       "--out", str(tmp_path / "load"), *flags)
+        assert res.exit_code == 0, res.output
+        opt_dir, load_dir = tmp_path / "opt", tmp_path / "load"
+        names = sorted(p.name for p in (opt_dir / "curves").iterdir())
+        assert names == sorted(p.name for p in (load_dir / "curves").iterdir())
+        assert any(n.startswith("comp_g0_p1_m_d") for n in names)
+        for name in names:
+            assert (opt_dir / "curves" / name).read_bytes() == \
+                (load_dir / "curves" / name).read_bytes(), name
+        assert (opt_dir / "plot_data.csv").read_bytes() == \
+            (load_dir / "plot_data.csv").read_bytes()
+        assert json.loads((opt_dir / "report.json").read_text())["total_cost"] == \
+            json.loads((load_dir / "report.json").read_text())["total_cost"]
+
     def test_error_exit_code(self, tmp_path):
         doc = minimal_doc()
         doc["arcs"][0]["to"] = "Z"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from kinwave import (AdmissibilityError, ArcDescriptor, CostFunction, CumulativeCurve,
                      DepartureProfile, DomainError, FluxDescriptor, GroupDescriptor,
                      LoadingError, Network, arrival_time_path, modulus_of_continuity,
-                     network_load, per_driver_times)
+                     network_load, per_driver_times, total_cost)
 from kinwave import curves, lax_hopf_exit, loading
 from kinwave.loading import _split_exit
 
@@ -88,6 +88,19 @@ class TestNetworkLoad:
         res = network_load(net, prof)
         assert res.arrival_total(0) == 0.0
         res.check_invariants()
+
+    def test_zero_profile_gives_every_cell_its_curves(self):
+        net = make_network([("a", "b", 1.0, TRI), ("b", "c", 1.0, TRI), ("a", "c", 1.0, TRI)],
+                           [(0.0, "a", "c"), (0.0, "b", "c")])
+        prof = DepartureProfile(-1.0, 0.5, np.zeros((2, len(net.paths), 3)))
+        res = network_load(net, prof)
+        assert len(net.cells) == 3
+        assert list(res.departures) == list(res.arrivals) == list(net.cells)
+        for cell in net.cells:
+            for curve in (res.departures[cell], res.arrivals[cell]):
+                assert curve.total == 0.0 and curve.t[0] == -1.0
+        assert res.end_time == -1.0 and res.windows == 0
+        assert total_cost(net, prof, loading=res) == 0.0
 
     def test_steady_state_arrivals(self):
         # sub-capacity constant inflow: post-transient drivers ride the
@@ -253,6 +266,25 @@ class TestSweepsMatchWindows:
         res, ref = network_load(net, prof), window_network_load(net, prof)
         res.check_invariants()
         assert ref.windows == 8
+        assert 1 < res.windows < ref.windows
+        assert_same_loading(res, ref)
+
+    def test_cyclic_feeders_with_a_final_spur(self):
+        # the ring plus a group on a spur x->a that feeds no other arc: the
+        # spur is exact for all time after the first sweep, and the later
+        # sweeps load it again to the same curves
+        net = make_network(
+            [("a", "b", 1.0, TRI), ("b", "c", 1.0, TRI), ("c", "a", 1.0, TRI),
+             ("x", "a", 1.0, TRI)],
+            [(1.6, "a", "c"), (1.6, "b", "a"), (1.6, "c", "b"), (0.8, "x", "a")],
+        )
+        rates = np.zeros((4, len(net.paths), 4))
+        for k in range(3):
+            rates[k, net.paths_for_group(k)[0]] = 0.8
+        rates[3, net.paths_for_group(3)[0], :2] = 0.8
+        prof = DepartureProfile(0.0, 0.5, rates)
+        res, ref = network_load(net, prof), window_network_load(net, prof)
+        res.check_invariants()
         assert 1 < res.windows < ref.windows
         assert_same_loading(res, ref)
 

@@ -11,6 +11,7 @@ from kinwave import (ArcDescriptor, ConfigurationError, CostFunction, FluxDescri
                      enumerate_paths, max_travel_time, validate_assumptions)
 from kinwave.network import scan_window
 
+from helpers import random_scenario
 from oracles import (affine_deriv, affine_value, cost_mean_by_quad, count_simple_paths,
                      linear_bracket_window, linear_scan_window)
 
@@ -232,6 +233,37 @@ class TestEnumeratePaths:
         for p in net.paths:
             assert len(set(p.nodes)) == len(p.nodes)
         assert len(net.paths) == count_simple_paths(edges, "1", "5")
+
+
+class TestCells:
+    """``Network.cells`` and ``viable`` list the (group, path) pairs that
+    the loader and the solvers iterate; their order fixes every sum over them."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_cells_are_the_nested_loop_over_groups(self, seed):
+        rng = np.random.default_rng(seed)
+        net = random_scenario(rng, max_groups=4)[0]
+        # groups out of OD order, so a later group can own earlier paths
+        net = Network(net.nodes, net.arcs, list(rng.permutation(net.groups)))
+        assert net.cells == tuple(
+            (k, p) for k in range(len(net.groups)) for p in net.paths_for_group(k))
+        want = np.zeros((len(net.groups), len(net.paths)), dtype=bool)
+        for k, p in net.cells:
+            want[k, p] = True
+        assert np.array_equal(net.viable, want)
+        with pytest.raises(ValueError):
+            net.viable[0, 0] = not net.viable[0, 0]
+
+    def test_complete_graph_with_two_groups(self):
+        nodes = ["1", "2", "3", "4"]
+        arcs = [ArcDescriptor(a, b, 1.0, TRI) for a, b in itertools.permutations(nodes, 2)]
+        net = Network(nodes, arcs, [simple_group(origin="3", destination="1"),
+                                    simple_group(origin="1", destination="4")])
+        first = [p.nodes for p in net.paths[:5]]
+        assert first == sorted(first) and all(n[0] == "1" for n in first)
+        assert net.cells == tuple([(0, p) for p in range(5, 10)] + [(1, p) for p in range(5)])
+        assert net.viable.sum(axis=1).tolist() == [5, 5]
 
 
 class TestMaxTravelTime:

@@ -465,6 +465,34 @@ class TestTwoGroups:
         assert J == total_cost(self.NET, prof)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestEmptyGroup:
+    """A zero-size group (b->c) beside a 0.2 group (a->b): it has no step
+    coordinates (a fraction of a zero size would be 0/0), its projection is
+    the zero mass, and it never departs."""
+
+    NET = build([("a", "b", 1.0, TRI), ("b", "c", 1.0, TRI)],
+                [(0.2, "a", "b", PHI, PSI_V), (0.0, "b", "c", PHI, PSI_V)])
+
+    def check_masses(self, prof):
+        assert np.all(prof.rates[1] == 0.0)
+        assert np.all(prof.rates[0, self.NET.viable[0]] >= 0.0)
+        assert np.all(prof.rates[0, ~self.NET.viable[0]] == 0.0)
+        assert prof.group_masses() == pytest.approx([0.2, 0.0], abs=1e-12)
+
+    def test_nash(self):
+        prof, report = solve_nash(self.NET, bins=16, tol=5e-3, max_iter=60)
+        assert report.iterations > 1
+        self.check_masses(prof)
+        assert report.gap == nash_gap(self.NET, prof).gap
+        assert report.group_gap == nash_gap(self.NET, prof).group_gap
+
+    def test_global(self):
+        prof, J = solve_global(self.NET, bins=4, max_iter=2, restarts=1)
+        self.check_masses(prof)
+        assert J == total_cost(self.NET, prof)
+
+
 def test_swap_with_huge_step_is_an_exact_best_response():
     # bins 5 and 6 tie for the cheapest cost, so a huge step moves all the
     # mass onto them and projects their two masses: each loses the same
