@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import CumulativeCurve, ExitComputation, lax_hopf_exit
-from .errors import AdmissibilityError, DomainError, LoadingError
+from .errors import AdmissibilityError, ConfigurationError, DomainError, LoadingError
 from .network import Network, Path, max_travel_time
 
 _MASS_TOL = 1e-9
@@ -93,11 +93,13 @@ class LoadingResult:
     are the cumulative counts leaving the origin and delivered at the
     destination, for every cell of the network.  ``end_time`` is the last
     time an arc exit drains and ``windows`` the number of loading sweeps, 1
-    on an acyclic feeder graph.
+    on an acyclic feeder graph.  ``dt`` is the grid step the smooth-flux
+    exits were computed with.
     """
 
     network: Network
     profile: DepartureProfile
+    dt: float
     arc_flows: dict = field(default_factory=dict)      # key -> ExitComputation
     comp_entry: dict = field(default_factory=dict)     # (k, p, key) -> curve
     comp_exit: dict = field(default_factory=dict)
@@ -168,7 +170,8 @@ def _feeder_order(arcs, paths):
 
 
 def network_load(network: Network, profile: DepartureProfile, *, dt=1e-3,
-                 rate_cap=None, check_mass=True) -> LoadingResult:
+                 rate_cap=None, check_mass=True,
+                 reuse: LoadingResult | None = None) -> LoadingResult:
     """Propagate a departure profile through the network.
 
     Sweeps the live arcs in ``_feeder_order``: each arc combines its
@@ -180,10 +183,17 @@ def network_load(network: Network, profile: DepartureProfile, *, dt=1e-3,
     feeder graph; at most as many run as windows of the shortest mu would.
     ``check_mass=False`` skips the per-group mass-balance check (used for
     finite-difference cost probes, which perturb one bin at a time).
+
+    ``reuse``, a loading of the same network at the same ``dt`` (else
+    ConfigurationError), lends its arc exits: an arc whose entry has the
+    same bytes as in ``reuse`` takes that exit as it is, since an exit
+    depends on its entry alone.
     """
+    if reuse is not None and (reuse.network is not network or reuse.dt != dt):
+        raise ConfigurationError("reuse must be a loading of the same network at the same dt")
     profile.validate(network, rate_cap=rate_cap, check_mass=check_mass)
 
-    result = LoadingResult(network, profile)
+    result = LoadingResult(network, profile, dt)
     G = network.total_demand
     masses = profile.group_masses()
 
@@ -235,7 +245,13 @@ def network_load(network: Network, profile: DepartureProfile, *, dt=1e-3,
                 exact_until.get(path_arcs[(k, p)][h - 1].key, t_first) if h else np.inf
                 for (k, p, h) in fed)
             entry = CumulativeCurve.combine(list(comps.values()))
-            exit_curve = lax_hopf_exit(entry, arc, dt=dt)
+            # bytes, not values: -0.0 == 0.0, and the exit must be the same bits
+            old = reuse.arc_flows.get(arc.key) if reuse is not None else None
+            if old is not None and old.entry.t.tobytes() == entry.t.tobytes() \
+                    and old.entry.v.tobytes() == entry.v.tobytes():
+                exit_curve = old.exit
+            else:
+                exit_curve = lax_hopf_exit(entry, arc, dt=dt)
             result.arc_flows[arc.key] = ExitComputation(entry, exit_curve, arc)
             comp_exit.update(_split_exit(exit_curve, entry, comps, exact_until[arc.key]))
             result.comp_entry.update({(k, p, arc.key): c for (k, p, _), c in comps.items()})

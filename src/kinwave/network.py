@@ -309,6 +309,13 @@ _SCAN_STEP = 0.25
 _SCAN_CAP = 10**6
 
 
+def _bounded_groups(network: Network) -> list:
+    """The groups the solver bounds read: those with drivers, or every group
+    if none has any.  An empty group departs nothing, so it moves no bound."""
+    return [k for k, g in enumerate(network.groups) if g.size > 0] or \
+        list(range(len(network.groups)))
+
+
 def scan_window(network: Network, t_max: float) -> float:
     """Smallest t0 = _SCAN_STEP*j, 1 <= j <= _SCAN_CAP, such that every
     group's combined cost has its minimum in [-t0, t0] (its derivative is
@@ -319,19 +326,19 @@ def scan_window(network: Network, t_max: float) -> float:
     once met, and doubling and bisection find the same t0 as a step-by-step
     scan.  At _SCAN_CAP the error names the first group that fails and why:
     a flat cost, a minimum not bracketed, or a cost that never grows.
+    Only ``_bounded_groups`` are scanned.
     """
-    rhs = max(
-        g.departure_cost.value(0.0) + g.arrival_cost.value(t_max) for g in network.groups
-    )
     for k, g in enumerate(network.groups):
         if g.departure_cost.params.get("c", 0.0) + g.arrival_cost.params.get("c", 0.0) < 0:
             raise ConfigurationError(f"group {k} combined cost is not convex: its "
                                      "quadratic coefficients sum below zero")
+    groups = [(k, network.groups[k]) for k in _bounded_groups(network)]
+    rhs = max(g.departure_cost.value(0.0) + g.arrival_cost.value(t_max) for _, g in groups)
 
     def failure(j):
         """The first group that fails at step j, with the reason, or None."""
         ends = np.array([-_SCAN_STEP * j, _SCAN_STEP * j])
-        for k, g in enumerate(network.groups):
+        for k, g in groups:
             d = g.departure_cost.deriv(ends) + g.arrival_cost.deriv(ends)
             if d[0] == 0 == d[1]:
                 return f"group {k} combined cost is flat: it has no minimum to bracket"
@@ -355,17 +362,23 @@ def scan_window(network: Network, t_max: float) -> float:
 
 
 def compute_bounds(network: Network) -> SolverBounds:
-    """Derive the horizon/rate bounds needed by the equilibrium solver."""
+    """Derive the horizon/rate bounds needed by the equilibrium solver.
+
+    Every bound reads only ``_bounded_groups`` and their paths.
+    """
     G = network.total_demand
-    t_max = max(max_travel_time(network, p, G) for p in network.paths)
+    live = _bounded_groups(network)
+    paths = {p for k, p in network.cells if k in live}
+    t_max = max(max_travel_time(network, network.paths[p], G) for p in paths)
     t0 = scan_window(network, t_max)
 
     # conservative derivative window: intermediate iterates may arrive up to
     # t_max past the departure window.  Every cost kind's derivative is
     # monotone, so its extremes sit at the window's ends.
     ends = np.array([-t0 - t_max, t0 + t_max])
-    phi_max = max(float(np.max(np.abs(g.departure_cost.deriv(ends)))) for g in network.groups)
-    psi_min = min(float(np.min(g.arrival_cost.deriv(ends))) for g in network.groups)
+    groups = [network.groups[k] for k in live]
+    phi_max = max(float(np.max(np.abs(g.departure_cost.deriv(ends)))) for g in groups)
+    psi_min = min(float(np.min(g.arrival_cost.deriv(ends))) for g in groups)
     if psi_min <= 0:
         raise ConfigurationError(
             "arrival cost is not strictly increasing on the working window"

@@ -390,6 +390,12 @@ def solve_global(network: Network, *, bins=16, tol=1e-6, max_iter=100,
     per-group mass simplices, multi-started from random points (plus
     ``init`` if given, e.g. to warm-start from an equilibrium profile).
     Always returns the best profile found and its cost.
+
+    The iterate's loading is lent to every probe and line-search trial as
+    ``reuse``, so each recomputes only the arc exits its change reaches.  A
+    trial that the projection maps back onto the iterate, as every trial
+    does once lr is small enough, takes J without a load, so the iterate is
+    never loaded twice.
     """
     if bins < 2:
         raise ConfigurationError("solve_global needs at least 2 bins")
@@ -398,9 +404,11 @@ def solve_global(network: Network, *, bins=16, tol=1e-6, max_iter=100,
     rng = np.random.default_rng(seed)
     viable = np.repeat(network.viable[..., None], bins, axis=2)
 
-    def objective(mass):
+    def objective(mass, base=None):
+        """J at ``mass`` and its loading, reusing the exits of ``base``."""
         profile = DepartureProfile(start, width, mass / width)
-        return total_cost(network, profile, dt=dt, check_mass=False)
+        loading = network_load(network, profile, dt=dt, check_mass=False, reuse=base)
+        return total_cost(network, profile, loading=loading), loading
 
     starts = []
     if init is not None:
@@ -421,17 +429,17 @@ def solve_global(network: Network, *, bins=16, tol=1e-6, max_iter=100,
     cells = [(k, p, i) for k, p in network.cells for i in range(bins)]
     best_mass, best_J = None, np.inf
     for mass in starts:
-        J = objective(mass)
+        J, base = objective(mass)
         for _ in range(max_iter):
             grad = np.zeros_like(mass)
             for k, p, i in cells:
                 h = 1e-4 * max(network.groups[k].size, 1e-6)
                 saved = mass[k, p, i]
                 mass[k, p, i] = saved + h
-                J_hi = objective(mass)
+                J_hi = objective(mass, base)[0]
                 mass[k, p, i] = max(saved - h, 0.0)
                 # at an empty cell the lower probe is the iterate itself
-                J_lo = J if mass[k, p, i] == saved else objective(mass)
+                J_lo = J if mass[k, p, i] == saved else objective(mass, base)[0]
                 mass[k, p, i] = saved
                 grad[k, p, i] = (J_hi - J_lo) / (h + min(saved, h))
             # summed group by group: one sum over all cells would round differently
@@ -443,10 +451,14 @@ def solve_global(network: Network, *, bins=16, tol=1e-6, max_iter=100,
             improved = False
             while lr > 1e-12:
                 trial = _project_groups(network, mass - lr * grad)
-                J_t = objective(trial)
+                # a trial projected back onto the iterate costs J, as known
+                if trial.tobytes() == mass.tobytes():
+                    J_t, loading = J, base
+                else:
+                    J_t, loading = objective(trial, base)
                 if J_t < J - 1e-15:
                     improved = J - J_t > tol
-                    mass, J = trial, J_t
+                    mass, J, base = trial, J_t, loading
                     break
                 lr *= 0.5
             if not improved:

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinwave import (AdmissibilityError, ArcDescriptor, CostFunction, CumulativeCurve,
-                     DepartureProfile, DomainError, FluxDescriptor, GroupDescriptor,
-                     LoadingError, Network, arrival_time_path, modulus_of_continuity,
-                     network_load, per_driver_times, total_cost)
-from kinwave import curves, lax_hopf_exit, loading
+from kinwave import (AdmissibilityError, ArcDescriptor, ConfigurationError, CostFunction,
+                     CumulativeCurve, DepartureProfile, DomainError, FluxDescriptor,
+                     GroupDescriptor, LoadingError, Network, arrival_time_path,
+                     modulus_of_continuity, network_load, per_driver_times, total_cost)
+from kinwave import ExitComputation, curves, lax_hopf_exit, loading
 from kinwave.loading import _split_exit
 
 from helpers import random_flux, random_scenario
@@ -287,6 +287,98 @@ class TestSweepsMatchWindows:
         res.check_invariants()
         assert 1 < res.windows < ref.windows
         assert_same_loading(res, ref)
+
+
+def assert_same_bits(res, ref):
+    """Every curve of ``res`` has the same breakpoint bytes as ``ref``'s."""
+    pairs = [(res.departures, ref.departures), (res.arrivals, ref.arrivals),
+             (res.comp_entry, ref.comp_entry), (res.comp_exit, ref.comp_exit)]
+    pairs += [({k: getattr(c, side) for k, c in res.arc_flows.items()},
+               {k: getattr(c, side) for k, c in ref.arc_flows.items()})
+              for side in ("entry", "exit")]
+    for got, want in pairs:
+        assert list(got) == list(want)
+        for key, curve in got.items():
+            assert curve.t.tobytes() == want[key].t.tobytes(), key
+            assert curve.v.tobytes() == want[key].v.tobytes(), key
+    assert (res.end_time, res.windows) == (ref.end_time, ref.windows)
+
+
+class TestReuse:
+    """``network_load(reuse=...)`` takes an arc's exit from an earlier loading
+    when the arc's entry has the same bytes, and must load the same bits."""
+
+    NET = make_network([("o", "a", 0.5, TRI), ("a", "m", 0.6, TRI), ("o", "b", 0.4, TRI),
+                        ("b", "m", 0.7, TRI), ("m", "d", 0.5, TRI)], [(0.6, "o", "d")])
+
+    def profiles(self):
+        rates = np.zeros((1, 2, 3))
+        rates[0, :, 1:] = 0.3
+        base = DepartureProfile(-1.0, 0.5, rates)
+        probe = rates.copy()
+        probe[0, 0, 1] += 1e-5          # one cell of path o->a->m->d
+        return base, DepartureProfile(-1.0, 0.5, probe)
+
+    def test_matches_a_fresh_load(self):
+        base, probe = self.profiles()
+        assert [p.nodes for p in self.NET.paths] == [("o", "a", "m", "d"), ("o", "b", "m", "d")]
+        old = network_load(self.NET, base)
+        res = network_load(self.NET, probe, check_mass=False, reuse=old)
+        assert_same_bits(res, network_load(self.NET, probe, check_mass=False))
+        for key, comp in res.arc_flows.items():
+            on_path = key in {a.key for a in self.NET.paths[0].arcs}
+            assert (comp.exit is old.arc_flows[key].exit) is not on_path, key
+        # reusing a loading of the same profile reuses every exit
+        again = network_load(self.NET, base, reuse=old)
+        assert_same_bits(again, old)
+        assert all(c.exit is old.arc_flows[k].exit for k, c in again.arc_flows.items())
+
+    def test_rejects_another_network_or_dt(self):
+        base, probe = self.profiles()
+        old = network_load(self.NET, base)
+        twin = Network(self.NET.nodes, self.NET.arcs, self.NET.groups)
+        with pytest.raises(ConfigurationError):
+            network_load(twin, probe, check_mass=False, reuse=old)
+        with pytest.raises(ConfigurationError):
+            network_load(self.NET, probe, dt=2e-3, check_mass=False, reuse=old)
+
+    @pytest.mark.parametrize("side", ["v", "t"])
+    def test_only_equal_bytes_are_reused(self, monkeypatch, side):
+        # -0.0 == 0.0, but an exit computed from a -0.0 entry need not have
+        # the bits of one from +0.0; and an entry of equal values at other
+        # times has another exit
+        net = single_arc()
+        prof = DepartureProfile(0.0, 0.5, np.array([[[0.2, 0.12]]]))
+        old = network_load(net, prof)
+        key = net.arcs[0].key
+        entry = old.arc_flows[key].entry
+        assert entry.v[0] == 0.0 and not np.signbit(entry.v[0])
+        calls = []
+        monkeypatch.setattr(loading, "lax_hopf_exit",
+                            lambda e, arc, dt: calls.append(e) or lax_hopf_exit(e, arc, dt=dt))
+        network_load(net, prof, reuse=old)
+        assert calls == []
+        if side == "v":
+            other = CumulativeCurve(entry.t, np.where(entry.v == 0.0, -0.0, entry.v),
+                                    validate=False)
+        else:
+            other = CumulativeCurve(entry.t + 1e-9, entry.v)
+        old.arc_flows[key] = ExitComputation(other, old.arc_flows[key].exit, net.arcs[0])
+        network_load(net, prof, reuse=old)
+        assert len(calls) == 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_probes(self, seed):
+        rng = np.random.default_rng(seed)
+        net, prof = random_scenario(rng, allow_greenshields=True)
+        old = network_load(net, prof, dt=1e-2)
+        rates = prof.rates.copy()
+        k, p = net.cells[int(rng.integers(len(net.cells)))]
+        rates[k, p, int(rng.integers(prof.n_bins))] += rng.uniform(0.0, 0.1)
+        probe = DepartureProfile(prof.start, prof.bin_width, rates)
+        res = network_load(net, probe, dt=1e-2, check_mass=False, reuse=old)
+        assert_same_bits(res, network_load(net, probe, dt=1e-2, check_mass=False))
 
 
 class TestLoneComponentSplit:

@@ -6,13 +6,15 @@ from hypothesis import strategies as st
 
 from kinwave import (ArcDescriptor, ConfigurationError, CostFunction,
                      DepartureProfile, FluxDescriptor, GroupDescriptor, Network,
-                     arrival_time_path, cost_profile, nash_gap, network_load,
-                     per_driver_times, solve_global, solve_nash, total_cost)
+                     arrival_time_path, compute_bounds, cost_profile, max_travel_time,
+                     nash_gap, network_load, per_driver_times, solve_global, solve_nash,
+                     total_cost)
 from kinwave import solvers
 from kinwave.solvers import _project_box_simplex
 
 from helpers import nash_certificate_instances
-from oracles import bottleneck_equilibrium, riemann_cost, scalar_best_cost
+from oracles import (bottleneck_equilibrium, reference_solve_global, riemann_cost,
+                     scalar_best_cost)
 
 TRI = FluxDescriptor.triangular(1.0, 1.0, 1.0)
 
@@ -413,6 +415,38 @@ class TestSolveGlobal:
         assert len(loaded) > 1 + 4 + 2      # the iterate, 4 up and 2 down probes
         assert len(set(loaded)) == len(loaded)
 
+    def test_line_search_never_reloads_the_iterate(self, monkeypatch):
+        # criterion 7's two-bin instance: each start ends in a line search
+        # whose trials the projection maps back onto the iterate, which now
+        # cost no load (the loop without reuse loaded 95 masses, 19 distinct).
+        # A start's first load is the only one without ``reuse``.
+        net = build([("a", "b", 1.0, TRI)], [(0.2, "a", "b", PHI, PSI_V)])
+        starts = []
+
+        def recording(network, profile, **kwargs):
+            if kwargs.get("reuse") is None:
+                starts.append([])
+            starts[-1].append(profile.rates.tobytes())
+            return network_load(network, profile, **kwargs)
+
+        monkeypatch.setattr(solvers, "network_load", recording)
+        solve_global(net, bins=2, max_iter=60, restarts=2, seed=1)
+        assert [len(loaded) for loaded in starts] == [14, 9]
+        for loaded in starts:
+            assert len(set(loaded)) == len(loaded)
+
+    @pytest.mark.parametrize("name", ["two_bin", "merge", "two_groups", "empty_group",
+                                      "greenshields", "warm_start"])
+    def test_matches_the_loop_without_reuse(self, name):
+        # the same profile bytes and J bits as the loop that loaded every
+        # probe and trial afresh
+        net, kwargs = reference_instances()[name]
+        prof, J = solve_global(net, **kwargs)
+        ref, J_ref = reference_solve_global(net, **kwargs)
+        assert (prof.start, prof.bin_width) == (ref.start, ref.bin_width)
+        assert prof.rates.tobytes() == ref.rates.tobytes()
+        assert np.float64(J).tobytes() == np.float64(J_ref).tobytes()
+
     def test_no_start_given_is_uniform(self, monkeypatch):
         # restarts=0 and no init: the descent starts from the uniform rate
         net = build([("a", "b", 1.0, TRI)], [(0.2, "a", "b", PHI, PSI_V)])
@@ -435,6 +469,34 @@ class TestSolveGlobal:
         bad = DepartureProfile(0.0, 1.0, np.full((1, 1, 1), 0.3))
         with pytest.raises(ConfigurationError):
             solve_global(net, bins=4, init=bad)
+
+
+def reference_instances():
+    """name -> (network, solve_global keywords) for the regression oracle."""
+    two_bin = build([("a", "b", 1.0, TRI)], [(0.2, "a", "b", PHI, PSI_V)])
+    # the perfbench opt-merge network: two paths over triangular and
+    # 5-kink sampled arcs
+    kinks = FluxDescriptor.sampled([[0.0, 0.0], [0.1, 0.1], [0.2, 0.17], [0.3, 0.21],
+                                    [0.6, 0.13], [1.0, 0.0]])
+    merge = build([("o", "a", 0.5, TRI), ("a", "m", 0.6, kinks), ("o", "b", 0.4, kinks),
+                   ("b", "m", 0.7, FluxDescriptor.triangular(1.2, 0.8, 1.0)),
+                   ("m", "d", 0.5, kinks)],
+                  [(0.1, "o", "d", PHI, CostFunction.vickrey(1.0, 0.9, 1.0, 0.25))])
+    # two paths a->d and a->m->d, so a probe on a->d reuses a Greenshields exit
+    gs_flux = FluxDescriptor.greenshields(1.0, 1.0)
+    gs = build([("a", "d", 1.0, gs_flux), ("a", "m", 0.5, gs_flux), ("m", "d", 0.5, TRI)],
+               [(0.1, "a", "d", PHI, PSI_V)])
+    grid, _ = solve_global(two_bin, bins=4, max_iter=0, restarts=1)
+    init = DepartureProfile(grid.start, grid.bin_width,
+                            np.array([[[0.0, 0.15, 0.05, 0.0]]]) / grid.bin_width)
+    return {
+        "two_bin": (two_bin, dict(bins=2, max_iter=60, restarts=2, seed=1)),
+        "merge": (merge, dict(bins=3, tol=1e-4, max_iter=200, restarts=1, seed=1)),
+        "two_groups": (TestTwoGroups.NET, dict(bins=4, max_iter=2, restarts=1)),
+        "empty_group": (TestEmptyGroup.NET, dict(bins=4, max_iter=2, restarts=1)),
+        "greenshields": (gs, dict(bins=3, max_iter=2, restarts=1, dt=5e-3)),
+        "warm_start": (two_bin, dict(bins=4, max_iter=60, restarts=1, init=init)),
+    }
 
 
 class TestTwoGroups:
@@ -491,6 +553,44 @@ class TestEmptyGroup:
         prof, J = solve_global(self.NET, bins=4, max_iter=2, restarts=1)
         self.check_masses(prof)
         assert J == total_cost(self.NET, prof)
+
+
+class TestEmptyGroupBounds:
+    """An empty a->c group beside a 0.2 a->b group on a->b->c: the bounds,
+    and so the Nash solve, are those of the a->b group alone."""
+
+    ARCS = [("a", "b", 1.0, TRI), ("b", "c", 1.0, TRI)]
+    ALONE = build(ARCS, [(0.2, "a", "b", PHI, PSI_V)])
+    BOTH = build(ARCS, [(0.2, "a", "b", PHI, PSI_V), (0.0, "a", "c", PHI, PSI_V)])
+
+    def test_bounds(self):
+        # the a->b->c path and the empty group once moved t_max from 1.4 to
+        # 2.8 and t0 from 7.0 to 16.75
+        bounds = compute_bounds(self.ALONE)
+        assert (bounds.t_max, bounds.t0) == (1.4, 7.0)
+        assert compute_bounds(self.BOTH) == bounds
+        # an empty group whose cost minimum lies far out is not scanned either
+        late = CostFunction.vickrey(10.0, 0.2, 0.4, 0.25)
+        far = build(self.ARCS, [(0.2, "a", "b", PHI, PSI_V), (0.0, "a", "b", PHI, late)])
+        assert compute_bounds(far) == bounds
+
+    def test_nash(self):
+        kwargs = dict(bins=32, tol=5e-3, max_iter=200)
+        prof, report = solve_nash(self.ALONE, **kwargs)
+        both, both_report = solve_nash(self.BOTH, **kwargs)
+        (p,) = self.BOTH.paths_for_group(0)
+        assert (both.start, both.bin_width) == (prof.start, prof.bin_width)
+        assert both.rates[0, p].tobytes() == prof.rates[0, 0].tobytes()
+        assert not np.any(np.delete(both.rates.reshape(-1, 32), p, axis=0))
+        assert both_report.gap_history == report.gap_history
+        assert both_report.group_gap == report.group_gap + [0.0]
+        assert both_report.iterations == report.iterations
+        assert both_report.stop_reason == report.stop_reason == "tol"
+
+    def test_all_empty_reads_every_path(self):
+        net = build(self.ARCS, [(0.0, "a", "b", PHI, PSI_V), (0.0, "a", "c", PHI, PSI_V)])
+        assert compute_bounds(net).t_max == max(
+            max_travel_time(net, path, 0.0) for path in net.paths) == 2.0
 
 
 def test_swap_with_huge_step_is_an_exact_best_response():
