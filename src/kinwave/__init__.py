@@ -15,8 +15,8 @@ from .loading import (DepartureProfile, LoadingResult, arrival_time_path,
 from .network import (CostFunction, GroupDescriptor, Network, Path, SolverBounds,
                       compute_bounds, enumerate_paths, max_travel_time,
                       validate_assumptions)
-from .solvers import (CostProfile, EquilibriumReport, cost_profile, nash_gap,
-                      solve_global, solve_nash, total_cost)
+from .solvers import (CostProfile, EquilibriumReport, OptimumReport, cost_profile,
+                      nash_gap, solve_global, solve_nash, total_cost)
 
 __version__ = "0.1.0"
 
@@ -25,7 +25,7 @@ __all__ = [
     "CostFunction", "CostProfile", "CumulativeCurve", "DepartureProfile",
     "DomainError", "EquilibriumReport", "ExitComputation", "FluxDescriptor",
     "GroupDescriptor", "KinwaveError", "LoadingError", "LoadingResult", "Network",
-    "Path", "ScenarioError", "SolverBounds", "arrival_time_path", "compute_bounds",
+    "OptimumReport", "Path", "ScenarioError", "SolverBounds", "arrival_time_path", "compute_bounds",
     "cost_profile", "enumerate_paths", "exit_time", "lax_hopf_exit",
     "max_travel_time", "modulus_of_continuity", "nash_gap", "network_load",
     "per_driver_times", "solve_global", "solve_nash", "total_cost",

@@ -308,19 +308,15 @@ def _command(body):
     return run
 
 
-def _write_results(scenario, out, doc, profile, dump_curves, emit_plot_data,
-                   loading=None):
-    """Write report.json and profile.json, then the requested curve files,
-    loading ``profile`` for them unless ``loading`` is given."""
+def _write_results(out, doc, profile, loading, dump_curves, emit_plot_data):
+    """Write report.json and profile.json, then the requested curve files
+    from ``loading``, the loading of ``profile``."""
     _write_json(out / "report.json", doc)
     _write_json(out / "profile.json", _profile_dict(profile))
-    if dump_curves or emit_plot_data:
-        if loading is None:
-            loading = network_load(scenario.network, profile, dt=scenario.solver["dt"])
-        if dump_curves:
-            _dump_curves(loading, out)
-        if emit_plot_data:
-            _emit_plot_data(loading, out)
+    if dump_curves:
+        _dump_curves(loading, out)
+    if emit_plot_data:
+        _emit_plot_data(loading, out)
 
 
 @_command
@@ -362,8 +358,7 @@ def load(scenario, out, dump_curves, emit_plot_data):
             loading.arrival_total(k) for k in range(len(scenario.network.groups))
         ],
     }
-    _write_results(scenario, out, doc, scenario.profile, dump_curves, emit_plot_data,
-                   loading)
+    _write_results(out, doc, scenario.profile, loading, dump_curves, emit_plot_data)
     click.echo(f"total_cost {J:.12g}")
     return 0
 
@@ -372,16 +367,16 @@ def load(scenario, out, dump_curves, emit_plot_data):
 def opt(scenario, out, dump_curves, emit_plot_data):
     """Search for a departure pattern minimizing the aggregate cost."""
     cfg = scenario.solver
-    profile, J = solve_global(
+    profile, J, report = solve_global(
         scenario.network, bins=cfg["bins"], tol=cfg["tol"],
         max_iter=cfg["max_iter"], restarts=cfg["restarts"], dt=cfg["dt"],
         seed=cfg["seed"],
     )
-    converged = cfg["max_iter"] > 0
-    doc = {"total_cost": J, "converged": converged, "solver": cfg}
-    _write_results(scenario, out, doc, profile, dump_curves, emit_plot_data)
+    doc = {"total_cost": J, "converged": report.converged, "gap": report.gap,
+           "stop_reason": report.stop_reason, "solver": cfg}
+    _write_results(out, doc, profile, report.loading, dump_curves, emit_plot_data)
     click.echo(f"total_cost {J:.12g}")
-    return 0 if converged else 1
+    return 0 if report.converged else 1
 
 
 @_command
@@ -392,10 +387,9 @@ def nash(scenario, out, dump_curves, emit_plot_data):
         scenario.network, bins=cfg["bins"], tol=cfg["tol"],
         max_iter=cfg["max_iter"], damping=cfg["damping"], dt=cfg["dt"],
     )
-    loading = network_load(scenario.network, profile, dt=cfg["dt"])
-    J = total_cost(scenario.network, profile, loading=loading)
+    J = total_cost(scenario.network, profile, loading=report.loading)
     doc = {"equilibrium": report.as_dict(), "total_cost": J, "solver": cfg}
-    _write_results(scenario, out, doc, profile, dump_curves, emit_plot_data, loading)
+    _write_results(out, doc, profile, report.loading, dump_curves, emit_plot_data)
     click.echo(f"gap {report.gap:.12g} total_cost {J:.12g}")
     return 0 if report.converged else 1
 

@@ -100,6 +100,7 @@ class EquilibriumReport:
     support_window: tuple | None = None      # [-T0, T0] padded by one bin
     support_ok: bool | None = None
     rates_ok: bool | None = None
+    loading: LoadingResult | None = None     # the profile's, after a solve
 
     def as_dict(self):
         return {
@@ -223,10 +224,10 @@ def solve_nash(network: Network, *, bins=64, tol=1e-3, max_iter=5000,
     ``gap_history`` count them all.
 
     Returns the final grid's loaded predictor with the least gap and its
-    diagnostics; ``converged`` is False if that gap is above ``tol``, and
-    ``stop_reason`` says whether the last load met ``tol`` or used up
-    ``max_iter``.  With max_iter = 0 that is the uniform start on ``bins``
-    bins, loaded once, and ``iterations`` is 0.
+    diagnostics, which hold its ``loading``; ``converged`` is False if that
+    gap is above ``tol``, and ``stop_reason`` says whether the last load met
+    ``tol`` or used up ``max_iter``.  With max_iter = 0 that is the uniform
+    start on ``bins`` bins, loaded once, and ``iterations`` is 0.
     """
     if bins < 2:
         raise ConfigurationError("solve_nash needs at least 2 bins")
@@ -284,6 +285,7 @@ def _descend(network, profile, *, cap, tol, loads, step, dt, history):
         loading = network_load(network, predictor, dt=dt, rate_cap=rc)
         costs = cost_profile(network, loading)
         report = _gap_from_costs(network, predictor, costs)
+        report.loading = loading
         history.append(report.gap)
         if best_report is None or report.gap < best_report.gap:
             best_profile, best_report = predictor, report
@@ -303,17 +305,18 @@ def _descend(network, profile, *, cap, tol, loads, step, dt, history):
 
 
 def _project_box_simplex(v, total, cap=np.inf):
-    """Euclidean projection of v onto {0 <= x <= cap, sum x = total}.
+    """Euclidean projection of v onto {0 <= x <= cap, sum x = total}, with
+    ``cap`` one bound for every cell or one per cell.
 
     Exact: s(theta) = sum clip(v - theta, 0, cap) is piecewise linear and
     nonincreasing with kinks at v - cap and v, so walk the sorted kinks to
     the segment where s crosses ``total`` and solve for theta on it
     (Condat, Math. Prog. 2016).  No feasible x exceeds ``total``, so an
-    infinite cap acts as cap = total.  Needs total <= cap * len(v).
+    infinite cap acts as cap = total.  Needs total <= sum of the caps.
     """
     if total <= 0:
         return np.zeros_like(v)
-    cap = min(cap, total)
+    cap = np.minimum(cap, total)
     kinks = np.concatenate((v, v - cap))
     order = np.argsort(kinks)[::-1]
     k = kinks[order]
@@ -327,13 +330,15 @@ def _project_box_simplex(v, total, cap=np.inf):
 
 def _project_groups(network, mass, cap=np.inf):
     """Project each group's viable cells of a (groups, paths, bins) mass
-    array onto {0 <= m <= cap, sum m = G_k}, path after path; the cells of
-    paths a group cannot take are zero."""
+    array onto {0 <= m <= cap, sum m = G_k}, path after path, ``cap`` a
+    number or an array shaped like ``mass``; the cells of paths a group
+    cannot take are zero."""
     out = np.zeros_like(mass)
     for k, g in enumerate(network.groups):
-        cells = mass[k, network.viable[k]]
-        new = _project_box_simplex(cells.ravel(), g.size, cap)
-        out[k, network.viable[k]] = new.reshape(cells.shape)
+        ok = network.viable[k]
+        cells = mass[k, ok]
+        c = cap[k, ok].ravel() if np.ndim(cap) else cap
+        out[k, ok] = _project_box_simplex(cells.ravel(), g.size, c).reshape(cells.shape)
     return out
 
 
@@ -378,24 +383,117 @@ def _attach_diagnostics(network, profile, report, bounds):
 
 
 # ---------------------------------------------------------------------
-# Global-optimum solver: projected finite-difference descent
+# Global-optimum solver: conditional gradient over the capped mass box
 # ---------------------------------------------------------------------
+
+
+@dataclass
+class OptimumReport:
+    """How the start whose profile solve_global returns stopped."""
+
+    iterations: int            # Frank-Wolfe gaps measured
+    gap: float | None          # the last one; on max_iter, before the last step
+    stop_reason: str           # "gap", "no_decrease" or "max_iter"
+    loading: LoadingResult     # of the returned profile
+
+    @property
+    def converged(self):
+        return self.stop_reason == "gap"
+
+
+def _mass_caps(network, bins, width):
+    """Each cell's mass cap F_1 * width, F_1 the capacity of the first arc on
+    the cell's path; a group whose cells cannot hold its size keeps cap G_k."""
+    caps = np.zeros((len(network.groups), len(network.paths), bins))
+    for k, p in network.cells:
+        caps[k, p] = network.paths[p].arcs[0].flux.f_max * width
+    for k, g in enumerate(network.groups):
+        if caps[k].sum() < g.size:
+            caps[k, network.viable[k]] = g.size
+    return caps
+
+
+def _fill(m, cap, lo, hi, total):
+    """Fill ``total`` into cells cheapest unit first, where cell i offers m_i
+    units at ``lo[i]`` and cap_i - m_i more at ``hi[i]`` >= ``lo[i]``.
+    Returns the units taken from the two offers."""
+    price = np.concatenate((lo, hi))
+    room = np.concatenate((m, np.maximum(cap - m, 0.0)))
+    order = np.argsort(price, kind="stable")      # a cell's lower offer first
+    before = np.cumsum(room[order]) - room[order]
+    take = np.empty_like(room)
+    take[order] = np.clip(total - before, 0.0, room[order])
+    return take[:m.size], take[m.size:]
+
+
+def _vertex(network, mass, caps, J, cost):
+    """The Frank-Wolfe vertex s at ``mass`` and the gap <g, mass - s>.
+
+    ``cost(mass)`` is J at a mass.  g holds one-sided differences with
+    h = 1e-7 * G_k: forward at the cells a fill may raise, backward at the
+    live cells it lowers, including the capped ones, where a forward probe
+    would measure the queue that the cap excludes.  Each group's s fills
+    its cheapest cells up to their caps: a cell keeps its mass at the
+    backward price and takes more at the forward one.
+    """
+    s = np.zeros_like(mass)
+    gap = 0.0
+    for k, g in enumerate(network.groups):
+        if g.size <= 0:
+            continue
+        h = 1e-7 * g.size
+        paths = np.flatnonzero(network.viable[k])
+        m, cap = mass[k, paths].ravel(), caps[k, paths].ravel()
+
+        def slope(j, dm):
+            cell = (k, paths[j // mass.shape[2]], j % mass.shape[2])
+            saved = mass[cell]
+            mass[cell] = saved + dm
+            J_t = cost(mass)
+            mass[cell] = saved
+            return (J_t - J) / dm
+
+        up = (m + h <= cap) | (m <= 0)
+        hi = np.full(m.size, np.nan)
+        lo = np.full(m.size, np.nan)
+        for j in np.flatnonzero(up):
+            hi[j] = slope(j, h)
+        lowered = ~up
+        while True:
+            for j in np.flatnonzero(lowered):
+                lo[j] = slope(j, -min(h, m[j]))
+            price_lo = np.where(np.isnan(lo), hi, lo)
+            price_hi = np.fmax(hi, price_lo)
+            keep, add = _fill(m, cap, price_lo, price_hi, g.size)
+            lowered = (keep < m) & np.isnan(lo)
+            if not np.any(lowered):
+                break
+        s[k, paths] = (keep + add).reshape(paths.size, -1)
+        gap += float(price_lo @ (m - keep) - price_hi @ add)
+    return s, max(gap, 0.0)     # s = mass is feasible, so only rounding is below 0
 
 
 def solve_global(network: Network, *, bins=16, tol=1e-6, max_iter=100,
                  restarts=2, dt=1e-3, seed=0, init: DepartureProfile | None = None):
     """Minimize aggregate cost over admissible departure patterns.
 
-    Projected gradient descent with central finite differences on the
-    per-group mass simplices, multi-started from random points (plus
-    ``init`` if given, e.g. to warm-start from an equilibrium profile).
-    Always returns the best profile found and its cost.
+    Conditional gradient (Frank and Wolfe, Naval Res. Logist. Q. 3, 1956) on
+    each group's mass simplex, boxed by the per-cell caps of _mass_caps:
+    with phi decreasing, an optimum never queues where its drivers enter,
+    so the box holds it.  The starts are random points (plus ``init`` if
+    given, e.g. an equilibrium profile), or the uniform rate if there are
+    none, each projected into the box.  Each iteration takes the vertex s
+    and gap of _vertex and stops once the gap is at most ``tol``; the gap
+    is a stationarity measure where J is not convex (Lacoste-Julien, arXiv
+    1607.00345).  Otherwise it steps to m + gamma (s - m), gamma from the
+    quadratic through J, the slope -gap and J(s), and takes the lower of
+    J(s) and J there; while neither is below J, gamma is halved, at most 20
+    times.  ``max_iter`` bounds the gaps measured per start.
 
-    The iterate's loading is lent to every probe and line-search trial as
-    ``reuse``, so each recomputes only the arc exits its change reaches.  A
-    trial that the projection maps back onto the iterate, as every trial
-    does once lr is small enough, takes J without a load, so the iterate is
-    never loaded twice.
+    The iterate's loading is lent to every probe and trial as ``reuse``.
+
+    Returns the best profile found, its cost and an OptimumReport on its
+    start.
     """
     if bins < 2:
         raise ConfigurationError("solve_global needs at least 2 bins")
@@ -403,6 +501,7 @@ def solve_global(network: Network, *, bins=16, tol=1e-6, max_iter=100,
     start, width = _make_grid(bounds, bins)
     rng = np.random.default_rng(seed)
     viable = np.repeat(network.viable[..., None], bins, axis=2)
+    caps = _mass_caps(network, bins, width)
 
     def objective(mass, base=None):
         """J at ``mass`` and its loading, reusing the exits of ``base``."""
@@ -426,43 +525,34 @@ def solve_global(network: Network, *, bins=16, tol=1e-6, max_iter=100,
         starts.append(np.where(viable, sizes / viable.sum(axis=(1, 2), keepdims=True)
                                / width * width, 0.0))
 
-    cells = [(k, p, i) for k, p in network.cells for i in range(bins)]
-    best_mass, best_J = None, np.inf
+    best_mass, best_J, best_report = None, np.inf, None
     for mass in starts:
+        mass = _project_groups(network, mass, caps)
         J, base = objective(mass)
-        for _ in range(max_iter):
-            grad = np.zeros_like(mass)
-            for k, p, i in cells:
-                h = 1e-4 * max(network.groups[k].size, 1e-6)
-                saved = mass[k, p, i]
-                mass[k, p, i] = saved + h
-                J_hi = objective(mass, base)[0]
-                mass[k, p, i] = max(saved - h, 0.0)
-                # at an empty cell the lower probe is the iterate itself
-                J_lo = J if mass[k, p, i] == saved else objective(mass, base)[0]
-                mass[k, p, i] = saved
-                grad[k, p, i] = (J_hi - J_lo) / (h + min(saved, h))
-            # summed group by group: one sum over all cells would round differently
-            gnorm = np.sqrt(sum(float(np.sum(grad[k, ok] * grad[k, ok]))
-                                for k, ok in enumerate(network.viable)))
-            if gnorm <= 1e-14:
+        gap, reason, it = None, "max_iter", 0
+        for it in range(1, max_iter + 1):
+            s, gap = _vertex(network, mass, caps, J, lambda m: objective(m, base)[0])
+            if gap <= tol:
+                reason = "gap"
                 break
-            lr = max(network.total_demand, 1e-3) / gnorm
-            improved = False
-            while lr > 1e-12:
-                trial = _project_groups(network, mass - lr * grad)
-                # a trial projected back onto the iterate costs J, as known
-                if trial.tobytes() == mass.tobytes():
-                    J_t, loading = J, base
-                else:
-                    J_t, loading = objective(trial, base)
-                if J_t < J - 1e-15:
-                    improved = J - J_t > tol
-                    mass, J, base = trial, J_t, loading
-                    break
-                lr *= 0.5
-            if not improved:
+            J_s, loading_s = objective(s, base)
+            curve = J_s - J + gap           # J(s) less its linear model
+            trial = (J_s, s, loading_s)
+            if curve > gap / 2:
+                gamma = gap / (2 * curve)
+                for _ in range(21):         # gamma, then at most 20 halvings
+                    m_t = (1 - gamma) * mass + gamma * s
+                    J_t, loading_t = objective(m_t, base)
+                    if J_t < trial[0]:
+                        trial = (J_t, m_t, loading_t)
+                    if trial[0] < J:
+                        break
+                    gamma /= 2
+            if not trial[0] < J:
+                reason = "no_decrease"
                 break
+            J, mass, base = trial
         if J < best_J:
             best_mass, best_J = mass, J
-    return DepartureProfile(start, width, best_mass / width), best_J
+            best_report = OptimumReport(it, gap, reason, base)
+    return DepartureProfile(start, width, best_mass / width), best_J, best_report

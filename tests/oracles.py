@@ -5,8 +5,8 @@ grid search, stepped simulation) rather than reusing the package's
 machinery, so that agreement is evidence and not tautology.  The
 exceptions are the regression oracles at the end, ``reference_inverse``,
 ``reference_simplify``, ``reference_csv_rows``, ``reference_envelope``,
-``window_network_load``, ``reference_solve_global`` and the closed forms
-that the flux and cost tables replaced.
+``window_network_load`` and the closed forms that the flux and cost tables
+replaced.
 """
 from __future__ import annotations
 
@@ -16,11 +16,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from kinwave import (AdmissibilityError, ConfigurationError, CumulativeCurve,
-                     DepartureProfile, DomainError, ExitComputation, LoadingError,
-                     LoadingResult, compute_bounds, lax_hopf_exit, max_travel_time,
-                     total_cost)
-from kinwave.solvers import _make_grid, _project_groups
+from kinwave import (AdmissibilityError, CumulativeCurve, DomainError, ExitComputation,
+                     LoadingError, LoadingResult, lax_hopf_exit, max_travel_time)
 
 _MASS_TOL = 1e-9
 
@@ -739,77 +736,22 @@ def bottleneck_equilibrium(size, capacity, free_flow_time, arrival_cost):
                                  p["early_rate"], p["late_rate"], p["smoothing"])
 
 
-# ---------------------------------------------------------------------
-# Regression oracle: the global solver without reuse
-# ---------------------------------------------------------------------
+def greedy_fill_cost(size, capacity, free_flow_time, departure_cost, arrival_cost, edges):
+    """The least aggregate cost of departing ``size`` through one triangular
+    arc on the bins between ``edges``, no bin's rate above ``capacity``.
 
-
-def reference_solve_global(network, *, bins=16, tol=1e-6, max_iter=100,
-                           restarts=2, dt=1e-3, seed=0, init=None):
-    """``solve_global`` as it was before it kept the iterate's loading: every
-    probe and every line-search trial is a fresh ``total_cost``, the
-    iterate's own bytes included.  The loop is kept verbatim, so the solver
-    must match it bit for bit."""
-    if bins < 2:
-        raise ConfigurationError("solve_global needs at least 2 bins")
-    bounds = compute_bounds(network)
-    start, width = _make_grid(bounds, bins)
-    rng = np.random.default_rng(seed)
-    viable = np.repeat(network.viable[..., None], bins, axis=2)
-
-    def objective(mass):
-        profile = DepartureProfile(start, width, mass / width)
-        return total_cost(network, profile, dt=dt, check_mass=False)
-
-    starts = []
-    if init is not None:
-        if abs(init.start - start) > 1e-12 or abs(init.bin_width - width) > 1e-12 or \
-                init.n_bins != bins:
-            raise ConfigurationError("init profile must share the solver's bin grid")
-        starts.append(np.where(viable, init.rates * init.bin_width, 0.0))
-    for _ in range(restarts):
-        mass = np.zeros(viable.shape)
-        for k, g in enumerate(network.groups):
-            mass[k, viable[k]] = rng.dirichlet(np.ones(viable[k].sum())) * g.size
-        starts.append(mass)
-    if not starts:      # the uniform rate, times the bin width
-        sizes = np.array([g.size for g in network.groups])[:, None, None]
-        starts.append(np.where(viable, sizes / viable.sum(axis=(1, 2), keepdims=True)
-                               / width * width, 0.0))
-
-    cells = [(k, p, i) for k, p in network.cells for i in range(bins)]
-    best_mass, best_J = None, np.inf
-    for mass in starts:
-        J = objective(mass)
-        for _ in range(max_iter):
-            grad = np.zeros_like(mass)
-            for k, p, i in cells:
-                h = 1e-4 * max(network.groups[k].size, 1e-6)
-                saved = mass[k, p, i]
-                mass[k, p, i] = saved + h
-                J_hi = objective(mass)
-                mass[k, p, i] = max(saved - h, 0.0)
-                # at an empty cell the lower probe is the iterate itself
-                J_lo = J if mass[k, p, i] == saved else objective(mass)
-                mass[k, p, i] = saved
-                grad[k, p, i] = (J_hi - J_lo) / (h + min(saved, h))
-            # summed group by group: one sum over all cells would round differently
-            gnorm = np.sqrt(sum(float(np.sum(grad[k, ok] * grad[k, ok]))
-                                for k, ok in enumerate(network.viable)))
-            if gnorm <= 1e-14:
-                break
-            lr = max(network.total_demand, 1e-3) / gnorm
-            improved = False
-            while lr > 1e-12:
-                trial = _project_groups(network, mass - lr * grad)
-                J_t = objective(trial)
-                if J_t < J - 1e-15:
-                    improved = J - J_t > tol
-                    mass, J = trial, J_t
-                    break
-                lr *= 0.5
-            if not improved:
-                break
-        if J < best_J:
-            best_mass, best_J = mass, J
-    return DepartureProfile(start, width, best_mass / width), best_J
+    Below capacity nothing queues, so a driver leaving at t pays
+    phi(t) + psi(t + free_flow_time) and the cost is linear in the bin
+    masses: filling the cheapest bins to capacity, the last one partly, is
+    optimal.  The bin costs are ``cost_mean_by_quad`` means.
+    """
+    edges = np.asarray(edges, dtype=float)
+    means = np.array([cost_mean_by_quad(departure_cost, a, b)
+                      + cost_mean_by_quad(arrival_cost, a + free_flow_time, b + free_flow_time)
+                      for a, b in zip(edges[:-1], edges[1:])])
+    masses = np.zeros(means.size)
+    left = size
+    for i in np.argsort(means, kind="stable"):
+        masses[i] = min(capacity * (edges[i + 1] - edges[i]), left)
+        left -= masses[i]
+    return float(masses @ means)

@@ -298,7 +298,7 @@ def test_criterion_7_global_optimum(capsys):
         [ArcDescriptor("a", "b", 1.0, FluxDescriptor.triangular(1.0, 1.0, 1.0))],
         [GroupDescriptor(0.2, "a", "b", phi, psi)],
     )
-    prof, J = solve_global(net, bins=2, max_iter=60, restarts=2, seed=1)
+    prof, J, _ = solve_global(net, bins=2, max_iter=60, restarts=2, seed=1)
     best = np.inf
     for x in np.linspace(0.0, 0.2, 201):
         rates = np.array([[[x, 0.2 - x]]]) / prof.bin_width
@@ -311,8 +311,8 @@ def test_criterion_7_global_optimum(capsys):
     doms = []
     for name, (net_i, nash_prof, _) in _nash_instances().items():
         J_nash = total_cost(net_i, nash_prof)
-        _, J_opt = solve_global(net_i, bins=nash_prof.n_bins, max_iter=2,
-                                restarts=0, init=nash_prof)
+        _, J_opt, _ = solve_global(net_i, bins=nash_prof.n_bins, max_iter=2,
+                                   restarts=0, init=nash_prof)
         doms.append(J_opt - J_nash)
         ok = ok and J_opt <= J_nash + 1e-3
     _announce(capsys, 7, ok,

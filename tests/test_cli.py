@@ -211,19 +211,47 @@ class TestCommands:
         res = self.run("opt", "--scenario", path, "--out", str(tmp_path / "o"))
         assert res.exit_code == 1
         assert (tmp_path / "o" / "profile.json").exists()
-        assert (tmp_path / "o" / "report.json").exists()
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["stop_reason"] == "max_iter" and report["gap"] is None
+        assert report["converged"] is False
+
+    def test_opt_out_of_iterations_exits_1_with_its_best(self, tmp_path):
+        # one gap measured, above tol, and one step: the step's profile is
+        # written, unchecked, and opt does not claim convergence
+        doc = minimal_doc(solver={"bins": 4, "max_iter": 1, "restarts": 1, "tol": 1e-9})
+        path = write_scenario(tmp_path / "s.json", doc)
+        res = self.run("opt", "--scenario", path, "--out", str(tmp_path / "o"))
+        assert res.exit_code == 1
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["stop_reason"] == "max_iter" and report["converged"] is False
+        assert report["gap"] > 1e-9
+        doc["profile"] = json.loads((tmp_path / "o" / "profile.json").read_text())
+        res = self.run("load", "--scenario", write_scenario(tmp_path / "l.json", doc),
+                       "--out", str(tmp_path / "load"))
+        assert res.exit_code == 0
+        assert json.loads((tmp_path / "load" / "report.json").read_text())["total_cost"] \
+            == report["total_cost"]
+        doc["solver"]["max_iter"] = 0
+        res = self.run("opt", "--scenario", write_scenario(tmp_path / "s0.json", doc),
+                       "--out", str(tmp_path / "o0"))
+        start = json.loads((tmp_path / "o0" / "report.json").read_text())["total_cost"]
+        assert report["total_cost"] < start
 
     def test_opt_curves_match_load_of_its_profile(self, tmp_path):
-        # opt loads its best profile once more for the curve files; they and
-        # its total_cost must be load's on the profile.json it writes
+        # opt writes its curve files from the loading of its best profile;
+        # they and its total_cost must be load's on the profile.json it
+        # writes.  Path o->a->m->d is shorter, but o->a lets a bin take only
+        # 0.5 G, so the optimum sends the rest on o->b->m->d
         tri = minimal_doc()["arcs"][0]["flux"]
+        low = dict(tri, rho_jam=0.05)
         doc = minimal_doc(
             nodes=["o", "a", "b", "m", "d"],
-            arcs=[{"from": a, "to": b, "length": L, "flux": tri}
-                  for a, b, L in (("o", "a", 0.5), ("a", "m", 0.6), ("o", "b", 0.4),
-                                  ("b", "m", 0.7), ("m", "d", 0.5))],
-            solver={"bins": 3, "max_iter": 3, "restarts": 1, "seed": 1})
-        doc["groups"][0].update(origin="o", destination="d")
+            arcs=[{"from": a, "to": b, "length": L, "flux": flux}
+                  for a, b, L, flux in (("o", "a", 0.3, low), ("a", "m", 0.3, tri),
+                                        ("o", "b", 0.4, tri), ("b", "m", 0.7, tri),
+                                        ("m", "d", 0.5, tri))],
+            solver={"bins": 32, "max_iter": 20, "restarts": 1, "seed": 1})
+        doc["groups"][0].update(size=0.4, origin="o", destination="d")
         flags = ["--dump-curves", "--emit-plot-data"]
         res = self.run("opt", "--scenario", write_scenario(tmp_path / "s.json", doc),
                        "--out", str(tmp_path / "opt"), *flags)
