@@ -177,7 +177,7 @@ def parse_scenario(path) -> Scenario:
         solver[key] = _solver_value(key, v, f"solver.{key}")
 
     with _at("scenario"):
-        network = Network(nodes, arcs, groups)
+        network = Network(nodes, arcs, groups, dt=solver["dt"])
 
     profile = None
     if "profile" in doc:
@@ -348,7 +348,7 @@ def load(scenario, out, dump_curves, emit_plot_data):
     """Run network loading on the scenario's embedded departure profile."""
     if scenario.profile is None:
         raise ScenarioError("scenario: load requires a 'profile' section")
-    loading = network_load(scenario.network, scenario.profile, dt=scenario.solver["dt"])
+    loading = network_load(scenario.network, scenario.profile)
     J = total_cost(scenario.network, scenario.profile, loading=loading)
     doc = {
         "total_cost": J,
@@ -369,8 +369,7 @@ def opt(scenario, out, dump_curves, emit_plot_data):
     cfg = scenario.solver
     profile, J, report = solve_global(
         scenario.network, bins=cfg["bins"], tol=cfg["tol"],
-        max_iter=cfg["max_iter"], restarts=cfg["restarts"], dt=cfg["dt"],
-        seed=cfg["seed"],
+        max_iter=cfg["max_iter"], restarts=cfg["restarts"], seed=cfg["seed"],
     )
     doc = {"total_cost": J, "converged": report.converged, "gap": report.gap,
            "stop_reason": report.stop_reason, "solver": cfg}
@@ -385,7 +384,7 @@ def nash(scenario, out, dump_curves, emit_plot_data):
     cfg = scenario.solver
     profile, report = solve_nash(
         scenario.network, bins=cfg["bins"], tol=cfg["tol"],
-        max_iter=cfg["max_iter"], damping=cfg["damping"], dt=cfg["dt"],
+        max_iter=cfg["max_iter"], damping=cfg["damping"],
     )
     J = total_cost(scenario.network, profile, loading=report.loading)
     doc = {"equilibrium": report.as_dict(), "total_cost": J, "solver": cfg}

@@ -51,8 +51,7 @@ class DepartureProfile:
     def group_masses(self):
         return self.rates.sum(axis=(1, 2)) * self.bin_width
 
-    def validate(self, network: Network, rate_cap=None, tol=_MASS_TOL,
-                 check_mass=True):
+    def validate(self, network: Network, rate_cap=None, check_mass=True):
         """Check shape, finiteness, nonnegativity, caps, path viability, and
         mass balance."""
         K, P = len(network.groups), len(network.paths)
@@ -62,19 +61,19 @@ class DepartureProfile:
             )
         if not np.all(np.isfinite(self.rates)):
             raise AdmissibilityError("departure rates must be finite")
-        if np.any(self.rates < -tol):
+        if np.any(self.rates < -_MASS_TOL):
             raise AdmissibilityError("departure rates must be nonnegative")
-        if rate_cap is not None and np.any(self.rates > rate_cap + tol):
+        if rate_cap is not None and np.any(self.rates > rate_cap + _MASS_TOL):
             raise AdmissibilityError(f"departure rate exceeds the cap {rate_cap}")
         for k, viable in enumerate(network.viable):
             for p, ok in enumerate(viable):
-                if not ok and np.any(np.abs(self.rates[k, p]) > tol):
+                if not ok and np.any(np.abs(self.rates[k, p]) > _MASS_TOL):
                     raise AdmissibilityError(
                         f"group {k} assigns flow to non-connecting path {p}"
                     )
             mass = self.rates[k].sum() * self.bin_width
             G_k = network.groups[k].size
-            if check_mass and abs(mass - G_k) > tol * max(1.0, G_k):
+            if check_mass and abs(mass - G_k) > _MASS_TOL * max(1.0, G_k):
                 raise AdmissibilityError(
                     f"group {k} departs mass {mass:.12g}, expected {G_k:.12g}"
                 )
@@ -93,13 +92,11 @@ class LoadingResult:
     are the cumulative counts leaving the origin and delivered at the
     destination, for every cell of the network.  ``end_time`` is the last
     time an arc exit drains and ``windows`` the number of loading sweeps, 1
-    on an acyclic feeder graph.  ``dt`` is the grid step the smooth-flux
-    exits were computed with.
+    on an acyclic feeder graph.
     """
 
     network: Network
     profile: DepartureProfile
-    dt: float
     arc_flows: dict = field(default_factory=dict)      # key -> ExitComputation
     comp_entry: dict = field(default_factory=dict)     # (k, p, key) -> curve
     comp_exit: dict = field(default_factory=dict)
@@ -169,7 +166,7 @@ def _feeder_order(arcs, paths):
     return order
 
 
-def network_load(network: Network, profile: DepartureProfile, *, dt=1e-3,
+def network_load(network: Network, profile: DepartureProfile, *,
                  rate_cap=None, check_mass=True,
                  reuse: LoadingResult | None = None) -> LoadingResult:
     """Propagate a departure profile through the network.
@@ -181,19 +178,20 @@ def network_load(network: Network, profile: DepartureProfile, *, dt=1e-3,
     live departure time for a hop not yet reached.  Sweeps stop once every
     group's mass has reached its destination, after one sweep on an acyclic
     feeder graph; at most as many run as windows of the shortest mu would.
+    Smooth-flux exits are sampled every ``network.dt``.
     ``check_mass=False`` skips the per-group mass-balance check (used for
     finite-difference cost probes, which perturb one bin at a time).
 
-    ``reuse``, a loading of the same network at the same ``dt`` (else
-    ConfigurationError), lends its arc exits: an arc whose entry has the
-    same bytes as in ``reuse`` takes that exit as it is, since an exit
-    depends on its entry alone.
+    ``reuse``, a loading of the same network (else ConfigurationError),
+    lends its arc exits: an arc whose entry has the same bytes as in
+    ``reuse`` takes that exit as it is, since an exit depends on its entry
+    and the network's ``dt`` alone.
     """
-    if reuse is not None and (reuse.network is not network or reuse.dt != dt):
-        raise ConfigurationError("reuse must be a loading of the same network at the same dt")
+    if reuse is not None and reuse.network is not network:
+        raise ConfigurationError("reuse must be a loading of the same network")
     profile.validate(network, rate_cap=rate_cap, check_mass=check_mass)
 
-    result = LoadingResult(network, profile, dt)
+    result = LoadingResult(network, profile)
     G = network.total_demand
     masses = profile.group_masses()
 
@@ -251,7 +249,7 @@ def network_load(network: Network, profile: DepartureProfile, *, dt=1e-3,
                     and old.entry.v.tobytes() == entry.v.tobytes():
                 exit_curve = old.exit
             else:
-                exit_curve = lax_hopf_exit(entry, arc, dt=dt)
+                exit_curve = lax_hopf_exit(entry, arc, dt=network.dt)
             result.arc_flows[arc.key] = ExitComputation(entry, exit_curve, arc)
             comp_exit.update(_split_exit(exit_curve, entry, comps, exact_until[arc.key]))
             result.comp_entry.update({(k, p, arc.key): c for (k, p, _), c in comps.items()})

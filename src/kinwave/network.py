@@ -208,9 +208,16 @@ class SolverBounds:
 
 
 class Network:
-    """Immutable road network with driver groups and enumerated paths."""
+    """Immutable road network with driver groups and enumerated paths.
 
-    def __init__(self, nodes, arcs, groups):
+    ``dt`` is the grid step of every smooth-flux (Greenshields) arc exit a
+    loading of this network computes; exact exits do not read it.
+    """
+
+    def __init__(self, nodes, arcs, groups, dt=1e-3):
+        if not 0 < dt < np.inf:
+            raise ConfigurationError(f"dt must be positive and finite, got {dt!r}")
+        self.dt = dt
         self.nodes = list(nodes)
         if len(set(self.nodes)) != len(self.nodes):
             raise ConfigurationError("duplicate node ids")
@@ -274,19 +281,16 @@ def enumerate_paths(network) -> list:
     paths = []
     for origin, dest in od_pairs:
         stack = [(origin, (origin,), ())]
-        found = []
         while stack:
             node, visited, arcs = stack.pop()
             if node == dest:
-                found.append(Path(visited, arcs))
+                paths.append(Path(visited, arcs))
                 continue
             # push in reverse so lexicographically smaller successors pop first
             for arc in reversed(out_arcs.get(node, [])):
                 if arc.to_node in visited:
                     continue
                 stack.append((arc.to_node, visited + (arc.to_node,), arcs + (arc,)))
-        found.sort(key=lambda p: p.nodes)
-        paths.extend(found)
     paths.sort(key=lambda p: p.nodes)
     return paths
 

@@ -38,11 +38,10 @@ def _integrate_against(curve: CumulativeCurve, cost) -> float:
 
 
 def total_cost(network: Network, profile: DepartureProfile, *,
-               loading: LoadingResult | None = None, dt=1e-3,
-               check_mass=True) -> float:
+               loading: LoadingResult | None = None) -> float:
     """Aggregate cost J = sum over drivers of phi(departure) + psi(arrival)."""
     if loading is None:
-        loading = network_load(network, profile, dt=dt, check_mass=check_mass)
+        loading = network_load(network, profile)
     J = 0.0
     for k, p in network.cells:
         dep = loading.departures[(k, p)]
@@ -198,7 +197,7 @@ def _grid_sequence(bins):
 
 
 def solve_nash(network: Network, *, bins=64, tol=1e-3, max_iter=5000,
-               damping=0.2, dt=1e-3):
+               damping=0.2):
     """Seek a Nash equilibrium by damped mass transfer toward cheap cells.
 
     Each iteration loads the network once, at the predictor y, and shifts
@@ -254,7 +253,7 @@ def solve_nash(network: Network, *, bins=64, tol=1e-3, max_iter=5000,
             loads = min(_COARSE_LOADS, loads)
         profile, report, step, last_gap = _descend(
             network, DepartureProfile(start, width, rates), cap=cap,
-            tol=tol * bins / b, loads=loads, step=step, dt=dt, history=history)
+            tol=tol * bins / b, loads=loads, step=step, history=history)
 
     report.iterations = min(len(history), max_iter)
     report.converged = report.gap <= tol
@@ -265,7 +264,7 @@ def solve_nash(network: Network, *, bins=64, tol=1e-3, max_iter=5000,
     return profile, report
 
 
-def _descend(network, profile, *, cap, tol, loads, step, dt, history):
+def _descend(network, profile, *, cap, tol, loads, step, history):
     """Popov's past extragradient with the Malitsky-Tam step, on the grid of
     ``profile`` and from it, until a load's gap is at most ``tol`` or after
     ``loads`` loads (at least one); appends each load's gap to ``history``.
@@ -282,7 +281,7 @@ def _descend(network, profile, *, cap, tol, loads, step, dt, history):
     per_rate = (profile.bin_width / sizes[cells.nonzero()[0]])[:, None]
     y_prev = F_prev = None
     for it in range(1, max(loads, 1) + 1):
-        loading = network_load(network, predictor, dt=dt, rate_cap=rc)
+        loading = network_load(network, predictor, rate_cap=rc)
         costs = cost_profile(network, loading)
         report = _gap_from_costs(network, predictor, costs)
         report.loading = loading
@@ -474,7 +473,7 @@ def _vertex(network, mass, caps, J, cost):
 
 
 def solve_global(network: Network, *, bins=16, tol=1e-6, max_iter=100,
-                 restarts=2, dt=1e-3, seed=0, init: DepartureProfile | None = None):
+                 restarts=2, seed=0, init: DepartureProfile | None = None):
     """Minimize aggregate cost over admissible departure patterns.
 
     Conditional gradient (Frank and Wolfe, Naval Res. Logist. Q. 3, 1956) on
@@ -506,7 +505,7 @@ def solve_global(network: Network, *, bins=16, tol=1e-6, max_iter=100,
     def objective(mass, base=None):
         """J at ``mass`` and its loading, reusing the exits of ``base``."""
         profile = DepartureProfile(start, width, mass / width)
-        loading = network_load(network, profile, dt=dt, check_mass=False, reuse=base)
+        loading = network_load(network, profile, check_mass=False, reuse=base)
         return total_cost(network, profile, loading=loading), loading
 
     starts = []
@@ -520,10 +519,9 @@ def solve_global(network: Network, *, bins=16, tol=1e-6, max_iter=100,
         for k, g in enumerate(network.groups):
             mass[k, viable[k]] = rng.dirichlet(np.ones(viable[k].sum())) * g.size
         starts.append(mass)
-    if not starts:      # the uniform rate, times the bin width
+    if not starts:      # the uniform mass
         sizes = np.array([g.size for g in network.groups])[:, None, None]
-        starts.append(np.where(viable, sizes / viable.sum(axis=(1, 2), keepdims=True)
-                               / width * width, 0.0))
+        starts.append(np.where(viable, sizes / viable.sum(axis=(1, 2), keepdims=True), 0.0))
 
     best_mass, best_J, best_report = None, np.inf, None
     for mass in starts:

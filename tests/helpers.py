@@ -25,12 +25,13 @@ def random_flux(rng, allow_greenshields=False):
 
 
 def random_scenario(rng, max_nodes=6, max_groups=3, allow_greenshields=False,
-                    n_bins=4, bin_width=0.5):
+                    n_bins=4, bin_width=0.5, dt=1e-3):
     """A connected random network plus an admissible departure profile.
 
     Node chain guarantees every group a path; extra forward arcs add
     alternatives.  Rates are drawn in [0, 2 * F_max]; group sizes are set
-    to the drawn mass so the profile is admissible by construction.
+    to the drawn mass so the profile is admissible by construction.  The
+    network is built at grid step ``dt``, which changes no draw.
     """
     n = int(rng.integers(2, max_nodes + 1))
     nodes = [f"n{i}" for i in range(n)]
@@ -66,7 +67,7 @@ def random_scenario(rng, max_nodes=6, max_groups=3, allow_greenshields=False,
             size, nodes[i], nodes[j],
             CostFunction.affine(0.0, -1.0), CostFunction.quadratic(0.0, 1.0, 0.2),
         ))
-    network = Network(nodes, arc_list, groups)
+    network = Network(nodes, arc_list, groups, dt=dt)
 
     K, P = len(groups), len(network.paths)
     full = np.zeros((K, P, n_bins))

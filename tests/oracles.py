@@ -493,7 +493,7 @@ def truncate(curve, T):
                            validate=False)
 
 
-def window_network_load(network, profile, *, dt=1e-3, rate_cap=None, check_mass=True):
+def window_network_load(network, profile, *, rate_cap=None, check_mass=True):
     """Propagate a departure profile through the network.
 
     Advances in windows of the shortest free-flow traversal time until
@@ -506,7 +506,7 @@ def window_network_load(network, profile, *, dt=1e-3, rate_cap=None, check_mass=
     if not np.all(np.isfinite(profile.rates)):
         raise AdmissibilityError("departure rates must be finite")
 
-    result = LoadingResult(network, profile, dt)
+    result = LoadingResult(network, profile)
     G = network.total_demand
     masses = profile.group_masses()
 
@@ -583,7 +583,7 @@ def window_network_load(network, profile, *, dt=1e-3, rate_cap=None, check_mass=
                     np.array_equal(cached[0].v, entry.v):
                 exit_curve = cached[1]
             else:
-                exit_curve = lax_hopf_exit(entry, arc, dt=dt)
+                exit_curve = lax_hopf_exit(entry, arc, dt=network.dt)
                 exit_cache[arc.key] = (entry, exit_curve)
             result.arc_flows[arc.key] = ExitComputation(entry, exit_curve, arc)
             new_exit.update(_window_split_exit(exit_curve, entry, comps, t_next))

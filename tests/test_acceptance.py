@@ -49,8 +49,8 @@ def test_criterion_1_conservation_causality(capsys):
         # coarse grid step: the invariants checked here are structural
         # (they hold at any resolution), and the fine default would blow
         # the wall-clock budget on the curved-flux scenarios
-        net, prof = random_scenario(rng, allow_greenshields=(i % 7 == 0))
-        loading = network_load(net, prof, dt=4e-3)
+        net, prof = random_scenario(rng, allow_greenshields=(i % 7 == 0), dt=4e-3)
+        loading = network_load(net, prof)
         _record_slopes(loading)
         G = max(net.total_demand, 1e-12)
         for key, comp in loading.arc_flows.items():
@@ -82,9 +82,10 @@ def test_criterion_2_kinematic_wave_oracle(capsys):
             [ArcDescriptor("a", "b", 1.0, FluxDescriptor.greenshields(1.0, 1.0))],
             [GroupDescriptor(10.0 * u, "a", "b", CostFunction.affine(0.0, -1.0),
                              CostFunction.affine(0.0, 1.0))],
+            dt=dt,
         )
         prof = DepartureProfile(0.0, 10.0, np.full((1, 1, 1), u))
-        loading = network_load(net, prof, dt=dt)
+        loading = network_load(net, prof)
         _record_slopes(loading)
         shift = greenshields_density(u) / u
         # departures past the startup fan ride the steady state exactly

@@ -18,7 +18,7 @@ TRI = FluxDescriptor.triangular(1.0, 1.0, 1.0)
 GS = FluxDescriptor.greenshields(1.0, 1.0)
 
 
-def make_network(arcs_spec, groups_spec):
+def make_network(arcs_spec, groups_spec, dt=1e-3):
     nodes = sorted({n for a in arcs_spec for n in (a[0], a[1])})
     arcs = [ArcDescriptor(a, b, L, flux) for a, b, L, flux in arcs_spec]
     groups = [
@@ -26,11 +26,11 @@ def make_network(arcs_spec, groups_spec):
                         CostFunction.quadratic(0.0, 1.0, 0.2))
         for size, o, d in groups_spec
     ]
-    return Network(nodes, arcs, groups)
+    return Network(nodes, arcs, groups, dt=dt)
 
 
-def single_arc(flux=TRI, size=0.16):
-    return make_network([("a", "b", 1.0, flux)], [(size, "a", "b")])
+def single_arc(flux=TRI, size=0.16, dt=1e-3):
+    return make_network([("a", "b", 1.0, flux)], [(size, "a", "b")], dt=dt)
 
 
 class TestProfileValidation:
@@ -107,7 +107,7 @@ class TestNetworkLoad:
         # kinematic-wave steady state with travel time L*g(u)/u = 1.25
         net = single_arc(flux=GS, size=0.16)
         prof = DepartureProfile(0.0, 1.0, np.full((1, 1, 1), 0.16))
-        res = network_load(net, prof, dt=1e-3)
+        res = network_load(net, prof)
         res.check_invariants()
         assert arrival_time_path(res, net.paths[0], 1.0) == pytest.approx(
             2.25, abs=2e-3
@@ -128,11 +128,11 @@ class TestNetworkLoad:
             return np.zeros(len(ts)), np.zeros(len(ts), dtype=int)
 
         monkeypatch.setattr(curves, "_monge_row_minima", zeros)
-        net = single_arc(flux=GS, size=0.16)
+        net = single_arc(flux=GS, size=0.16, dt=1e-2)
         prof = DepartureProfile(0.0, 1.0, np.full((1, 1, 1), 0.16))
         with pytest.raises(LoadingError, match=r"arc \('a', 'b'\): the exit carries 0 of "
                                                r"the entry's 0.16 vehicles"):
-            network_load(net, prof, dt=1e-2)
+            network_load(net, prof)
 
     def test_short_arrivals_name_the_path(self, monkeypatch):
         # arrivals that fall short of the departures after the last sweep
@@ -245,12 +245,12 @@ class TestSweepsMatchWindows:
         rng = np.random.default_rng(seed)
         net, prof = random_scenario(rng, allow_greenshields=True)
         # list the arcs out of path order, so the sweep has to find that order
-        net = Network(net.nodes, list(rng.permutation(net.arcs)), net.groups)
-        res = network_load(net, prof, dt=1e-2)
+        net = Network(net.nodes, list(rng.permutation(net.arcs)), net.groups, dt=1e-2)
+        res = network_load(net, prof)
         assert res.windows == 1     # the chain-based scenarios have acyclic feeders
         drains = [c.exit.inverse(c.exit.total) for c in res.arc_flows.values()]
         assert res.end_time == pytest.approx(max(drains), rel=1e-12)
-        assert_same_loading(res, window_network_load(net, prof, dt=1e-2))
+        assert_same_loading(res, window_network_load(net, prof))
 
     def test_cyclic_feeders(self):
         # a ring a->b->c->a whose groups each ride two arcs: every arc feeds
@@ -339,8 +339,10 @@ class TestReuse:
         twin = Network(self.NET.nodes, self.NET.arcs, self.NET.groups)
         with pytest.raises(ConfigurationError):
             network_load(twin, probe, check_mass=False, reuse=old)
+        # a network at another dt is another network
+        finer = Network(self.NET.nodes, self.NET.arcs, self.NET.groups, dt=2e-3)
         with pytest.raises(ConfigurationError):
-            network_load(self.NET, probe, dt=2e-3, check_mass=False, reuse=old)
+            network_load(finer, probe, check_mass=False, reuse=old)
 
     @pytest.mark.parametrize("side", ["v", "t"])
     def test_only_equal_bytes_are_reused(self, monkeypatch, side):
@@ -371,14 +373,14 @@ class TestReuse:
     @given(st.integers(0, 2**32 - 1))
     def test_random_probes(self, seed):
         rng = np.random.default_rng(seed)
-        net, prof = random_scenario(rng, allow_greenshields=True)
-        old = network_load(net, prof, dt=1e-2)
+        net, prof = random_scenario(rng, allow_greenshields=True, dt=1e-2)
+        old = network_load(net, prof)
         rates = prof.rates.copy()
         k, p = net.cells[int(rng.integers(len(net.cells)))]
         rates[k, p, int(rng.integers(prof.n_bins))] += rng.uniform(0.0, 0.1)
         probe = DepartureProfile(prof.start, prof.bin_width, rates)
-        res = network_load(net, probe, dt=1e-2, check_mass=False, reuse=old)
-        assert_same_bits(res, network_load(net, probe, dt=1e-2, check_mass=False))
+        res = network_load(net, probe, check_mass=False, reuse=old)
+        assert_same_bits(res, network_load(net, probe, check_mass=False))
 
 
 class TestLoneComponentSplit:

@@ -192,6 +192,13 @@ class TestNetworkConstruction:
         with pytest.raises(ConfigurationError):
             simple_group(size=size)
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, NAN, INF])
+    def test_rejects_a_grid_step_not_positive_and_finite(self, dt):
+        arcs = [ArcDescriptor("a", "b", 1.0, TRI)]
+        assert Network(["a", "b"], arcs, [simple_group()]).dt == 1e-3
+        with pytest.raises(ConfigurationError, match="dt must be positive and finite"):
+            Network(["a", "b"], arcs, [simple_group()], dt=dt)
+
 
 @pytest.mark.parametrize("field", ["t_max", "t0", "kappa", "horizon", "delta_min"])
 @pytest.mark.parametrize("bad", [NAN, INF])

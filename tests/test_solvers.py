@@ -21,12 +21,12 @@ from oracles import (bottleneck_equilibrium, greedy_fill_cost, riemann_cost,
 TRI = FluxDescriptor.triangular(1.0, 1.0, 1.0)
 
 
-def build(arcs_spec, groups_spec):
+def build(arcs_spec, groups_spec, dt=1e-3):
     nodes = sorted({n for a in arcs_spec for n in (a[0], a[1])})
     arcs = [ArcDescriptor(a, b, L, flux) for a, b, L, flux in arcs_spec]
     groups = [GroupDescriptor(size, o, d, phi, psi)
               for size, o, d, phi, psi in groups_spec]
-    return Network(nodes, arcs, groups)
+    return Network(nodes, arcs, groups, dt=dt)
 
 
 PHI = CostFunction.affine(0.0, -1.0)
@@ -572,7 +572,7 @@ def reference_instances():
     # two paths a->d and a->m->d, so a probe on a->d reuses a Greenshields exit
     gs_flux = FluxDescriptor.greenshields(1.0, 1.0)
     gs = build([("a", "d", 1.0, gs_flux), ("a", "m", 0.5, gs_flux), ("m", "d", 0.5, TRI)],
-               [(0.1, "a", "d", PHI, PSI_V)])
+               [(0.1, "a", "d", PHI, PSI_V)], dt=5e-3)
     grid, _, _ = solve_global(two_bin, bins=4, max_iter=0, restarts=1)
     init = DepartureProfile(grid.start, grid.bin_width,
                             np.array([[[0.0, 0.15, 0.05, 0.0]]]) / grid.bin_width)
@@ -581,7 +581,7 @@ def reference_instances():
         "merge": (merge, dict(bins=3, tol=1e-4, max_iter=200, restarts=1, seed=1)),
         "two_groups": (TestTwoGroups.NET, dict(bins=4, max_iter=2, restarts=1)),
         "empty_group": (TestEmptyGroup.NET, dict(bins=4, max_iter=2, restarts=1)),
-        "greenshields": (gs, dict(bins=3, max_iter=2, restarts=1, dt=5e-3)),
+        "greenshields": (gs, dict(bins=3, max_iter=2, restarts=1)),
         "warm_start": (two_bin, dict(bins=4, max_iter=60, restarts=1, init=init)),
     }
 
@@ -640,6 +640,29 @@ class TestEmptyGroup:
         prof, J, _ = solve_global(self.NET, bins=4, max_iter=2, restarts=1)
         self.check_masses(prof)
         assert J == total_cost(self.NET, prof)
+
+
+class TestGridStep:
+    """A one-arc Greenshields network built at dt 2e-2: the solvers, nash_gap
+    and total_cost all load it at that step, so they agree to the bit."""
+
+    NET = build([("a", "b", 1.0, FluxDescriptor.greenshields(1.0, 1.0))],
+                [(0.3, "a", "b", PHI, PSI_V)], dt=2e-2)
+
+    def test_nash(self):
+        prof, report = solve_nash(self.NET, bins=32, max_iter=30)
+        assert report.gap == nash_gap(self.NET, prof).gap
+        J = total_cost(self.NET, prof, loading=report.loading)
+        assert total_cost(self.NET, prof) == J
+        # the step is read: the default 1e-3 grid prices the profile otherwise
+        fine = build([("a", "b", 1.0, FluxDescriptor.greenshields(1.0, 1.0))],
+                     [(0.3, "a", "b", PHI, PSI_V)])
+        assert total_cost(fine, prof) != J
+
+    def test_global(self):
+        prof, J, report = solve_global(self.NET, bins=3, max_iter=2, restarts=1)
+        assert total_cost(self.NET, prof) == J
+        assert total_cost(self.NET, prof, loading=report.loading) == J
 
 
 class TestEmptyGroupBounds:

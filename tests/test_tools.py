@@ -1,6 +1,10 @@
-"""The output-comparison tool in ``tools/`` on small hand-made trees."""
+"""The output-comparison tool in ``tools/`` on small hand-made trees, and
+the benchmark's span tracer on kinwave."""
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -104,3 +108,55 @@ def test_every_traced_layer_resolves():
                 assert callable(getattr(mod, site[1], None)), (span, site)
             else:                   # a method, read from the class __dict__
                 assert site[2] in vars(getattr(mod, site[1])), (span, site)
+
+
+# installs perfbench's tracer, then runs each command of argv[1] through the
+# click entry point and prints the exit codes and the tracer's counters
+_TRACED_RUN = """
+import json, sys
+from spans import Tracer
+from kinwave.cli import main
+tracer = Tracer()
+tracer.install()
+tracer.active = True
+codes = []
+for cmd in json.loads(sys.argv[1]):
+    try:
+        main.main([cmd, "--scenario", "s.json", "--out", "out_" + cmd],
+                  prog_name="kinwave", standalone_mode=False)
+    except SystemExit as e:
+        codes.append(e.code)
+print(json.dumps({"codes": codes, "windows": tracer.windows,
+                  "exit_breakpoints": tracer.exit_breakpoints}))
+"""
+
+
+def test_traced_commands_run(tmp_path):
+    """``--trace 1`` in small: with every layer wrapped, ``load``, ``nash``
+    and ``opt`` on a one-arc Greenshields scenario still run, and the
+    tracer counts their loading sweeps and grid-exit breakpoints."""
+    root = Path(__file__).resolve().parent.parent
+    doc = {
+        "format": 1, "nodes": ["a", "b"],
+        "arcs": [{"from": "a", "to": "b", "length": 1.0,
+                  "flux": {"kind": "greenshields", "v_free": 1.0, "rho_jam": 1.0}}],
+        "groups": [{"size": 0.1, "origin": "a", "destination": "b",
+                    "departure_cost": {"kind": "affine", "a": 0.0, "b": -1.0},
+                    "arrival_cost": {"kind": "vickrey", "target": 1.0,
+                                     "early_rate": 0.2, "late_rate": 0.4,
+                                     "smoothing": 0.25}}],
+        "solver": {"dt": 0.02, "bins": 8, "tol": 0.01, "max_iter": 20, "restarts": 1},
+        "profile": {"start": 0.0, "bin_width": 0.5, "rates": [[[0.1, 0.1]]]},
+    }
+    (tmp_path / "s.json").write_text(json.dumps(doc), encoding="utf-8")
+    path = [str(root / "src"), str(root / "perfbench"), os.environ.get("PYTHONPATH")]
+    # no bytecode cache written into perfbench/
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+               PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", _TRACED_RUN, '["load", "nash", "opt"]'],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout.splitlines()[-1])
+    # nash runs out of its 20 loads on 8 bins above tol, so it exits 1
+    assert counts["codes"] == [0, 1, 0]
+    assert counts["windows"] > 0 and counts["exit_breakpoints"] > 0
