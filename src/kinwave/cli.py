@@ -214,8 +214,9 @@ def _profile_dict(profile):
 
 def _dump_curves(loading, out_dir):
     """One CSV per arc flow, component curve and arrival curve.  A curve
-    object can back several files (an arc's exit is often the next arc's
-    component entry and a group's arrivals), so the files are grouped by
+    object can back several files (a cell's exit share of one hop is its
+    entry into the next, and its last share its arrivals; on a chain an
+    arc's exit is also a lone cell's share), so the files are grouped by
     curve and each curve is formatted once."""
     cdir = out_dir / "curves"
     cdir.mkdir(parents=True, exist_ok=True)
@@ -228,12 +229,12 @@ def _dump_curves(loading, out_dir):
         stem = f"arc_{key[0]}_{key[1]}"
         add(comp.entry, f"{stem}_entry.csv")
         add(comp.exit, f"{stem}_exit.csv")
-    for (k, p, key), curve in sorted(loading.comp_entry.items()):
-        add(curve, f"comp_g{k}_p{p}_{key[0]}_{key[1]}_entry.csv")
-    for (k, p, key), curve in sorted(loading.comp_exit.items()):
-        add(curve, f"comp_g{k}_p{p}_{key[0]}_{key[1]}_exit.csv")
-    for (k, p), curve in sorted(loading.arrivals.items()):
-        add(curve, f"arrivals_g{k}_p{p}.csv")
+    for (k, p), record in loading.curves.items():
+        for arc, entry, share in zip(loading.network.paths[p].arcs, record, record[1:]):
+            stem = f"comp_g{k}_p{p}_{arc.key[0]}_{arc.key[1]}"
+            add(entry, f"{stem}_entry.csv")
+            add(share, f"{stem}_exit.csv")
+        add(record[-1], f"arrivals_g{k}_p{p}.csv")
     for curve, paths in files.values():
         write_curve_csv(curve, *paths)
 
@@ -244,8 +245,8 @@ def _emit_plot_data(loading, out_dir):
         for key, comp in sorted(loading.arc_flows.items()):
             for name, curve in (("entry", comp.entry), ("exit", comp.exit)):
                 f.write(csv_rows(curve, f"arc_{key[0]}_{key[1]}_{name},"))
-        for (k, p), curve in sorted(loading.arrivals.items()):
-            f.write(csv_rows(curve, f"arrivals_g{k}_p{p},"))
+        for (k, p), record in loading.curves.items():
+            f.write(csv_rows(record[-1], f"arrivals_g{k}_p{p},"))
 
 
 # ---------------------------------------------------------------------

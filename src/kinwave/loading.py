@@ -51,9 +51,9 @@ class DepartureProfile:
     def group_masses(self):
         return self.rates.sum(axis=(1, 2)) * self.bin_width
 
-    def validate(self, network: Network, rate_cap=None, check_mass=True):
-        """Check shape, finiteness, nonnegativity, caps, path viability, and
-        mass balance."""
+    def validate(self, network: Network, check_mass=True):
+        """Check shape, finiteness, nonnegativity, path viability, and mass
+        balance."""
         K, P = len(network.groups), len(network.paths)
         if self.rates.shape[:2] != (K, P):
             raise AdmissibilityError(
@@ -61,10 +61,8 @@ class DepartureProfile:
             )
         if not np.all(np.isfinite(self.rates)):
             raise AdmissibilityError("departure rates must be finite")
-        if np.any(self.rates < -_MASS_TOL):
+        if np.any(self.rates < 0):
             raise AdmissibilityError("departure rates must be nonnegative")
-        if rate_cap is not None and np.any(self.rates > rate_cap + _MASS_TOL):
-            raise AdmissibilityError(f"departure rate exceeds the cap {rate_cap}")
         for k, viable in enumerate(network.viable):
             for p, ok in enumerate(viable):
                 if not ok and np.any(np.abs(self.rates[k, p]) > _MASS_TOL):
@@ -86,39 +84,43 @@ class DepartureProfile:
 class LoadingResult:
     """All curves produced by one network loading.
 
-    ``arc_flows[key]`` holds the aggregate entry/exit pair of an arc;
-    ``comp_entry`` / ``comp_exit`` map (k, p, key) to that group-path's
-    share of the arc's curves; ``departures[(k, p)]`` and ``arrivals[(k, p)]``
-    are the cumulative counts leaving the origin and delivered at the
-    destination, for every cell of the network.  ``end_time`` is the last
-    time an arc exit drains and ``windows`` the number of loading sweeps, 1
-    on an acyclic feeder graph.
+    ``arc_flows[key]`` holds the aggregate entry/exit pair of an arc.
+    ``curves[(k, p)]``, for every cell of the network, is the cell's
+    departure curve and then its share of each arc exit along the path:
+    entry ``h`` is what the cell brings into hop ``h``, and the last entry
+    is its arrivals.  A cell that departs nothing holds its zero departure
+    curve alone.  ``windows`` is the number of loading sweeps, 1 on an
+    acyclic feeder graph.
     """
 
     network: Network
     profile: DepartureProfile
     arc_flows: dict = field(default_factory=dict)      # key -> ExitComputation
-    comp_entry: dict = field(default_factory=dict)     # (k, p, key) -> curve
-    comp_exit: dict = field(default_factory=dict)
-    departures: dict = field(default_factory=dict)     # (k, p) -> curve
-    arrivals: dict = field(default_factory=dict)
-    end_time: float = 0.0
+    curves: dict = field(default_factory=dict)         # (k, p) -> tuple of curves
     windows: int = 0
 
+    @property
+    def end_time(self):
+        """The time the last cell's arrivals end, the profile's start if none."""
+        return max((c[-1].t[-1] for c in self.curves.values()), default=self.profile.start)
+
     def arrival_total(self, k):
-        return sum(self.arrivals[(k, p)].total for p in self.network.paths_for_group(k))
+        return sum(self.curves[(k, p)][-1].total for p in self.network.paths_for_group(k))
 
     def check_invariants(self, tol=1e-6):
         """Causality, capacity, composition, and conservation checks."""
         G = max(1.0, self.network.total_demand)
+        shares = {}     # arc key -> [(a cell's entry, its exit share)]
+        for (_, p), record in self.curves.items():
+            for arc, entry, share in zip(self.network.paths[p].arcs, record, record[1:]):
+                shares.setdefault(arc.key, []).append((entry, share))
         for key, comp in self.arc_flows.items():
             comp.validate(tol * G / max(1.0, comp.entry.total))
-            parts = [c for (k, p, kk), c in self.comp_exit.items() if kk == key]
-            if parts:
-                ts = np.unique(np.concatenate((comp.entry.t, comp.exit.t)))
+            ts = np.unique(np.concatenate((comp.entry.t, comp.exit.t)))
+            for side, parts in zip(("entry", "exit"), zip(*shares.get(key, []))):
                 s = sum(c(ts) for c in parts)
-                if np.max(np.abs(s - comp.exit(ts))) > tol * G:
-                    raise LoadingError(f"exit compositions do not sum on arc {key}")
+                if np.max(np.abs(s - getattr(comp, side)(ts))) > tol * G:
+                    raise LoadingError(f"{side} compositions do not sum on arc {key}")
         for k, g in enumerate(self.network.groups):
             if abs(self.arrival_total(k) - g.size) > tol * G:
                 raise LoadingError(f"group {k} arrivals do not match its size")
@@ -166,8 +168,7 @@ def _feeder_order(arcs, paths):
     return order
 
 
-def network_load(network: Network, profile: DepartureProfile, *,
-                 rate_cap=None, check_mass=True,
+def network_load(network: Network, profile: DepartureProfile, *, check_mass=True,
                  reuse: LoadingResult | None = None) -> LoadingResult:
     """Propagate a departure profile through the network.
 
@@ -189,48 +190,41 @@ def network_load(network: Network, profile: DepartureProfile, *,
     """
     if reuse is not None and reuse.network is not network:
         raise ConfigurationError("reuse must be a loading of the same network")
-    profile.validate(network, rate_cap=rate_cap, check_mass=check_mass)
+    profile.validate(network, check_mass=check_mass)
 
     result = LoadingResult(network, profile)
     G = network.total_demand
-    masses = profile.group_masses()
+    live = profile.rates[network.viable] > 0        # one row per cell, in cell order
+    t_first = profile.start + int(np.argmax(live.any(axis=0))) * profile.bin_width
+    zero = CumulativeCurve.zero(t_first)
 
     # live cells: (k, p) -> list of arcs along the path, and the reverse
-    # index: arc key -> list of (k, p, hop) feeding that arc.  Every other
-    # cell departs and arrives nothing.
+    # index: arc key -> list of (k, p, hop) feeding that arc.  A live cell's
+    # record is filled hop by hop, and a hop not yet reached holds ``zero``.
     path_arcs = {}
     feeders = {a.key: [] for a in network.arcs}
-    comp_exit = {}      # (k, p, hop) -> latest exit composition; hop -1: departures
-    for k, p in network.cells:
-        if masses[k] <= 0 or not np.any(profile.rates[k, p] > 0):
-            result.departures[(k, p)] = result.arrivals[(k, p)] = \
-                CumulativeCurve.zero(profile.start)
+    for (k, p), row in zip(network.cells, live):
+        if not row.any():
+            result.curves[(k, p)] = (CumulativeCurve.zero(profile.start),)
             continue
-        arcs = network.paths[p].arcs
-        path_arcs[(k, p)] = arcs
+        path_arcs[(k, p)] = arcs = network.paths[p].arcs
         for hop, arc in enumerate(arcs):
             feeders[arc.key].append((k, p, hop))
-        result.departures[(k, p)] = profile.departure_curve(k, p)
-        comp_exit[(k, p, -1)] = result.departures[(k, p)]
+        result.curves[(k, p)] = [profile.departure_curve(k, p)] + [zero] * len(arcs)
 
     if not path_arcs:
-        result.end_time = profile.start
         return result
 
     t_max = max(max_travel_time(network, network.paths[p], G) for (_, p) in path_arcs)
     horizon = profile.end + t_max + 1.0
-    first_live = min(int(np.argmax(profile.rates[k, p] > 0)) for (k, p) in path_arcs)
-    t_first = profile.start + first_live * profile.bin_width
-    zero = CumulativeCurve.zero(t_first)
     order = _feeder_order([a for a in network.arcs if feeders[a.key]], path_arcs.values())
     exact_until = {}    # arc key -> time up to which its exit compositions are exact
 
     def short_path():
         """First (group, path) whose arrivals fall short of its departures, or None."""
-        for (k, p), arcs in path_arcs.items():
-            last = comp_exit.get((k, p, len(arcs) - 1))
+        for k, p in path_arcs:
             want = profile.rates[k, p].sum() * profile.bin_width
-            if last is None or last.total < want - _MASS_TOL * max(1.0, want):
+            if result.curves[(k, p)][-1].total < want - _MASS_TOL * max(1.0, want):
                 return k, p
 
     sweeps = np.ceil((horizon - profile.start) / min(a.mu for a in network.arcs))
@@ -238,7 +232,7 @@ def network_load(network: Network, profile: DepartureProfile, *,
     for sweep in range(max_sweeps):
         for arc in order:
             fed = feeders[arc.key]
-            comps = {(k, p, h): comp_exit.get((k, p, h - 1), zero) for (k, p, h) in fed}
+            comps = {(k, p, h): result.curves[(k, p)][h] for (k, p, h) in fed}
             exact_until[arc.key] = arc.mu + min(
                 exact_until.get(path_arcs[(k, p)][h - 1].key, t_first) if h else np.inf
                 for (k, p, h) in fed)
@@ -251,8 +245,9 @@ def network_load(network: Network, profile: DepartureProfile, *,
             else:
                 exit_curve = lax_hopf_exit(entry, arc, dt=network.dt)
             result.arc_flows[arc.key] = ExitComputation(entry, exit_curve, arc)
-            comp_exit.update(_split_exit(exit_curve, entry, comps, exact_until[arc.key]))
-            result.comp_entry.update({(k, p, arc.key): c for (k, p, _), c in comps.items()})
+            shares = _split_exit(exit_curve, entry, comps, exact_until[arc.key])
+            for (k, p, h), share in shares.items():
+                result.curves[(k, p)][h + 1] = share
         result.windows = sweep + 1
         if (short := short_path()) is None or min(exact_until.values()) == np.inf:
             break
@@ -263,12 +258,7 @@ def network_load(network: Network, profile: DepartureProfile, *,
             f"of group {k} on path {p} {network.paths[p]!r} fell short of its "
             "departures; check for capacity bottlenecks"
         )
-
-    for (k, p), arcs in path_arcs.items():
-        for hop, arc in enumerate(arcs):
-            result.comp_exit[(k, p, arc.key)] = comp_exit[(k, p, hop)]
-        result.arrivals[(k, p)] = comp_exit[(k, p, len(arcs) - 1)]
-    result.end_time = max(c.t[-1] for c in result.arrivals.values())
+    result.curves = {cell: tuple(record) for cell, record in result.curves.items()}
     return result
 
 
@@ -295,8 +285,7 @@ def per_driver_times(loading: LoadingResult, k, p):
     β indexes drivers of group k on path p in departure order; both maps
     raise DomainError beyond the (k, p) mass.
     """
-    dep = loading.departures.get((k, p))
-    arr = loading.arrivals.get((k, p))
-    if dep is None or arr is None:
+    record = loading.curves.get((k, p))
+    if record is None:
         raise DomainError(f"no loading data for group {k}, path {p}")
-    return dep.inverse, arr.inverse
+    return record[0].inverse, record[-1].inverse

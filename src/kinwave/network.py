@@ -274,20 +274,16 @@ def enumerate_paths(network) -> list:
     out_arcs = {}
     for arc in network.arcs:
         out_arcs.setdefault(arc.from_node, []).append(arc)
-    for lst in out_arcs.values():
-        lst.sort(key=lambda a: a.to_node)
 
-    od_pairs = sorted({(g.origin, g.destination) for g in network.groups})
     paths = []
-    for origin, dest in od_pairs:
+    for origin, dest in {(g.origin, g.destination) for g in network.groups}:
         stack = [(origin, (origin,), ())]
         while stack:
             node, visited, arcs = stack.pop()
             if node == dest:
                 paths.append(Path(visited, arcs))
                 continue
-            # push in reverse so lexicographically smaller successors pop first
-            for arc in reversed(out_arcs.get(node, [])):
+            for arc in out_arcs.get(node, []):
                 if arc.to_node in visited:
                     continue
                 stack.append((arc.to_node, visited + (arc.to_node,), arcs + (arc,)))

@@ -44,11 +44,11 @@ def total_cost(network: Network, profile: DepartureProfile, *,
         loading = network_load(network, profile)
     J = 0.0
     for k, p in network.cells:
-        dep = loading.departures[(k, p)]
-        if dep.total > 0:
+        record = loading.curves[(k, p)]
+        if record[0].total > 0:
             g = network.groups[k]
-            J += _integrate_against(dep, g.departure_cost)
-            J += _integrate_against(loading.arrivals[(k, p)], g.arrival_cost)
+            J += _integrate_against(record[0], g.departure_cost)
+            J += _integrate_against(record[-1], g.arrival_cost)
     return J
 
 
@@ -273,7 +273,6 @@ def _descend(network, profile, *, cap, tol, loads, step, history):
     """
     anchor = predictor = profile
     best_profile, best_report = None, None
-    rc = cap * (1 + 1e-9)
     # the step's coordinates: each nonempty group's (path, bin) masses as
     # fractions of its size, and their midpoint costs, group after group
     sizes = np.array([g.size for g in network.groups])
@@ -281,7 +280,7 @@ def _descend(network, profile, *, cap, tol, loads, step, history):
     per_rate = (profile.bin_width / sizes[cells.nonzero()[0]])[:, None]
     y_prev = F_prev = None
     for it in range(1, max(loads, 1) + 1):
-        loading = network_load(network, predictor, rate_cap=rc)
+        loading = network_load(network, predictor)
         costs = cost_profile(network, loading)
         report = _gap_from_costs(network, predictor, costs)
         report.loading = loading

@@ -460,8 +460,9 @@ def reference_envelope(entry, arc):
 # aggregate count of every component breakpoint, ``entry_curve(c.t)``.  The
 # component counts ``c.v`` it used before miss a component's kink wherever
 # the aggregate entry runs straight through it, so the split depended on
-# where the windows fell.  ``truncate`` freezes a component entry at the
-# window's end, as the curve method of that name did.
+# where the windows fell.  Its result holds each cell's curves as one
+# record, as the package's does: the departures, then the final exit share
+# of each hop.
 
 
 def _window_split_exit(exit_curve, entry_curve, comps, t_hi):
@@ -484,16 +485,7 @@ def _window_split_exit(exit_curve, entry_curve, comps, t_hi):
     return out
 
 
-def truncate(curve, T):
-    """``curve`` frozen at time T (constant extension afterwards)."""
-    if T >= curve.t[-1]:
-        return curve
-    keep = curve.t < T - 1e-15
-    return CumulativeCurve(np.append(curve.t[keep], T), np.append(curve.v[keep], curve(T)),
-                           validate=False)
-
-
-def window_network_load(network, profile, *, rate_cap=None, check_mass=True):
+def window_network_load(network, profile, *, check_mass=True):
     """Propagate a departure profile through the network.
 
     Advances in windows of the shortest free-flow traversal time until
@@ -502,7 +494,7 @@ def window_network_load(network, profile, *, rate_cap=None, check_mass=True):
     the per-group mass-balance check (used for finite-difference cost
     probes, which perturb one bin at a time).
     """
-    profile.validate(network, rate_cap=rate_cap, check_mass=check_mass)
+    profile.validate(network, check_mass=check_mass)
     if not np.all(np.isfinite(profile.rates)):
         raise AdmissibilityError("departure rates must be finite")
 
@@ -513,6 +505,7 @@ def window_network_load(network, profile, *, rate_cap=None, check_mass=True):
     # (k, p) -> list of arcs along the path, and the reverse index:
     # arc key -> list of (k, p, hop) feeding that arc
     path_arcs = {}
+    departures = {}
     feeders = {a.key: [] for a in network.arcs}
     for k in range(len(network.groups)):
         for p in network.paths_for_group(k):
@@ -522,14 +515,10 @@ def window_network_load(network, profile, *, rate_cap=None, check_mass=True):
             path_arcs[(k, p)] = arcs
             for hop, arc in enumerate(arcs):
                 feeders[arc.key].append((k, p, hop))
-            result.departures[(k, p)] = profile.departure_curve(k, p)
+            departures[(k, p)] = profile.departure_curve(k, p)
 
     if not path_arcs:
-        t0 = profile.start
-        for k in range(len(network.groups)):
-            for p in network.paths_for_group(k):
-                result.arrivals[(k, p)] = CumulativeCurve.zero(t0)
-        result.end_time = t0
+        result.curves = {cell: (CumulativeCurve.zero(profile.start),) for cell in network.cells}
         return result
 
     t_max = max(max_travel_time(network, network.paths[p], G) for (_, p) in path_arcs)
@@ -550,7 +539,7 @@ def window_network_load(network, profile, *, rate_cap=None, check_mass=True):
         comps = {}
         for (k, p, hop) in feeders[arc.key]:
             if hop == 0:
-                comps[(k, p, hop)] = result.departures[(k, p)]
+                comps[(k, p, hop)] = departures[(k, p)]
             else:
                 prev = comp_exit.get((k, p, hop - 1))
                 comps[(k, p, hop)] = prev if prev is not None else CumulativeCurve.zero(
@@ -587,8 +576,6 @@ def window_network_load(network, profile, *, rate_cap=None, check_mass=True):
                 exit_cache[arc.key] = (entry, exit_curve)
             result.arc_flows[arc.key] = ExitComputation(entry, exit_curve, arc)
             new_exit.update(_window_split_exit(exit_curve, entry, comps, t_next))
-            for ckey, comp in comps.items():
-                result.comp_entry[(ckey[0], ckey[1], arc.key)] = truncate(comp, t_next)
         comp_exit = new_exit
         t_cur = t_next
         result.windows = window + 1
@@ -603,16 +590,12 @@ def window_network_load(network, profile, *, rate_cap=None, check_mass=True):
             "departures; check for capacity bottlenecks"
         )
 
-    for (k, p), arcs in path_arcs.items():
-        for hop, arc in enumerate(arcs):
-            result.comp_exit[(k, p, arc.key)] = comp_exit[(k, p, hop)]
-        result.arrivals[(k, p)] = comp_exit[(k, p, len(arcs) - 1)]
-    for k in range(len(network.groups)):
-        for p in network.paths_for_group(k):
-            if (k, p) not in result.arrivals:
-                result.arrivals[(k, p)] = CumulativeCurve.zero(profile.start)
-                result.departures.setdefault((k, p), CumulativeCurve.zero(profile.start))
-    result.end_time = t_cur
+    for k, p in network.cells:
+        if (k, p) in path_arcs:
+            hops = range(len(path_arcs[(k, p)]))
+            result.curves[(k, p)] = (departures[(k, p)], *(comp_exit[(k, p, h)] for h in hops))
+        else:
+            result.curves[(k, p)] = (CumulativeCurve.zero(profile.start),)
     return result
 
 

@@ -191,12 +191,13 @@ class TestCommands:
             for name, curve in (("entry", comp.entry), ("exit", comp.exit)):
                 want[f"arc_{a}_{b}_{name}.csv"] = curve
                 plot.append(reference_csv_rows(curve, f"arc_{a}_{b}_{name},"))
-        for side, comps in (("entry", loading.comp_entry), ("exit", loading.comp_exit)):
-            for (k, p, (a, b)), curve in comps.items():
-                want[f"comp_g{k}_p{p}_{a}_{b}_{side}.csv"] = curve
-        for (k, p), curve in sorted(loading.arrivals.items()):
-            want[f"arrivals_g{k}_p{p}.csv"] = curve
-            plot.append(reference_csv_rows(curve, f"arrivals_g{k}_p{p},"))
+        for (k, p), record in sorted(loading.curves.items()):
+            for h, arc in enumerate(scenario.network.paths[p].arcs[:len(record) - 1]):
+                a, b = arc.key
+                want[f"comp_g{k}_p{p}_{a}_{b}_entry.csv"] = record[h]
+                want[f"comp_g{k}_p{p}_{a}_{b}_exit.csv"] = record[h + 1]
+            want[f"arrivals_g{k}_p{p}.csv"] = record[-1]
+            plot.append(reference_csv_rows(record[-1], f"arrivals_g{k}_p{p},"))
         shared = len(want) - len({id(c) for c in want.values()})
         assert shared >= 2
         cdir = tmp_path / "o" / "curves"
@@ -420,6 +421,25 @@ def test_faulty_scenario_exits_2_with_location(tmp_path, command, case):
     assert "Traceback" not in res.output
     assert where in res.output
     assert not (tmp_path / "o" / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["load", "validate", "nash", "opt"])
+def test_negative_profile_rate_exits_2_naming_the_profile(tmp_path, command):
+    # a rate just below zero leaves the group's mass within tolerance; the
+    # profile's own sign check must stop it, before any command runs
+    doc = minimal_doc(profile={"start": 0.0, "bin_width": 1.0, "rates": [[[0.1, -1e-12]]]})
+    path = write_scenario(tmp_path / "s.json", doc)
+    res = CliRunner().invoke(main, [command, "--scenario", path, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    assert "error: profile: departure rates must be nonnegative" in res.output
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_negative_zero_profile_rate_loads(tmp_path):
+    doc = minimal_doc(profile={"start": 0.0, "bin_width": 1.0, "rates": [[[0.1, -0.0]]]})
+    path = write_scenario(tmp_path / "s.json", doc)
+    res = CliRunner().invoke(main, ["load", "--scenario", path, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 0, res.output
 
 
 @pytest.mark.parametrize("command, flag, value, message", [

@@ -61,12 +61,6 @@ class TestProfileValidation:
         with pytest.raises(AdmissibilityError, match="finite"):
             prof.validate(net, check_mass=check_mass)
 
-    def test_rate_cap(self):
-        net = single_arc(size=1.0)
-        prof = DepartureProfile(0.0, 1.0, np.full((1, 1, 1), 1.0))
-        with pytest.raises(AdmissibilityError):
-            prof.validate(net, rate_cap=0.5)
-
     def test_flow_on_nonconnecting_path(self):
         net = make_network(
             [("a", "b", 1.0, TRI), ("b", "c", 1.0, TRI)],
@@ -95,10 +89,9 @@ class TestNetworkLoad:
         prof = DepartureProfile(-1.0, 0.5, np.zeros((2, len(net.paths), 3)))
         res = network_load(net, prof)
         assert len(net.cells) == 3
-        assert list(res.departures) == list(res.arrivals) == list(net.cells)
-        for cell in net.cells:
-            for curve in (res.departures[cell], res.arrivals[cell]):
-                assert curve.total == 0.0 and curve.t[0] == -1.0
+        assert list(res.curves) == list(net.cells)
+        for (curve,) in res.curves.values():    # the zero departures alone
+            assert curve.total == 0.0 and curve.t[0] == -1.0
         assert res.end_time == -1.0 and res.windows == 0
         assert total_cost(net, prof, loading=res) == 0.0
 
@@ -188,10 +181,8 @@ class TestNetworkLoad:
         for t in np.linspace(1.05, 3.0, 12):
             tau = comp.entry.inverse(min(comp.exit(t), comp.entry.total))
             for k in (0, 1):
-                part = res.comp_exit[(k, 0, ("a", "b"))]
-                assert part(t) == pytest.approx(
-                    res.departures[(k, 0)](tau), abs=1e-9
-                )
+                departures, part = res.curves[(k, 0)]
+                assert part(t) == pytest.approx(departures(tau), abs=1e-9)
 
     def test_random_scenarios_invariants(self):
         rng = np.random.default_rng(42)
@@ -220,12 +211,17 @@ class TestNetworkLoad:
         assert sups[0] <= phi(1e-2 / 0.5) + 1e-6
 
 
+def cell_curves(loading):
+    """Each cell's curves keyed by (k, p, index into the cell's record)."""
+    return {(k, p, h): c for (k, p), record in loading.curves.items()
+            for h, c in enumerate(record)}
+
+
 def assert_same_loading(res, ref):
-    """Every arc, component and arrival curve of ``res`` equals ``ref``'s as a
+    """Every arc and cell curve of ``res`` equals ``ref``'s as a
     piecewise-linear function, to 1e-12 * max(1, G) on their breakpoints."""
     tol = 1e-12 * max(1.0, res.network.total_demand)
-    pairs = [(res.arrivals, ref.arrivals), (res.comp_entry, ref.comp_entry),
-             (res.comp_exit, ref.comp_exit)]
+    pairs = [(cell_curves(res), cell_curves(ref))]
     pairs += [({k: getattr(c, side) for k, c in res.arc_flows.items()},
                {k: getattr(c, side) for k, c in ref.arc_flows.items()})
               for side in ("entry", "exit")]
@@ -291,8 +287,7 @@ class TestSweepsMatchWindows:
 
 def assert_same_bits(res, ref):
     """Every curve of ``res`` has the same breakpoint bytes as ``ref``'s."""
-    pairs = [(res.departures, ref.departures), (res.arrivals, ref.arrivals),
-             (res.comp_entry, ref.comp_entry), (res.comp_exit, ref.comp_exit)]
+    pairs = [(cell_curves(res), cell_curves(ref))]
     pairs += [({k: getattr(c, side) for k, c in res.arc_flows.items()},
                {k: getattr(c, side) for k, c in ref.arc_flows.items()})
               for side in ("entry", "exit")]

@@ -241,6 +241,19 @@ class TestEnumeratePaths:
             assert len(set(p.nodes)) == len(p.nodes)
         assert len(net.paths) == count_simple_paths(edges, "1", "5")
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_order_of_arcs_and_groups_leaves_paths_unchanged(self, seed):
+        rng = np.random.default_rng(seed)
+        net = random_scenario(rng, max_nodes=7, max_groups=4)[0]
+        shuffled = Network(net.nodes, list(rng.permutation(net.arcs)),
+                           list(rng.permutation(net.groups)))
+
+        def listing(network):
+            return [(p.nodes, [id(a) for a in p.arcs]) for p in network.paths]
+
+        assert listing(shuffled) == listing(net)
+
 
 class TestCells:
     """``Network.cells`` and ``viable`` list the (group, path) pairs that

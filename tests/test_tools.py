@@ -160,3 +160,34 @@ def test_traced_commands_run(tmp_path):
     # nash runs out of its 20 loads on 8 bins above tol, so it exits 1
     assert counts["codes"] == [0, 1, 0]
     assert counts["windows"] > 0 and counts["exit_breakpoints"] > 0
+
+
+def test_digest_covers_every_run_and_its_plot_data(monkeypatch, capsys):
+    """``tools/digest_outputs.py --seeds 0`` in-process: one exit line per run,
+    and a ``plot_data.csv`` digest for every run but ``validate``'s."""
+    root = Path(__file__).resolve().parent.parent
+    # main puts src/ and perfbench/ first on sys.path and imports perfbench's
+    # scenarios; no bytecode cache is written into perfbench/
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.delitem(sys.modules, "scenarios", raising=False)
+    spec = importlib.util.spec_from_file_location("digest_outputs",
+                                                  root / "tools" / "digest_outputs.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    try:
+        digest.main(["--seeds", "0"])
+        import scenarios
+        c = scenarios.mass_scale(0)
+        want = {(command, name) for command, docs in (
+            ("nash", scenarios.nash_scenarios(c)), ("load", scenarios.load_scenarios(c)),
+            ("opt", scenarios.opt_scenarios(c))) for name in docs}
+    finally:
+        sys.modules.pop("scenarios", None)
+    want |= {("validate", f"{command}/{name}") for command, name in want}
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert all(len(line) == 5 and line[0] == "0" for line in lines)
+    exits = [(cmd, label) for _, cmd, label, what, _ in lines if what == "exit"]
+    assert sorted(exits) == sorted(want)
+    plotted = [(cmd, label) for _, cmd, label, what, _ in lines if what == "plot_data.csv"]
+    assert sorted(plotted) == sorted(run for run in want if run[0] != "validate")

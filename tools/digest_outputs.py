@@ -2,12 +2,12 @@
 
 Runs each scenario of ``perfbench/scenarios.py`` through the kinwave click
 entry point, imported from this checkout's ``src``: the ``nash``, ``load``
-and ``opt`` scenarios with their own command, each with ``--dump-curves``,
-and every scenario through ``validate`` as well, whose report rests on the
-cost derivatives and the a-priori bounds.  For every seed it prints one
-``seed command scenario relpath sha256`` line per output file
-(``timing.json`` excepted, as it holds wall-clock times) and one
-``seed command scenario exit <code>`` line per run.  A ``validate`` run
+and ``opt`` scenarios with their own command, each with ``--dump-curves``
+and ``--emit-plot-data``, and every scenario through ``validate`` as well,
+whose report rests on the cost derivatives and the a-priori bounds.  For
+every seed it prints one ``seed command scenario relpath sha256`` line per
+output file (``timing.json`` excepted, as it holds wall-clock times) and
+one ``seed command scenario exit <code>`` line per run.  A ``validate`` run
 names its scenario ``<command>/<scenario>``.
 
 Two checkouts produce byte-identical outputs exactly when their printouts
@@ -68,7 +68,7 @@ def digest_seed(seed, work):
             for cmd, label in ((command, name), ("validate", f"{command}/{name}")):
                 out = work / f"out_{seed}_{cmd}_{label.replace('/', '_')}"
                 code = run_cli([cmd, "--scenario", str(path), "--out", str(out),
-                                "--dump-curves"])
+                                "--dump-curves", "--emit-plot-data"])
                 for p in sorted(out.rglob("*")):
                     if p.is_file() and p.name != "timing.json":
                         digest = hashlib.sha256(p.read_bytes()).hexdigest()
