@@ -19,7 +19,7 @@ import numpy as np
 
 from .curves import csv_rows, write_curve_csv
 from .errors import DomainError, KinwaveError, ScenarioError
-from .flux import ArcDescriptor, FluxDescriptor
+from .flux import ArcDescriptor, FluxDescriptor, table_knots
 from .loading import DepartureProfile, network_load
 from .network import (CostFunction, GroupDescriptor, Network, compute_bounds,
                       validate_assumptions)
@@ -112,6 +112,9 @@ def _solver_value(key, v, where):
     x = _number(v, where)
     if key in _POSITIVE and x <= 0:
         raise ScenarioError(f"{where}: must be positive")
+    if key == "dt":
+        with _at(where):
+            table_knots(x)
     if key not in _COUNTS:
         return x
     if x < 0 or x != int(x):

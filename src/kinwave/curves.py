@@ -6,13 +6,14 @@ of the entry curve with the convex kernel built from the flux conjugate:
 
     exit(t) = min_tau { entry(tau) + L * g*((t - tau) / L) }
 
-For fluxes whose conjugate is piecewise linear (triangular, sampled) the
-convolution is evaluated exactly, one kernel piece at a time in slope
-order: a window minimum for each piece below capacity, then Vickrey's
-point queue at F_max, a running minimum, then the free-flow shift.  A
-triangular flux has one kink, so its exit is the point queue alone.  For
-smooth conjugates (Greenshields) it is evaluated on a uniform time grid of
-step ``dt``.
+The convolution is evaluated exactly for a piecewise-linear conjugate, one
+kernel piece at a time in slope order: a window minimum for each piece
+below capacity, then Vickrey's point queue at F_max, a running minimum,
+then the free-flow shift.  A triangular flux has one kink, so its exit is
+the point queue alone.  A Greenshields conjugate is smooth, so its exit
+uses the kernel of a table of chords (``FluxDescriptor.exit_table``);
+``_grid_minplus``, the reference that table is measured against, samples
+the smooth kernel on a grid.
 """
 from __future__ import annotations
 
@@ -24,8 +25,6 @@ from .errors import DomainError, LoadingError
 from .flux import ArcDescriptor
 
 _REL = 1e-12
-_MAX_GRID_POINTS = 10**6    # per time grid of a smooth-flux exit
-_RUN_HEAD = 32              # points of a collinear run that simplify tests in Python
 
 
 class CumulativeCurve:
@@ -170,43 +169,29 @@ class CumulativeCurve:
         if not len(cands):
             return self
         keep, end = np.ones(len(t), dtype=bool), 0
+        tl, vl = t.tolist(), v.tolist()
         for a in cands.tolist():
             if a < end:
                 continue    # a+1 was already tested against an earlier anchor
-            end = _run_end(t, v, a, tol)
+            end = _run_end(tl, vl, a, tol)
             keep[a + 1:end] = False
         return CumulativeCurve(t[keep], v[keep], validate=False)
 
 
 def _run_end(t, v, a, tol):
-    """The first point after anchor ``a`` that ``simplify`` keeps.
+    """The first point after anchor ``a`` that ``simplify`` keeps, from the
+    breakpoints as lists.
 
     Point i > a goes when |cross(a, i, i+1)| <= tol * (t[i+1] - t[a]), a test
     that reads no other point of the run, so the run ends at the first i that
-    fails it, or at the last point.  The first _RUN_HEAD points are tested in
-    Python (a queue on a Nash arc makes runs of about 25), the rest in numpy
-    chunks that double in size (a grid exit's flat tail runs to thousands);
-    both evaluate (t_i - t_a)*(v_{i+1} - v_a) - (t_{i+1} - t_a)*(v_i -
-    v_a) with the same operations in the same order, so they agree bit for bit.
+    fails it, or at the last point.
     """
-    n = len(t)
-    stop = min(a + _RUN_HEAD + 2, n)
-    tl, vl = t[a:stop].tolist(), v[a:stop].tolist()
-    ta, va = tl[0], vl[0]
-    for k in range(1, len(tl) - 1):
-        cr = (tl[k] - ta) * (vl[k + 1] - va) - (tl[k + 1] - ta) * (vl[k] - va)
-        if abs(cr) > tol * max(tl[k + 1] - ta, 1e-300):
-            return a + k
-    i, size = stop - 1, 2 * _RUN_HEAD
-    while i < n - 1:
-        j = min(i + size, n - 1)
-        dt, dv = t[i:j + 1] - ta, v[i:j + 1] - va
-        bad = np.abs(dt[:-1] * dv[1:] - dt[1:] * dv[:-1]) > tol * np.maximum(dt[1:], 1e-300)
-        k = int(bad.argmax())
-        if bad[k]:
-            return i + k
-        i, size = j, 2 * size
-    return n - 1
+    ta, va = t[a], v[a]
+    for i in range(a + 1, len(t) - 1):
+        cr = (t[i] - ta) * (v[i + 1] - va) - (t[i + 1] - ta) * (v[i] - va)
+        if abs(cr) > tol * max(t[i + 1] - ta, 1e-300):
+            return i
+    return len(t) - 1
 
 
 # ---------------------------------------------------------------------
@@ -214,22 +199,25 @@ def _run_end(t, v, a, tol):
 # ---------------------------------------------------------------------
 
 
-def _exact_minplus(entry: CumulativeCurve, arc: ArcDescriptor):
-    """Exact exit ``(t, v)`` for a piecewise-linear conjugate, as a cascade.
+def _exact_minplus(entry: CumulativeCurve, arc: ArcDescriptor, dt: float = 1e-3):
+    """Exact exit ``(t, v)`` with the kernel of ``arc.flux.exit_table(dt)``,
+    as a cascade.
 
-    After mu the kernel is convex with slopes u_1 < ... < u_m = F_max over
-    lengths L*(p_k - p_{k-1}) between the conjugate kinks p_k, and a min-plus
-    convolution with it is the chain of convolutions with its pieces in
-    slope order (Le Boudec and Thiran, Network Calculus, 2001, sec. 3.1):
-    m - 1 window minima, then the point queue at F_max, then the shift by mu.
-    A triangular flux has m = 1: its exit is the point queue alone.
+    After mu = L*p_1 the kernel is convex with slopes u_1 < ... < u_m = F_max
+    over lengths L*(p_k - p_{k-1}) between the conjugate kinks p_k, and a
+    min-plus convolution with it is the chain of convolutions with its
+    pieces in slope order (Le Boudec and Thiran, Network Calculus, 2001,
+    sec. 3.1): m - 1 window minima, then the point queue at F_max, then the
+    shift by mu.  A triangular flux has m = 1: its exit is the point queue
+    alone.
     """
-    flux, p = arc.flux, arc.flux.conjugate_kinks()
+    flux = arc.flux.exit_table(dt)
+    p = flux.conjugate_kinks()
     t, v = entry.t, entry.v
     for u, ell in zip(flux._g_u[1:-1], arc.length * (p[1:] - p[:-1])):
         t, v = _window_min(t, v, u, ell)
     ts, vs = _point_queue(t, v, flux.f_max)
-    ts = ts + arc.mu
+    ts = ts + arc.length * flux.free_flow_pace
     keep = np.concatenate(([True], np.diff(ts) > 0))   # the shift may round times together
     return ts[keep], vs[keep]
 
@@ -358,20 +346,18 @@ def _monge_row_minima(ts, taus, U, kernel):
 
 
 def _grid_minplus(entry, arc, dt):
-    """Grid evaluation ``(t, v)`` of the inf-convolution for smooth conjugates.
+    """Grid evaluation ``(t, v)`` of the inf-convolution with ``arc``'s own kernel.
 
-    Samples every ``dt`` from entry.t[0] + mu, minimizing over entry
-    breakpoints plus the same grid, up to t_N >= tau_last + G/F_max +
-    L/v(rho_star) + dt, which drains the total mass G: g*(p) >= p*F_max -
-    rho_star for any concave flux, so K(s) >= F_max*(s - L/v(rho_star)) and
-    at t_N every member is at least G + F_max*dt (tau <= tau_last) or G + K.
-    Raises LoadingError if the grid from entry.t[0] to t_N exceeds _MAX_GRID_POINTS.
+    The reference that Greenshields exit tables are measured against; no
+    loading calls it.  Samples every ``dt`` from entry.t[0] + mu, minimizing
+    over entry breakpoints plus the same grid, up to t_N >= tau_last +
+    G/F_max + L/v(rho_star) + dt, which drains the total mass G: g*(p) >=
+    p*F_max - rho_star for any concave flux, so K(s) >= F_max*(s -
+    L/v(rho_star)) and at t_N every member is at least G + F_max*dt (tau <=
+    tau_last) or G + K.
     """
     flux = arc.flux
     t_end = entry.t[-1] + entry.total / flux.f_max + arc.length / flux.speed_at_capacity + dt
-    if not (t_end - entry.t[0]) / dt <= _MAX_GRID_POINTS:
-        raise LoadingError(f"arc {arc.key}: dt {dt:g} needs more than "
-                           f"{_MAX_GRID_POINTS} grid points")
     t_lo = entry.t[0] + arc.mu
     n = max(2, int(np.ceil((t_end - t_lo) / dt)) + 1)
     ts = t_lo + dt * np.arange(n)
@@ -384,23 +370,20 @@ def _grid_minplus(entry, arc, dt):
 def lax_hopf_exit(entry: CumulativeCurve, arc: ArcDescriptor, dt: float = 1e-3):
     """Exit curve of an arc fed by ``entry``, via the variational formula.
 
-    Always the whole curve, from entry.t[0] + mu to the entry's total mass.
-    A piecewise-linear conjugate (triangular and sampled fluxes) gives the
-    exact exit, window minima then the point queue (``_exact_minplus``); a
-    smooth flux gives the minimum on a grid of step ``dt``.  Raises
-    LoadingError, naming the arc, when the exit's total misses the entry's
-    by more than 1e-9 * max(1, total): a drain time too large for a float,
-    for one.
+    Always the whole curve, from entry.t[0] + mu to the entry's total mass:
+    window minima then the point queue (``_exact_minplus``), exact for the
+    kernel of ``arc.flux.exit_table(dt)``, which is the arc's own kernel for
+    triangular and sampled fluxes and a table of chords at accuracy ``dt``
+    for Greenshields.  Raises LoadingError, naming the arc, when the exit's
+    total misses the entry's by more than 1e-9 * max(1, total): a drain time
+    too large for a float, for one.
     """
     if not np.isfinite(entry.total):
         raise DomainError("entry curve must carry bounded total mass")
     total = entry.total
     if total <= 0.0:
         return CumulativeCurve([entry.t[0] + arc.mu], [0.0], validate=False)
-    if arc.flux.conjugate_kinks() is None:
-        ts, vs = _grid_minplus(entry, arc, dt)
-    else:
-        ts, vs = _exact_minplus(entry, arc)
+    ts, vs = _exact_minplus(entry, arc, dt)
     vs = np.maximum.accumulate(np.clip(vs, 0.0, total))
     curve = CumulativeCurve(ts, vs, validate=False).simplify()
     # Snap tail values that are within rounding error of the final total:

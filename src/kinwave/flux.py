@@ -21,6 +21,19 @@ import numpy as np
 from .errors import CapacityError, ConfigurationError, DomainError
 
 _TOL = 1e-9
+_TINY = np.finfo(float).tiny
+MAX_TABLE_KNOTS = 1024     # knots of a Greenshields exit table, rising branch
+
+
+def table_knots(dt):
+    """Knot count m = ceil(pi / (2 sqrt(dt))) of a Greenshields exit table, which
+    bounds its pi**2 / (4 m**2) (see ``FluxDescriptor.exit_table``) by ``dt``;
+    ConfigurationError past MAX_TABLE_KNOTS."""
+    m = np.ceil(0.5 * np.pi / np.sqrt(dt))
+    if not m <= MAX_TABLE_KNOTS:
+        raise ConfigurationError(f"dt {dt:g} needs more than {MAX_TABLE_KNOTS} "
+                                 "Greenshields table knots")
+    return int(m)
 
 
 def kind_params(kinds, kind, params, noun):
@@ -49,8 +62,9 @@ class FluxDescriptor:
       * ``sampled``:      concave piecewise-linear through given breakpoints,
                           an (n, 2) array of (density, flow) points
 
-    Greenshields keeps its closed forms; every piecewise-linear kind is held
-    as one table (see ``_init_table``).  A triangular flux is the three-point
+    Greenshields keeps its closed forms, and its exits use a table of its
+    chords (``exit_table``); every piecewise-linear kind is held as one table
+    (see ``_init_table``).  A triangular flux is the three-point
     table (0, 0), (rho_star, F_max), (rho_jam, 0) with free-flow pace 1/v_free.
 
     Instances are immutable after construction and safe to share.
@@ -70,7 +84,11 @@ class FluxDescriptor:
             if not (0 < a < np.inf and 0 < R < np.inf):
                 raise ConfigurationError("greenshields needs finite v_free > 0, rho_jam > 0")
             self._set_range(R, R / 2.0, a * R / 4.0, 1.0 / a)
+            if self.f_max < _TINY:    # exit_table's checks cannot read subnormal flows
+                raise ConfigurationError(f"greenshields capacity v_free * rho_jam / 4 must be "
+                                         f"at least {_TINY:g}")
             self._kinks = None
+            self._tables = {}     # dt -> exit table
         elif kind == "triangular":
             a, w, R = map(float, self.params.values())
             if not all(0 < x < np.inf for x in (a, w, R)):
@@ -261,6 +279,33 @@ class FluxDescriptor:
         else:
             out = self._kinks[np.searchsorted(self._g_u[1:-1], u_arr, side="right")]
         return float(out) if np.isscalar(u) else out
+
+    def exit_table(self, dt):
+        """The piecewise-linear flux whose kernel an exit at accuracy ``dt`` uses.
+
+        A piecewise-linear flux is its own table.  A Greenshields flux gets,
+        once per ``dt``, the chords of F at 0, 1e-7 * rho_jam (the free-flow
+        pace is off by at most 1e-7) and the m = ``table_knots(dt)`` densities
+        (rho_star / 2) * (1 - cos(pi * i / m)) up to rho_star (F_max is
+        exact), mirrored onto the congested side.  The chords lie below F, so
+        its exits are late, never early.  On a chord of width h about rho a
+        steady flow is late by at most h**2 / (4 rho_jam rho (1 - 2 rho/rho_jam)
+        (1 - rho/rho_jam)) free-flow times, which the Chebyshev spacing
+        h = (pi/m) sqrt(rho (rho_star - rho)) makes pi**2 / (8 m**2 (1 -
+        rho/rho_jam)) <= pi**2 / (4 m**2), to leading order in 1/m.
+        """
+        if self._kinks is not None:
+            return self
+        table = self._tables.get(dt)
+        if table is None:
+            m, R = table_knots(dt), self.rho_jam
+            x = 0.5 * self.rho_star * (1.0 - np.cos(np.pi * np.arange(m + 1) / m))
+            rho = np.concatenate(([0.0, 1e-7 * R], x[1:-1], [self.rho_star]))
+            rho = np.concatenate((rho, R - rho[-2::-1]))
+            q = self.flow(rho)
+            q[len(rho) // 2] = self.f_max
+            table = self._tables[dt] = FluxDescriptor.sampled(np.column_stack((rho, q)))
+        return table
 
     def conjugate_kinks(self):
         """Pace values where g* changes slope, or None for smooth kinds.

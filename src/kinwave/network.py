@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .flux import ArcDescriptor, kind_params
+from .flux import ArcDescriptor, kind_params, table_knots
 
 
 class CostFunction:
@@ -210,13 +210,16 @@ class SolverBounds:
 class Network:
     """Immutable road network with driver groups and enumerated paths.
 
-    ``dt`` is the grid step of every smooth-flux (Greenshields) arc exit a
-    loading of this network computes; exact exits do not read it.
+    ``dt`` is the accuracy of every Greenshields arc exit a loading of this
+    network computes: the exit's table of chords (``FluxDescriptor.exit_table``)
+    keeps a steady travel time within about dt free-flow times.  Exits of
+    piecewise-linear fluxes are exact and do not read it.
     """
 
     def __init__(self, nodes, arcs, groups, dt=1e-3):
         if not 0 < dt < np.inf:
             raise ConfigurationError(f"dt must be positive and finite, got {dt!r}")
+        table_knots(dt)     # a dt past the knot cap fails here, not at a load
         self.dt = dt
         self.nodes = list(nodes)
         if len(set(self.nodes)) != len(self.nodes):

@@ -31,7 +31,7 @@ def random_scenario(rng, max_nodes=6, max_groups=3, allow_greenshields=False,
     Node chain guarantees every group a path; extra forward arcs add
     alternatives.  Rates are drawn in [0, 2 * F_max]; group sizes are set
     to the drawn mass so the profile is admissible by construction.  The
-    network is built at grid step ``dt``, which changes no draw.
+    network is built at Greenshields accuracy ``dt``, which changes no draw.
     """
     n = int(rng.integers(2, max_nodes + 1))
     nodes = [f"n{i}" for i in range(n)]

@@ -6,7 +6,8 @@ machinery, so that agreement is evidence and not tautology.  The
 exceptions are the regression oracles at the end, ``reference_inverse``,
 ``reference_simplify``, ``reference_csv_rows``, ``reference_envelope``,
 ``window_network_load`` and the closed forms that the flux and cost tables
-replaced.
+replaced, and ``grid_exit``, the grid evaluation with a smooth kernel that
+Greenshields exits were computed by before their tables.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import mpmath
 import numpy as np
 
 from kinwave import (AdmissibilityError, CumulativeCurve, DomainError, ExitComputation,
-                     LoadingError, LoadingResult, lax_hopf_exit, max_travel_time)
+                     LoadingError, LoadingResult, curves, lax_hopf_exit, max_travel_time)
 
 _MASS_TOL = 1e-9
 
@@ -360,6 +361,46 @@ def reference_csv_rows(curve, prefix=""):
     """The f-string row formatter that ``csv_rows`` replaced."""
     return "".join(f"{prefix}{t:.17g},{v:.17g}\n"
                    for t, v in zip(curve.t.tolist(), curve.v.tolist()))
+
+
+def grid_exit(entry, arc, dt=1e-4):
+    """The exit of ``arc`` with its own kernel, sampled every ``dt`` by
+    ``kinwave.curves._grid_minplus`` and linear in between.
+
+    Each sample minimises over the entry's breakpoints and a grid of step dt,
+    which misses the true minimum by at most (r + F_max) * dt / 4 for entry
+    rates r up to 1.5 F_max, and the interpolation adds at most F_max * dt / 4:
+    the curve is within F_max * dt vehicles of the exact exit.
+    """
+    ts, vs = curves._grid_minplus(entry, arc, dt)
+    vs = np.maximum.accumulate(np.clip(vs, 0.0, entry.total))
+    return CumulativeCurve(ts, vs, validate=False)
+
+
+def exit_time_gap(exit_curve, ref, slack):
+    """The least h >= 0 with ref(t - h) - slack <= exit(t) <= ref(t + h) + slack
+    at every t: how much later or earlier than ``ref`` the curve lets each
+    driver out, ``slack`` vehicles being ``ref``'s own error.
+
+    Both curves are piecewise linear, so each side's gap is piecewise linear
+    in t between the curve's breakpoints and the times where exit(t) -+ slack
+    meets one of ``ref``'s values; it is read at those times.
+    """
+    G = exit_curve.total
+    ts = np.unique(np.concatenate((exit_curve.t, exit_curve.inverse(
+        np.clip(np.concatenate((ref.v - slack, ref.v + slack)), 0.0, G)))))
+    y = exit_curve(ts)
+    # late: t - sup{s : ref(s) <= y + slack}, none where ref never passes y + slack
+    i = np.searchsorted(ref.v, y + slack, side="right")
+    inner = i < len(ref.v)
+    j = i[inner]
+    v0, v1 = ref.v[j - 1], ref.v[j]
+    last = ref.t[j - 1] + (y[inner] + slack - v0) / (v1 - v0) * (ref.t[j] - ref.t[j - 1])
+    late = ts[inner] - last
+    # early: inf{s : ref(s) >= y - slack} - t, none where y <= slack
+    need = y > slack
+    early = ref.inverse(np.minimum(y[need] - slack, ref.total)) - ts[need]
+    return float(max(0.0, np.max(late, initial=0.0), np.max(early, initial=0.0)))
 
 
 # ---------------------------------------------------------------------

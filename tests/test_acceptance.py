@@ -46,7 +46,7 @@ def test_criterion_1_conservation_causality(capsys):
     rng = np.random.default_rng(2024)
     worst = 0.0
     for i in range(50):
-        # coarse grid step: the invariants checked here are structural
+        # coarse dt: the invariants checked here are structural
         # (they hold at any resolution), and the fine default would blow
         # the wall-clock budget on the curved-flux scenarios
         net, prof = random_scenario(rng, allow_greenshields=(i % 7 == 0), dt=4e-3)

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kinwave import CostFunction, FluxDescriptor, ScenarioError, network_load
+from kinwave import CostFunction, FluxDescriptor, ScenarioError, curves, network_load
 from kinwave.cli import main, parse_scenario
 
 from oracles import reference_csv_rows
@@ -435,6 +435,22 @@ def test_negative_profile_rate_exits_2_naming_the_profile(tmp_path, command):
     assert not (tmp_path / "o" / "report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["load", "validate", "nash", "opt"])
+def test_tiny_rate_on_nonconnecting_path_exits_2_naming_the_profile(tmp_path, command):
+    # a->b->c with groups a->b and b->c: paths a->b (0) and b->c (1); 5e-10 on
+    # group 0's path 1 leaves its mass within tolerance, and a load would drop it
+    doc = minimal_doc(profile={"start": 0.0, "bin_width": 1.0,
+                               "rates": [[[0.1, 0.0], [0.0, 5e-10]], [[0.0, 0.0], [0.1, 0.0]]]})
+    doc["nodes"] = ["a", "b", "c"]
+    doc["arcs"].append(dict(doc["arcs"][0], **{"from": "b", "to": "c"}))
+    doc["groups"].append(dict(doc["groups"][0], origin="b", destination="c"))
+    path = write_scenario(tmp_path / "s.json", doc)
+    res = CliRunner().invoke(main, [command, "--scenario", path, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    assert "error: profile: group 0 assigns flow to non-connecting path 1" in res.output
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
 def test_negative_zero_profile_rate_loads(tmp_path):
     doc = minimal_doc(profile={"start": 0.0, "bin_width": 1.0, "rates": [[[0.1, -0.0]]]})
     path = write_scenario(tmp_path / "s.json", doc)
@@ -462,10 +478,43 @@ def test_bad_flag_exits_2_with_flag_named(tmp_path, command, flag, value, messag
     assert not (tmp_path / "o" / "report.json").exists()
 
 
+def test_no_command_reaches_the_grid_reference(tmp_path, monkeypatch):
+    # a Greenshields exit goes through its table; the grid evaluation is a
+    # test reference only
+    def forbidden(*args):
+        raise AssertionError("the grid reference was called")
+
+    monkeypatch.setattr(curves, "_grid_minplus", forbidden)
+    monkeypatch.setattr(curves, "_monge_row_minima", forbidden)
+    doc = minimal_doc(solver={"bins": 4, "max_iter": 3, "restarts": 1},
+                      profile={"start": 0.0, "bin_width": 0.5, "rates": [[[0.1, 0.1]]]})
+    doc["arcs"][0]["flux"] = {"kind": "greenshields", "v_free": 1.0, "rho_jam": 1.0}
+    path = write_scenario(tmp_path / "s.json", doc)
+    for command in ("load", "nash", "opt"):
+        res = CliRunner().invoke(main, [command, "--scenario", path, "--dump-curves",
+                                        "--out", str(tmp_path / command)])
+        assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code in (0, 1), res.output
+        assert (tmp_path / command / "curves" / "arc_a_b_exit.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "load", "nash", "opt"])
+def test_dt_past_the_knot_cap_exits_2(tmp_path, command):
+    # dt 1e-12 would need a Greenshields exit table of about 1.6e6 knots
+    doc = minimal_doc(solver={"dt": 1e-12},
+                      profile={"start": 0.0, "bin_width": 1.0, "rates": [[[0.1]]]})
+    doc["arcs"][0]["flux"] = {"kind": "greenshields", "v_free": 1.0, "rho_jam": 1.0}
+    path = write_scenario(tmp_path / "s.json", doc)
+    res = CliRunner().invoke(main, [command, "--scenario", path, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert "error: solver.dt: dt 1e-12 needs more than 1024 Greenshields table knots" \
+        in res.output
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
 @pytest.mark.parametrize("arc, solver, message", [
-    # dt 1e-12 would sample the Greenshields exit at ~1e12 points
-    ({"flux": {"kind": "greenshields", "v_free": 1.0, "rho_jam": 1.0}}, {"dt": 1e-12},
-     "error: scenario: arc ('a', 'b'): dt 1e-12 needs more than"),
     # free-flow time 2.5e300: the total cost overflows to inf (w_back matches v_free,
     # so rho_star = rho_jam / 2 stays clear of rho_jam)
     ({"length": 2.5,
@@ -476,7 +525,7 @@ def test_bad_flag_exits_2_with_flag_named(tmp_path, command, flag, value, messag
     ({"length": 1e-300,
       "flux": {"kind": "triangular", "v_free": 1.0, "w_back": 1e-300, "rho_jam": 2.5}},
      {}, "error: scenario: report.json: Out of range float"),
-], ids=["oversized-exit-grid", "cost-overflow", "sweep-bound-overflow"])
+], ids=["cost-overflow", "sweep-bound-overflow"])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_load_at_extreme_scales_exits_2(tmp_path, arc, solver, message):
     doc = minimal_doc(solver=solver,

@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinwave import (ArcDescriptor, CumulativeCurve, DomainError, ExitComputation,
-                     FluxDescriptor, LoadingError, exit_time, lax_hopf_exit,
-                     modulus_of_continuity)
+from kinwave import (ArcDescriptor, CostFunction, CumulativeCurve, DepartureProfile,
+                     DomainError, ExitComputation, FluxDescriptor, GroupDescriptor,
+                     LoadingError, Network, arrival_time_path, exit_time, lax_hopf_exit,
+                     modulus_of_continuity, network_load)
 from kinwave import curves
-from kinwave.curves import _REL, _RUN_HEAD, _exact_minplus, _monge_row_minima, csv_rows
+from kinwave.curves import (_REL, _exact_minplus, _grid_minplus, _monge_row_minima,
+                            csv_rows)
 
-from oracles import (brute_lax_hopf, greenshields_density, modulus_by_search,
-                     rational_minplus, reference_csv_rows, reference_envelope,
-                     reference_inverse, reference_simplify)
+from oracles import (brute_lax_hopf, exit_time_gap, greenshields_density, grid_exit,
+                     modulus_by_search, rational_minplus, reference_csv_rows,
+                     reference_envelope, reference_inverse, reference_simplify)
 
 GS_ARC = ArcDescriptor("a", "b", 1.0, FluxDescriptor.greenshields(1.0, 1.0))
 TRI_ARC = ArcDescriptor("a", "b", 1.0, FluxDescriptor.triangular(1.0, 1.0, 1.0))
@@ -278,10 +280,9 @@ class TestCumulativeCurve:
         assert np.max(np.abs(s(grid) - c(grid))) <= 1e-9 * max(1.0, c.total)
 
 
-# run lengths where simplify's run test changes hands: the Python head ends
-# after _RUN_HEAD points, and numpy chunks of 2, 4, 8, ... times _RUN_HEAD
-# points follow, so chunks end after (2**k - 1) * _RUN_HEAD points
-CHUNK_EDGES = sorted({(2**k - 1) * _RUN_HEAD + d for k in range(1, 8) for d in (-1, 0, 1)})
+# run lengths from 31 to 4,065, where simplify's run test once moved from a
+# Python loop to numpy chunks of doubling size: (2**k - 1) * 32 points, +-1
+CHUNK_EDGES = sorted({(2**k - 1) * 32 + d for k in range(1, 8) for d in (-1, 0, 1)})
 
 
 @st.composite
@@ -306,7 +307,7 @@ def grid_curves(draw):
 
 
 class TestSimplifyRuns:
-    """``simplify`` tests long collinear runs in numpy chunks; it must keep
+    """``simplify`` finds each collinear run from its anchor; it must keep
     and drop exactly the points that the point-by-point loop does."""
 
     @staticmethod
@@ -529,10 +530,11 @@ class TestPointQueue:
         (ArcDescriptor("a", "b", 1.0, FluxDescriptor.sampled([[0, 0], [0.5, 0.25], [1, 0]])),
          "_exact_minplus"),
         (SAMPLED_ARC, "_exact_minplus"),
-        (GS_ARC, "_grid_minplus"),
+        (GS_ARC, "_exact_minplus"),
     ], ids=["triangular", "one-kink-sampled", "two-kink-sampled", "greenshields"])
     def test_kink_count_picks_the_exit(self, arc, exit_name, monkeypatch):
-        # every piecewise-linear flux, whatever its kink count, takes the exact exit
+        # every flux, whatever its kink count, takes the exact exit: Greenshields
+        # through its table, and the grid reference is never called
         calls = []
         for name in ("_exact_minplus", "_grid_minplus"):
             def counted(*args, name=name, exit_fn=getattr(curves, name)):
@@ -673,16 +675,55 @@ class TestMassGuard:
                                                r"of the entry's 1e\+10 vehicles"):
             lax_hopf_exit(entry, arc)
 
-    def test_grid(self, monkeypatch):
-        def halved(ts, taus, U, kernel):
-            vals, args = _monge_row_minima(ts, taus, U, kernel)
-            return 0.5 * vals, args
+    def test_greenshields(self):
+        # capacity 2.5e-301: its table's point queue would drain 1e10 vehicles
+        # at 4e310, past the float range
+        arc = ArcDescriptor("a", "b", 1.0, FluxDescriptor.greenshields(1e-300, 1.0))
+        entry = CumulativeCurve.from_step_rates([0.0, 1.0], [1e10])
+        with pytest.raises(LoadingError, match=r"arc \('a', 'b'\): the exit carries \S+ "
+                                               r"of the entry's 1e\+10 vehicles"):
+            lax_hopf_exit(entry, arc)
 
-        monkeypatch.setattr(curves, "_monge_row_minima", halved)
-        entry = CumulativeCurve.from_step_rates([0.0, 1.0], [0.16])
-        with pytest.raises(LoadingError, match=r"arc \('a', 'b'\): the exit carries 0.08 "
-                                               r"of the entry's 0.16 vehicles"):
-            lax_hopf_exit(entry, GS_ARC, dt=1e-2)
+
+class TestGreenshieldsTable:
+    """A Greenshields exit is exact for its table of chords; these measure the
+    table against the smooth kernel, through a grid exit at step 1e-4."""
+
+    DT = 1e-3
+    REF_DT = 1e-4
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(0.5, 2.0),
+           st.lists(st.tuples(st.floats(0.0, 1.5), st.floats(0.1, 1.0)),
+                    min_size=1, max_size=8))
+    def test_against_a_fine_grid(self, v_free, rho_jam, L, bins):
+        arc = ArcDescriptor("a", "b", L, FluxDescriptor.greenshields(v_free, rho_jam))
+        fractions, widths = np.array(bins).T
+        entry = CumulativeCurve.from_step_rates(
+            np.concatenate(([0.0], np.cumsum(widths))), fractions * arc.flux.f_max)
+        if entry.total <= 0:
+            return
+        out = lax_hopf_exit(entry, arc, self.DT)
+        ref = grid_exit(entry, arc, self.REF_DT)
+        slack = arc.flux.f_max * self.REF_DT      # the reference's own vehicle error
+        # the table's kernel lies below K by at most L * rho_jam * pi**2 / (16 m**2),
+        # which m >= pi / (2 sqrt(dt)) bounds by L * rho_jam * dt / 4
+        ts = np.union1d(out.t, ref.t)
+        assert np.max(np.abs(out(ts) - ref(ts))) <= L * rho_jam * self.DT / 4 + slack
+        # 9e-4 free-flow times: the dt-1e-3 grid exit's worst on a unit arc
+        assert exit_time_gap(out, ref, slack) <= 9e-4 * arc.mu
+
+    def test_steady_travel_times(self):
+        # flows from 1e-3 to 0.9 F_max: uniform knots put the lowest ones
+        # 1.25e-2 late at 40 knots, and knots at 0.2 rho_jam read 0 at 0.64 F_max
+        for u in np.geomspace(1e-3, 0.9, 24) * GS_ARC.flux.f_max:
+            net = Network(["a", "b"], [GS_ARC], [GroupDescriptor(
+                10.0 * u, "a", "b", CostFunction.affine(0.0, -1.0),
+                CostFunction.affine(0.0, 1.0))], dt=self.DT)
+            loaded = network_load(net, DepartureProfile(0.0, 10.0, np.full((1, 1, 1), u)))
+            for t in (4.0, 6.0, 8.0):
+                late = arrival_time_path(loaded, net.paths[0], t) - (t + steady_travel_time(u))
+                assert 0.0 <= late <= 2 * self.DT
 
 
 class TestExitTime:
@@ -810,11 +851,11 @@ class TestMongeRowMinima:
                                                     rng.uniform(0.0, 0.4, size=3))
                     for _ in range(3)]
         for entry in entries:
-            new = lax_hopf_exit(entry, GS_ARC, dt)
+            new = _grid_minplus(entry, GS_ARC, dt)
             with monkeypatch.context() as m:
                 m.setattr(curves, "_monge_row_minima", rowwise_monge_row_minima)
-                ref = lax_hopf_exit(entry, GS_ARC, dt)
-            assert np.array_equal(new.t, ref.t) and np.array_equal(new.v, ref.v)
+                ref = _grid_minplus(entry, GS_ARC, dt)
+            assert np.array_equal(new[0], ref[0]) and np.array_equal(new[1], ref[1])
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(0.2, 2.0),
@@ -835,10 +876,10 @@ class TestMongeRowMinima:
 
         with pytest.MonkeyPatch.context() as m:
             m.setattr(curves, "_monge_row_minima", counted)
-            out = lax_hopf_exit(entry, arc, dt)
-        assert len(calls) == (1 if entry.total > 0 else 0)
-        assert out.v[-1] == entry.total
-        assert out.t[0] == entry.t[0] + arc.mu
+            ts, vs = _grid_minplus(entry, arc, dt)
+        assert len(calls) == 1
+        assert vs[-1] == entry.total
+        assert ts[0] == entry.t[0] + arc.mu
 
 
 @st.composite

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from kinwave import (ArcDescriptor, CapacityError, ConfigurationError, DomainError,
                      FluxDescriptor)
+from kinwave.flux import MAX_TABLE_KNOTS, table_knots
 
 from oracles import (TriangularClosedForm, greenshields_conjugate_grid, greenshields_density,
                      vertex_conjugate)
@@ -420,3 +421,44 @@ def test_sampled_wobble_repaired_at_any_scale(rho_scale, flow_scale):
     p = np.linspace(-1.0, 3.0, 4001) * kinks[-1]
     g = vertex_conjugate(pts, p)
     assert np.max(np.abs(flux.conjugate(p) - g)) <= 1e-12 * np.max(g)
+
+
+class TestExitTable:
+    """A Greenshields exit's kernel: chords of F at Chebyshev-Lobatto knots."""
+
+    def test_knot_count_follows_dt(self):
+        # pi**2 / (4 m**2) <= dt
+        assert [table_knots(dt) for dt in (2e-2, 1e-2, 1e-3, 1e-4)] == [12, 16, 50, 158]
+        assert table_knots(2.4e-6) <= MAX_TABLE_KNOTS
+        with pytest.raises(ConfigurationError, match="dt 2.3e-06 needs more than 1024"):
+            table_knots(2.3e-6)
+
+    @pytest.mark.parametrize("v_free, rho_jam", [(1.0, 1.0), (0.7, 2.5), (3.0, 0.2)])
+    def test_chords_of_f(self, v_free, rho_jam):
+        flux = FluxDescriptor.greenshields(v_free, rho_jam)
+        table = flux.exit_table(1e-3)
+        assert table is flux.exit_table(1e-3) and table is not flux.exit_table(2e-3)
+        assert TRI.exit_table(1e-3) is TRI
+        # knots 0, 1e-7 rho_jam, the 49 inner Chebyshev points and rho_star
+        kinks = table.conjugate_kinks()
+        assert len(kinks) == 51 and np.all(np.diff(kinks) > 0)
+        assert table.f_max == flux.f_max and table.rho_star == flux.rho_star
+        assert abs(table.free_flow_pace * v_free - 1.0) <= 1.1e-7
+        rho = np.linspace(0.0, rho_jam, 2001)
+        assert np.all(table.flow(rho) <= flux.flow(rho) + 1e-15 * flux.f_max)
+        # the kernel lies below K by at most rho_jam * pi**2 / (16 m**2) per unit length
+        p = flux.free_flow_pace * np.geomspace(1.0, 1e4, 2001)
+        gap = flux.conjugate(p) - table.conjugate(p)
+        assert np.all(gap >= -1e-15 * rho_jam)
+        assert np.max(gap) <= rho_jam * np.pi**2 / (16 * 50**2)
+
+    def test_subnormal_capacity_is_rejected(self):
+        # a capacity of 2.5e-321 leaves the table's flows too few digits for
+        # its concavity check; the smallest normal one still builds a table
+        with pytest.raises(ConfigurationError, match="capacity v_free \\* rho_jam / 4"):
+            FluxDescriptor.greenshields(1e-300, 1e-20)
+        tiny = np.finfo(float).tiny
+        for v_free in (1e-100, 1e-5, 1.0):
+            flux = FluxDescriptor.greenshields(v_free, 4.000001 * tiny / v_free)
+            assert flux.exit_table(1e-3).f_max == flux.f_max
+

@@ -74,6 +74,22 @@ class TestProfileValidation:
         with pytest.raises(AdmissibilityError):
             DepartureProfile(0.0, 1.0, rates).validate(net)
 
+    @pytest.mark.parametrize("check_mass", [True, False])
+    def test_tiny_flow_on_nonconnecting_path(self, check_mass):
+        # 5e-10 on group 0's b->c path keeps its mass within tolerance, and
+        # the loader would drop it: any positive rate there is an error
+        net = make_network(
+            [("a", "b", 1.0, TRI), ("b", "c", 1.0, TRI)],
+            [(0.1, "a", "b"), (0.1, "b", "c")],
+        )
+        (p0,), (p1,) = net.paths_for_group(0), net.paths_for_group(1)
+        rates = np.zeros((2, len(net.paths), 2))
+        rates[0, p0, 0] = rates[1, p1, 0] = 0.1
+        rates[0, p1, 1] = 5e-10
+        with pytest.raises(AdmissibilityError,
+                           match=f"group 0 assigns flow to non-connecting path {p1}"):
+            DepartureProfile(0.0, 1.0, rates).validate(net, check_mass=check_mass)
+
 
 class TestNetworkLoad:
     def test_zero_profile(self):
@@ -114,13 +130,13 @@ class TestNetworkLoad:
             oracle = brute_lax_hopf(entry.t, entry.v, GS.conjugate, 1.0, t)
             assert exit_c(t) == pytest.approx(oracle, abs=2e-3)
 
-    def test_short_grid_exit_is_an_error(self, monkeypatch):
-        # a grid exit that never drains must stop the loading with an error
+    def test_short_exit_is_an_error(self, monkeypatch):
+        # an exit that never drains must stop the loading with an error
         # naming the arc, not return short arrival curves
-        def zeros(ts, taus, U, kernel):
-            return np.zeros(len(ts)), np.zeros(len(ts), dtype=int)
+        def zeros(entry, arc, dt):
+            return entry.t + arc.mu, np.zeros(len(entry.t))
 
-        monkeypatch.setattr(curves, "_monge_row_minima", zeros)
+        monkeypatch.setattr(curves, "_exact_minplus", zeros)
         net = single_arc(flux=GS, size=0.16, dt=1e-2)
         prof = DepartureProfile(0.0, 1.0, np.full((1, 1, 1), 0.16))
         with pytest.raises(LoadingError, match=r"arc \('a', 'b'\): the exit carries 0 of "

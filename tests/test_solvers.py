@@ -11,6 +11,7 @@ from kinwave import (ArcDescriptor, ConfigurationError, CostFunction,
                      arrival_time_path, compute_bounds, cost_profile, max_travel_time,
                      nash_gap, network_load, per_driver_times, solve_global, solve_nash,
                      total_cost)
+from kinwave import loading as kinwave_loading
 from kinwave import solvers
 from kinwave.solvers import _project_box_simplex
 
@@ -663,6 +664,26 @@ class TestGridStep:
         prof, J, report = solve_global(self.NET, bins=3, max_iter=2, restarts=1)
         assert total_cost(self.NET, prof) == J
         assert total_cost(self.NET, prof, loading=report.loading) == J
+
+
+def test_long_greenshields_arc_keeps_exits_small(monkeypatch):
+    # a length-10 arc carrying 10 vehicles at capacity 0.25: grid exits at
+    # dt 1e-3 kept up to 1,039 breakpoints over the 40-time-unit drain, and
+    # nash (3 loads) and opt (38) at bins 4 took seconds to a minute
+    net = build([("a", "b", 10.0, FluxDescriptor.greenshields(1.0, 1.0))],
+                [(10.0, "a", "b", PHI, PSI_V)])
+    exit_fn, sizes = kinwave_loading.lax_hopf_exit, []
+
+    def counted(entry, arc, dt):
+        out = exit_fn(entry, arc, dt)
+        sizes.append(len(out.t))
+        return out
+
+    monkeypatch.setattr(kinwave_loading, "lax_hopf_exit", counted)
+    solve_nash(net, bins=4, max_iter=3)
+    solve_global(net, bins=4, max_iter=3, restarts=1)
+    assert len(sizes) <= 16      # 3 loads for nash, 13 for opt
+    assert max(sizes) <= 32      # 12-16 breakpoints per exit
 
 
 class TestEmptyGroupBounds:

@@ -134,7 +134,7 @@ print(json.dumps({"codes": codes, "windows": tracer.windows,
 def test_traced_commands_run(tmp_path):
     """``--trace 1`` in small: with every layer wrapped, ``load``, ``nash``
     and ``opt`` on a one-arc Greenshields scenario still run, and the
-    tracer counts their loading sweeps and grid-exit breakpoints."""
+    tracer counts their loading sweeps and exit breakpoints."""
     root = Path(__file__).resolve().parent.parent
     doc = {
         "format": 1, "nodes": ["a", "b"],
