@@ -25,6 +25,7 @@ from .errors import DomainError, LoadingError
 from .flux import ArcDescriptor
 
 _REL = 1e-12
+_SNAP = 64.0 * np.finfo(float).eps     # an exit's tail this near its total, relative, is the total
 
 
 class CumulativeCurve:
@@ -209,12 +210,16 @@ def _exact_minplus(entry: CumulativeCurve, arc: ArcDescriptor, dt: float = 1e-3)
     pieces in slope order (Le Boudec and Thiran, Network Calculus, 2001,
     sec. 3.1): m - 1 window minima, then the point queue at F_max, then the
     shift by mu.  A triangular flux has m = 1: its exit is the point queue
-    alone.
+    alone.  A piece changes the curve only where a rate of V exceeds its
+    slope, so the window passes stop at the first piece whose slope no rate
+    exceeds: an entry below u_1 costs the point queue and the shift alone.
     """
     flux = arc.flux.exit_table(dt)
     p = flux.conjugate_kinks()
     t, v = entry.t, entry.v
     for u, ell in zip(flux._g_u[1:-1], arc.length * (p[1:] - p[:-1])):
+        if not np.any(v[1:] - v[:-1] > u * (t[1:] - t[:-1])):
+            break   # V is its own window minimum, and the later slopes are larger
         t, v = _window_min(t, v, u, ell)
     ts, vs = _point_queue(t, v, flux.f_max)
     ts = ts + arc.length * flux.free_flow_pace
@@ -223,10 +228,10 @@ def _exact_minplus(entry: CumulativeCurve, arc: ArcDescriptor, dt: float = 1e-3)
 
 
 def _window_min(t, v, u, ell):
-    """Exact ``(x, w)`` of Win V(x) = min over 0 <= s <= ell of V(x - s) + u*s.
+    """Exact ``(x, w)`` of Win V(x) = min over 0 <= s <= ell of V(x - s) + u*s,
+    for a V with some rate above u (else Win V is V itself).
 
-    V is returned as it is when none of its rates exceeds u.  Otherwise,
-    between consecutive candidates (the times t and t + ell) no breakpoint
+    Between consecutive candidates (the times t and t + ell) no breakpoint
     enters or leaves the window, so Win V is the least of three lines: the
     head V(x), the tail V(x - ell) + u*ell, and v_j + u*(x - t_j) for the j
     that minimises v_i - u*t_i over the breakpoints lo <= i < hi inside the
@@ -236,8 +241,6 @@ def _window_min(t, v, u, ell):
     lines under the third, each evaluated at its own time; dropping the
     others keeps a cascade of passes from doubling its points at each pass.
     """
-    if not np.any(v[1:] - v[:-1] > u * (t[1:] - t[:-1])):
-        return t, v
     n = len(t)
     tl, vl = t + ell, v + u * ell
     x = np.sort(np.concatenate((t, tl)))
@@ -283,9 +286,13 @@ def _point_queue(taus, U, F):
     segment on which W falls through the running minimum gains the point
     where the queue empties, and a queue left at the last breakpoint drains
     at capacity by (G - U_j)/F after tau_j, when that time is finite.
-    Between these points the exit is linear.
+    Between these points the exit is linear.  When W never rises the queue
+    stays empty, and the exit is U itself (plus 0.0, as the general formula
+    turns -0.0 into 0.0).
     """
     W = U - F * taus
+    if np.all(W[1:] <= W[:-1]):
+        return taus, U + 0.0
     m = np.minimum.accumulate(W)
     j = np.maximum.accumulate(np.where(W <= m, np.arange(len(W)), 0))
     vs = U[j] + F * (taus - taus[j])
@@ -367,6 +374,23 @@ def _grid_minplus(entry, arc, dt):
     return ts, vals
 
 
+def _snap_tail(curve, total):
+    """``curve`` with its values within _SNAP * max(1, total) of ``total`` set to it.
+
+    A one-ulp dip on the last flat segment would otherwise push left
+    inverses of the total past the whole tail, grossly inflating exit times
+    of the last drivers.  The values are nondecreasing and at most
+    ``total``, so the near tail starts where one ``searchsorted`` puts
+    total - snap, and it is all ``total`` when its first value is.
+    """
+    i = np.searchsorted(curve.v, total - _SNAP * max(1.0, total))
+    if i == len(curve.v) or curve.v[i] == total:
+        return curve
+    v = curve.v.copy()
+    v[i:] = total
+    return CumulativeCurve(curve.t, v).simplify()
+
+
 def lax_hopf_exit(entry: CumulativeCurve, arc: ArcDescriptor, dt: float = 1e-3):
     """Exit curve of an arc fed by ``entry``, via the variational formula.
 
@@ -385,17 +409,7 @@ def lax_hopf_exit(entry: CumulativeCurve, arc: ArcDescriptor, dt: float = 1e-3):
         return CumulativeCurve([entry.t[0] + arc.mu], [0.0], validate=False)
     ts, vs = _exact_minplus(entry, arc, dt)
     vs = np.maximum.accumulate(np.clip(vs, 0.0, total))
-    curve = CumulativeCurve(ts, vs, validate=False).simplify()
-    # Snap tail values that are within rounding error of the final total:
-    # a one-ulp dip on the last flat segment would otherwise push left
-    # inverses of the total past the whole tail, grossly inflating exit
-    # times of the last drivers.
-    snap = 64.0 * np.finfo(float).eps * max(1.0, total)
-    near = curve.v >= total - snap
-    if np.any(near) and not np.all(curve.v[near] == total):
-        v = curve.v.copy()
-        v[near] = total
-        curve = CumulativeCurve(curve.t, v).simplify()
+    curve = _snap_tail(CumulativeCurve(ts, vs, validate=False).simplify(), total)
     if abs(curve.total - total) > 1e-9 * max(1.0, total):
         raise LoadingError(f"arc {arc.key}: the exit carries {curve.total:.6g} of the "
                            f"entry's {total:.6g} vehicles")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .curves import CumulativeCurve, ExitComputation, lax_hopf_exit
 from .errors import AdmissibilityError, ConfigurationError, DomainError, LoadingError
-from .network import Network, Path, max_travel_time
+from .network import Network, Path
 
 _MASS_TOL = 1e-9
 
@@ -89,14 +89,17 @@ class LoadingResult:
     departure curve and then its share of each arc exit along the path:
     entry ``h`` is what the cell brings into hop ``h``, and the last entry
     is its arrivals.  A cell that departs nothing holds its zero departure
-    curve alone.  ``windows`` is the number of loading sweeps, 1 on an
-    acyclic feeder graph.
+    curve alone.  ``splits[key]`` is an arc's last FIFO split: the time up to
+    which its shares are exact, the entry components it split and the
+    shares, both keyed by (k, p, hop).  ``windows`` is the number of loading
+    sweeps, 1 on an acyclic feeder graph.
     """
 
     network: Network
     profile: DepartureProfile
     arc_flows: dict = field(default_factory=dict)      # key -> ExitComputation
     curves: dict = field(default_factory=dict)         # (k, p) -> tuple of curves
+    splits: dict = field(default_factory=dict)         # key -> (t_hi, comps, shares)
     windows: int = 0
 
     @property
@@ -155,47 +158,42 @@ def _split_exit(exit_curve, entry_curve, comps, t_hi):
     return out
 
 
-def _feeder_order(arcs, paths):
-    """``arcs`` ordered so that a comes before b when some path uses a and
-    then b; a cycle is broken at its first arc in ``arcs``."""
-    preds = {a.key: {u.key for path in paths for u, b in zip(path, path[1:]) if b.key == a.key}
-             for a in arcs}
-    order, pending = [], list(arcs)
-    while pending:
-        placed = {a.key for a in order}
-        order.append(next((a for a in pending if preds[a.key] <= placed), pending[0]))
-        pending.remove(order[-1])
-    return order
-
-
 def network_load(network: Network, profile: DepartureProfile, *, check_mass=True,
                  reuse: LoadingResult | None = None) -> LoadingResult:
     """Propagate a departure profile through the network.
 
-    Sweeps the live arcs in ``_feeder_order``: each arc combines its
-    component entries, computes its whole exit and splits it among them.
-    Its exit components are exact up to its mu plus the least exact-until
-    time of its feeders: +inf for a departure or a final feeder, the first
-    live departure time for a hop not yet reached.  Sweeps stop once every
-    group's mass has reached its destination, after one sweep on an acyclic
-    feeder graph; at most as many run as windows of the shortest mu would.
+    Sweeps the live arcs in feeder order (``Network.sweep_plan``): each arc
+    combines its component entries, computes its whole exit and splits it
+    among them.  Its exit components are exact up to its mu plus the least
+    exact-until time of its feeders: +inf for a departure or a final feeder,
+    the first live departure time for a hop not yet reached.  Sweeps stop
+    once every group's mass has reached its destination, after one sweep on
+    an acyclic feeder graph; at most as many run as windows of the shortest
+    mu would.
     ``check_mass=False`` skips the per-group mass-balance check (used for
     finite-difference cost probes, which perturb one bin at a time).
 
     ``reuse``, a loading of the same network (else ConfigurationError),
-    lends its arc exits: an arc whose entry has the same bytes as in
-    ``reuse`` takes that exit as it is, since an exit depends on its entry
-    and the network's ``dt`` alone.
+    lends what the new load would compute again, each as it is:
+    - a cell's departure curve, when its rate row and the bin edges have the
+      same bytes as in ``reuse``'s profile;
+    - an arc's exit, when its entry has the same bytes as in ``reuse``,
+      since an exit depends on its entry and the network's ``dt`` alone;
+    - an arc's exit shares, when its exit is lent, its components are the
+      very curves ``reuse`` split and they are cut at the same time.
+    So a load that changes one bin of one cell rebuilds only the curves
+    downstream of it.
     """
     if reuse is not None and reuse.network is not network:
         raise ConfigurationError("reuse must be a loading of the same network")
     profile.validate(network, check_mass=check_mass)
 
     result = LoadingResult(network, profile)
-    G = network.total_demand
     live = profile.rates[network.viable] > 0        # one row per cell, in cell order
     t_first = profile.start + int(np.argmax(live.any(axis=0))) * profile.bin_width
     zero = CumulativeCurve.zero(t_first)
+    lent = reuse.profile if reuse is not None and \
+        reuse.profile.bin_edges.tobytes() == profile.bin_edges.tobytes() else None
 
     # live cells: (k, p) -> list of arcs along the path, and the reverse
     # index: arc key -> list of (k, p, hop) feeding that arc.  A live cell's
@@ -209,14 +207,17 @@ def network_load(network: Network, profile: DepartureProfile, *, check_mass=True
         path_arcs[(k, p)] = arcs = network.paths[p].arcs
         for hop, arc in enumerate(arcs):
             feeders[arc.key].append((k, p, hop))
-        result.curves[(k, p)] = [profile.departure_curve(k, p)] + [zero] * len(arcs)
+        if lent is not None and lent.rates[k, p].tobytes() == profile.rates[k, p].tobytes():
+            departures = reuse.curves[(k, p)][0]
+        else:
+            departures = profile.departure_curve(k, p)
+        result.curves[(k, p)] = [departures] + [zero] * len(arcs)
 
     if not path_arcs:
         return result
 
-    t_max = max(max_travel_time(network, network.paths[p], G) for (_, p) in path_arcs)
+    order, t_max = network.sweep_plan(tuple(sorted({p for _, p in path_arcs})))
     horizon = profile.end + t_max + 1.0
-    order = _feeder_order([a for a in network.arcs if feeders[a.key]], path_arcs.values())
     exact_until = {}    # arc key -> time up to which its exit compositions are exact
 
     def short_path():
@@ -232,19 +233,26 @@ def network_load(network: Network, profile: DepartureProfile, *, check_mass=True
         for arc in order:
             fed = feeders[arc.key]
             comps = {(k, p, h): result.curves[(k, p)][h] for (k, p, h) in fed}
-            exact_until[arc.key] = arc.mu + min(
+            t_hi = exact_until[arc.key] = arc.mu + min(
                 exact_until.get(path_arcs[(k, p)][h - 1].key, t_first) if h else np.inf
                 for (k, p, h) in fed)
             entry = CumulativeCurve.combine(list(comps.values()))
             # bytes, not values: -0.0 == 0.0, and the exit must be the same bits
             old = reuse.arc_flows.get(arc.key) if reuse is not None else None
+            shares = None
             if old is not None and old.entry.t.tobytes() == entry.t.tobytes() \
                     and old.entry.v.tobytes() == entry.v.tobytes():
                 exit_curve = old.exit
+                split = reuse.splits.get(arc.key)
+                if split is not None and split[0] == t_hi and split[1].keys() == comps.keys() \
+                        and all(c is split[1][key] for key, c in comps.items()):
+                    shares = split[2]
             else:
                 exit_curve = lax_hopf_exit(entry, arc, dt=network.dt)
             result.arc_flows[arc.key] = ExitComputation(entry, exit_curve, arc)
-            shares = _split_exit(exit_curve, entry, comps, exact_until[arc.key])
+            if shares is None:
+                shares = _split_exit(exit_curve, entry, comps, t_hi)
+            result.splits[arc.key] = (t_hi, comps, shares)
             for (k, p, h), share in shares.items():
                 result.curves[(k, p)][h + 1] = share
         result.windows = sweep + 1

@@ -254,6 +254,7 @@ class Network:
         self.viable = np.zeros((len(self.groups), len(self.paths)), dtype=bool)
         self.viable[tuple(zip(*self.cells))] = True
         self.viable.flags.writeable = False
+        self._sweep_plans = {}      # live path indices -> (arcs in feeder order, t_max)
 
     @property
     def total_demand(self):
@@ -267,6 +268,34 @@ class Network:
     @property
     def f_max(self):
         return max(a.flux.f_max for a in self.arcs)
+
+    def sweep_plan(self, live):
+        """The arcs that the paths ``live`` (a tuple of path indices) use, in
+        feeder order, and the largest ``max_travel_time`` of those paths at
+        the total demand: what a loading of a profile departing on exactly
+        those paths sweeps, and how long it may take.  Memoised per ``live``."""
+        plan = self._sweep_plans.get(live)
+        if plan is None:
+            paths = [self.paths[p].arcs for p in live]
+            used = {a.key for arcs in paths for a in arcs}
+            G = self.total_demand
+            plan = self._sweep_plans[live] = (
+                _feeder_order([a for a in self.arcs if a.key in used], paths),
+                max(max_travel_time(self, self.paths[p], G) for p in live))
+        return plan
+
+
+def _feeder_order(arcs, paths):
+    """``arcs`` ordered so that a comes before b when some path uses a and
+    then b; a cycle is broken at its first arc in ``arcs``."""
+    preds = {a.key: {u.key for path in paths for u, b in zip(path, path[1:]) if b.key == a.key}
+             for a in arcs}
+    order, pending = [], list(arcs)
+    while pending:
+        placed = {a.key for a in order}
+        order.append(next((a for a in pending if preds[a.key] <= placed), pending[0]))
+        pending.remove(order[-1])
+    return order
 
 
 def enumerate_paths(network) -> list:

@@ -6,8 +6,10 @@ machinery, so that agreement is evidence and not tautology.  The
 exceptions are the regression oracles at the end, ``reference_inverse``,
 ``reference_simplify``, ``reference_csv_rows``, ``reference_envelope``,
 ``window_network_load`` and the closed forms that the flux and cost tables
-replaced, and ``grid_exit``, the grid evaluation with a smooth kernel that
-Greenshields exits were computed by before their tables.
+replaced, ``grid_exit``, the grid evaluation with a smooth kernel that
+Greenshields exits were computed by before their tables, and
+``full_cascade`` and ``mask_snap``, the exit's cascade and tail snap as
+they ran before they stopped early.
 """
 from __future__ import annotations
 
@@ -401,6 +403,61 @@ def exit_time_gap(exit_curve, ref, slack):
     need = y > slack
     early = ref.inverse(np.minimum(y[need] - slack, ref.total)) - ts[need]
     return float(max(0.0, np.max(late, initial=0.0), np.max(early, initial=0.0)))
+
+
+# ---------------------------------------------------------------------
+# Regression oracles: the exit cascade without its early stops
+# ---------------------------------------------------------------------
+
+
+def full_cascade(entry, arc, dt=1e-3):
+    """``curves._exact_minplus`` as it ran every kernel piece: a window pass
+    for each piece below capacity (one whose slope no rate exceeds leaves the
+    curve as it is), then the whole point queue, then the shift by mu."""
+    flux = arc.flux.exit_table(dt)
+    p = flux.conjugate_kinks()
+    t, v = entry.t, entry.v
+    for u, ell in zip(flux._g_u[1:-1], arc.length * (p[1:] - p[:-1])):
+        if np.any(v[1:] - v[:-1] > u * (t[1:] - t[:-1])):
+            t, v = curves._window_min(t, v, u, ell)
+    ts, vs = full_point_queue(t, v, flux.f_max)
+    ts = ts + arc.length * flux.free_flow_pace
+    keep = np.concatenate(([True], np.diff(ts) > 0))
+    return ts[keep], vs[keep]
+
+
+def full_point_queue(taus, U, F):
+    """``curves._point_queue`` with its running minimum, crossings and drain
+    always computed, even where W = U - F*tau never rises."""
+    W = U - F * taus
+    m = np.minimum.accumulate(W)
+    j = np.maximum.accumulate(np.where(W <= m, np.arange(len(W)), 0))
+    vs = U[j] + F * (taus - taus[j])
+    i = np.flatnonzero((W[:-1] > m[:-1]) & (W[1:] < m[:-1]))
+    dt, du = taus[i + 1] - taus[i], U[i + 1] - U[i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xs = taus[i] + (U[i] - vs[i]) * dt / (F * dt - du)
+    inside = (xs > taus[i]) & (xs < taus[i + 1])
+    i, xs = i[inside], xs[inside]
+    ts = np.insert(taus, i + 1, xs)
+    vs = np.insert(vs, i + 1, U[j[i]] + F * (xs - taus[j[i]]))
+    with np.errstate(over="ignore"):
+        t_drain = taus[j[-1]] + (U[-1] - U[j[-1]]) / F
+    if taus[-1] < t_drain < np.inf:
+        ts, vs = np.append(ts, t_drain), np.append(vs, U[-1])
+    return ts, vs
+
+
+def mask_snap(curve, total):
+    """``lax_hopf_exit``'s tail snap as three passes over a mask: every value
+    within 64 eps * max(1, total) of ``total`` is set to it."""
+    snap = 64.0 * np.finfo(float).eps * max(1.0, total)
+    near = curve.v >= total - snap
+    if np.any(near) and not np.all(curve.v[near] == total):
+        v = curve.v.copy()
+        v[near] = total
+        return CumulativeCurve(curve.t, v).simplify()
+    return curve
 
 
 # ---------------------------------------------------------------------

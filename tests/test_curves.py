@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kinwave import (ArcDescriptor, CostFunction, CumulativeCurve, DepartureProfile,
@@ -12,11 +12,13 @@ from kinwave import (ArcDescriptor, CostFunction, CumulativeCurve, DepartureProf
                      modulus_of_continuity, network_load)
 from kinwave import curves
 from kinwave.curves import (_REL, _exact_minplus, _grid_minplus, _monge_row_minima,
-                            csv_rows)
+                            _snap_tail, csv_rows)
 
-from oracles import (brute_lax_hopf, exit_time_gap, greenshields_density, grid_exit,
-                     modulus_by_search, rational_minplus, reference_csv_rows,
-                     reference_envelope, reference_inverse, reference_simplify)
+from oracles import (brute_lax_hopf, exit_time_gap, full_cascade, full_point_queue,
+                     greenshields_density, grid_exit, mask_snap, modulus_by_search,
+                     rational_minplus,
+                     reference_csv_rows, reference_envelope, reference_inverse,
+                     reference_simplify)
 
 GS_ARC = ArcDescriptor("a", "b", 1.0, FluxDescriptor.greenshields(1.0, 1.0))
 TRI_ARC = ArcDescriptor("a", "b", 1.0, FluxDescriptor.triangular(1.0, 1.0, 1.0))
@@ -652,6 +654,123 @@ class TestExactMinplus:
         entry = CumulativeCurve.from_step_rates([0.0, 1.0, 2.0], rates)
         ts, vs = _exact_minplus(entry, SAMPLED_ARC)
         assert np.array_equal(ts, entry.t + SAMPLED_ARC.mu) and np.array_equal(vs, entry.v)
+
+
+@st.composite
+def cascade_entries(draw):
+    """An arc and an entry on which the cascade may stop early or find no
+    queue: rates below u_1, rates at a kernel slope, rates at F_max or 0 (a
+    capped cell), -0.0 values, breakpoints a rounding apart with any rise,
+    or a ``multi_kink_entries`` case, from a start in [-1e3, 1e3].  The arc
+    is that case's, or the triangular, two-kink sampled or Greenshields one."""
+    kind = draw(st.sampled_from(["below", "slope", "capped", "negzero", "rounding", "multi"]))
+    arc, entry = draw(multi_kink_entries())
+    if kind == "multi":
+        return arc, entry
+    arc = draw(st.sampled_from([arc, TRI_ARC, SAMPLED_ARC, GS_ARC]))
+    slopes = arc.flux.exit_table(1e-3)._g_u[1:].tolist()     # u_1 < ... < u_m = F_max
+    n = draw(st.integers(0, 8))
+    start = draw(st.floats(-1e3, 1e3))    # far from 0, u*t rounds more than the rises
+    if kind == "rounding":
+        # each step is one ulp or a width; each rise is 0, a slope's worth or any
+        t, v = [start], [0.0]
+        for _ in range(n):
+            t.append(np.nextafter(t[-1], np.inf) if draw(st.booleans())
+                     else t[-1] + draw(st.floats(0.01, 2.0)))
+            rise = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0),
+                                  st.sampled_from(slopes).map(lambda u: u * (t[-1] - t[-2]))))
+            v.append(v[-1] + rise)
+        return arc, CumulativeCurve(t, v, validate=False)
+    rate = {"below": st.floats(0.0, slopes[0], exclude_max=True),
+            "slope": st.sampled_from([0.0] + slopes),
+            "capped": st.sampled_from([0.0, slopes[-1]]),
+            "negzero": st.one_of(st.just(0.0), st.floats(0.0, 3.0 * slopes[-1]))}[kind]
+    rates = [draw(rate) for _ in range(n)]
+    times = start + np.concatenate(([0.0], np.cumsum([draw(st.floats(0.01, 2.0))
+                                                      for _ in range(n)])))
+    entry = CumulativeCurve.from_step_rates(times, rates) if n else CumulativeCurve.zero(start)
+    if kind == "negzero":
+        entry = CumulativeCurve(entry.t, np.where(entry.v == 0.0, -0.0, entry.v),
+                                validate=False)
+    return arc, entry
+
+
+@st.composite
+def capacity_runs(draw):
+    """A capacity F and point-queue input (taus, U) of runs at rate F or 0,
+    each run a width or one ulp, from a start in [-1e3, 1e3]."""
+    F = draw(st.one_of(st.sampled_from([0.25, 0.5, 0.75, 1.0, 2.0]), st.floats(0.1, 3.0)))
+    taus, U = [draw(st.floats(-1e3, 1e3))], [0.0]
+    for _ in range(draw(st.integers(1, 8))):
+        taus.append(np.nextafter(taus[-1], np.inf) if draw(st.booleans())
+                    else taus[-1] + draw(st.floats(0.01, 2.0)))
+        U.append(U[-1] + draw(st.sampled_from([F, F, 0.0])) * (taus[-1] - taus[-2]))
+    return F, taus, U
+
+
+class TestCascadeStops:
+    """The cascade stops at the first kernel piece that leaves the curve as it
+    is, and the point queue returns the entry when no queue forms: the same
+    bits, sign bits included, as running every pass and the whole queue."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cascade_entries())
+    def test_matches_the_full_cascade(self, case):
+        arc, entry = case
+        ts, vs = _exact_minplus(entry, arc)
+        ref_t, ref_v = full_cascade(entry, arc)
+        assert ts.tobytes() == ref_t.tobytes()
+        assert vs.tobytes() == ref_v.tobytes()
+
+    @settings(max_examples=500, deadline=None)
+    @given(capacity_runs())
+    @example((0.75, [0.52, 0.5200000000000001, 1.1900000000000002, 2.38],
+              [0.0, 8.326672684688674e-17, 0.5025000000000002, 1.395]))
+    def test_point_queue_reads_w_pointwise(self, case):
+        # no rate exceeds F, yet W = U - F*tau may rise by a rounding, and the
+        # full queue then drains one ulp late: only the pointwise W says so
+        F, taus, U = case
+        ts, vs = curves._point_queue(np.array(taus), np.array(U), F)
+        ref_t, ref_v = full_point_queue(np.array(taus), np.array(U), F)
+        assert ts.tobytes() == ref_t.tobytes()
+        assert vs.tobytes() == ref_v.tobytes()
+
+    def test_an_entry_below_u1_takes_no_window_pass(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(curves, "_window_min", lambda *a: calls.append(a))
+        entry = CumulativeCurve.from_step_rates([0.0, 1.0, 2.0], [0.1, 0.05])
+        ts, vs = _exact_minplus(entry, SAMPLED_ARC)
+        assert calls == []
+        assert np.array_equal(ts, entry.t + SAMPLED_ARC.mu) and np.array_equal(vs, entry.v)
+
+
+@st.composite
+def near_total_tails(draw):
+    """A total and a curve of values up to it, nondecreasing from 0, whose last
+    values lie 0 to 80 ulp below the total (the snap reaches 64 eps)."""
+    total = draw(st.one_of(st.floats(1e-6, 1e6), st.sampled_from([0.5, 1.0, 2.0, 3.0])))
+    below = sorted(draw(st.lists(st.integers(0, 80), min_size=1, max_size=6)), reverse=True)
+    tail = []
+    for k in below:
+        x = total
+        for _ in range(k):
+            x = np.nextafter(x, 0.0)
+        tail.append(float(x))
+    head = sorted(draw(st.lists(st.floats(0.0, 0.999), max_size=4)))
+    v = [0.0] + [h * total for h in head] + tail
+    t = np.cumsum(np.concatenate(([0.0], [draw(st.floats(0.01, 1.0)) for _ in v[1:]])))
+    return total, CumulativeCurve(t, v, validate=False)
+
+
+class TestSnapTail:
+    @settings(max_examples=300, deadline=None)
+    @given(near_total_tails())
+    def test_matches_the_mask_form(self, case):
+        total, curve = case
+        got, want = _snap_tail(curve, total), mask_snap(curve, total)
+        assert (got is curve) == (want is curve)
+        assert got.t.tobytes() == want.t.tobytes()
+        assert got.v.tobytes() == want.v.tobytes()
 
 
 class TestMassGuard:

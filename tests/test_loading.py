@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from kinwave import (AdmissibilityError, ArcDescriptor, ConfigurationError, CostFunction,
                      CumulativeCurve, DepartureProfile, DomainError, FluxDescriptor,
                      GroupDescriptor, LoadingError, Network, arrival_time_path,
-                     modulus_of_continuity, network_load, per_driver_times, total_cost)
+                     max_travel_time, modulus_of_continuity, network_load, per_driver_times,
+                     total_cost)
 from kinwave import ExitComputation, curves, lax_hopf_exit, loading
+from kinwave import network as network_module
 from kinwave.loading import _split_exit
 
 from helpers import random_flux, random_scenario
@@ -316,13 +318,15 @@ def assert_same_bits(res, ref):
 
 
 class TestReuse:
-    """``network_load(reuse=...)`` takes an arc's exit from an earlier loading
-    when the arc's entry has the same bytes, and must load the same bits."""
+    """``network_load(reuse=...)`` takes departure curves, arc exits and exit
+    shares from an earlier loading where their inputs are the same, and must
+    load the same bits."""
 
     NET = make_network([("o", "a", 0.5, TRI), ("a", "m", 0.6, TRI), ("o", "b", 0.4, TRI),
                         ("b", "m", 0.7, TRI), ("m", "d", 0.5, TRI)], [(0.6, "o", "d")])
 
-    def profiles(self):
+    @staticmethod
+    def profiles():
         rates = np.zeros((1, 2, 3))
         rates[0, :, 1:] = 0.3
         base = DepartureProfile(-1.0, 0.5, rates)
@@ -343,6 +347,78 @@ class TestReuse:
         again = network_load(self.NET, base, reuse=old)
         assert_same_bits(again, old)
         assert all(c.exit is old.arc_flows[k].exit for k, c in again.arc_flows.items())
+
+    def test_lends_what_did_not_change(self):
+        base, probe = self.profiles()
+        old = network_load(self.NET, base)
+        again = network_load(self.NET, base, reuse=old)
+        for cell, record in again.curves.items():
+            assert all(c is o for c, o in zip(record, old.curves[cell], strict=True)), cell
+        # the probe changes a bin of path 0, which shares only m->d with path 1
+        res = network_load(self.NET, probe, check_mass=False, reuse=old)
+        (dep0, *shares0), (dep1, ob, bm, md) = res.curves[(0, 0)], res.curves[(0, 1)]
+        assert dep1 is old.curves[(0, 1)][0] and dep0 is not old.curves[(0, 0)][0]
+        assert ob is old.curves[(0, 1)][1] and bm is old.curves[(0, 1)][2]
+        assert md is not old.curves[(0, 1)][3]
+        assert not any(c is o for c, o in zip(shares0, old.curves[(0, 0)][1:]))
+
+    @pytest.mark.parametrize("start, width", [(-0.5, 0.5), (-1.0, 0.25)])
+    def test_another_grid_gets_new_curves(self, start, width):
+        base, _ = self.profiles()
+        old = network_load(self.NET, base)
+        moved = DepartureProfile(start, width, base.rates)
+        res = network_load(self.NET, moved, check_mass=False, reuse=old)
+        assert_same_bits(res, network_load(self.NET, moved, check_mass=False))
+        for cell, record in res.curves.items():
+            assert not any(c is o for c, o in zip(record, old.curves[cell])), cell
+
+    def test_an_equal_entry_of_other_components_is_split_again(self):
+        # two groups on one arc swap their rates: the entry has the same bytes,
+        # so the exit is lent, but each group's share must be split anew
+        net = make_network([("a", "b", 1.0, TRI)], [(0.375, "a", "b"), (0.375, "a", "b")])
+        base = DepartureProfile(0.0, 0.5, np.array([[[0.5, 0.25]], [[0.25, 0.5]]]))
+        swap = DepartureProfile(0.0, 0.5, base.rates[::-1].copy())
+        old = network_load(net, base)
+        res = network_load(net, swap, reuse=old)
+        key = net.arcs[0].key
+        assert res.arc_flows[key].exit is old.arc_flows[key].exit
+        assert_same_bits(res, network_load(net, swap))
+
+    def test_shares_cut_at_another_time_are_split_again(self, monkeypatch):
+        net = single_arc()
+        prof = DepartureProfile(0.0, 0.5, np.array([[[0.2, 0.12]]]))
+        old = network_load(net, prof)
+        calls = []
+        monkeypatch.setattr(loading, "_split_exit",
+                            lambda *args: calls.append(args) or _split_exit(*args))
+        network_load(net, prof, reuse=old)
+        assert calls == []
+        key = net.arcs[0].key
+        t_hi, comps, shares = old.splits[key]
+        assert t_hi == np.inf
+        old.splits[key] = (1e9, comps, shares)
+        network_load(net, prof, reuse=old)
+        assert len(calls) == 1
+
+    def test_cyclic_feeders(self):
+        # on a ring every arc's entry is reloaded by the later sweeps, so a
+        # lent share must be the one split from the very curves it is lent for
+        net = make_network(
+            [("a", "b", 1.0, TRI), ("b", "c", 1.0, TRI), ("c", "a", 1.0, TRI)],
+            [(1.6, "a", "c"), (1.6, "b", "a"), (1.6, "c", "b")],
+        )
+        rates = np.zeros((3, len(net.paths), 4))
+        for k in range(3):
+            rates[k, net.paths_for_group(k)[0]] = 0.8
+        old = network_load(net, DepartureProfile(0.0, 0.5, rates))
+        assert old.windows > 1
+        for k, p in net.cells:
+            for b in range(4):
+                probe = rates.copy()
+                probe[k, p, b] += 1e-3
+                prof = DepartureProfile(0.0, 0.5, probe)
+                res = network_load(net, prof, check_mass=False, reuse=old)
+                assert_same_bits(res, network_load(net, prof, check_mass=False))
 
     def test_rejects_another_network_or_dt(self):
         base, probe = self.profiles()
@@ -392,6 +468,35 @@ class TestReuse:
         probe = DepartureProfile(prof.start, prof.bin_width, rates)
         res = network_load(net, probe, check_mass=False, reuse=old)
         assert_same_bits(res, network_load(net, probe, check_mass=False))
+        for cell in net.cells:
+            if cell != (k, p) and (probe.rates[cell] > 0).any():
+                assert res.curves[cell][0] is old.curves[cell][0], cell
+
+
+class TestSweepPlan:
+    """The arcs in feeder order and the longest travel time are planned once
+    per network and set of live paths."""
+
+    def test_planned_once_per_live_paths(self, monkeypatch):
+        calls = []
+        order = network_module._feeder_order
+        monkeypatch.setattr(network_module, "_feeder_order",
+                            lambda arcs, paths: calls.append(arcs) or order(arcs, paths))
+        net = Network(TestReuse.NET.nodes, TestReuse.NET.arcs, TestReuse.NET.groups)
+        base, probe = TestReuse.profiles()
+        for prof in (base, probe, base):
+            network_load(net, prof, check_mass=False)
+        assert len(calls) == 1
+        one_path = base.rates.copy()
+        one_path[0, 1] = 0.0
+        res = network_load(net, DepartureProfile(-1.0, 0.5, one_path), check_mass=False)
+        assert [[a.key for a in arcs] for arcs in calls] == [
+            [("o", "a"), ("a", "m"), ("o", "b"), ("b", "m"), ("m", "d")],
+            [("o", "a"), ("a", "m"), ("m", "d")]]
+        assert list(res.arc_flows) == [("o", "a"), ("a", "m"), ("m", "d")]
+        _, t_max = net.sweep_plan((0,))
+        assert t_max == max_travel_time(net, net.paths[0], net.total_demand)
+        assert net.sweep_plan((0,)) is net.sweep_plan((0,))
 
 
 class TestLoneComponentSplit:

@@ -191,3 +191,40 @@ def test_digest_covers_every_run_and_its_plot_data(monkeypatch, capsys):
     assert sorted(exits) == sorted(want)
     plotted = [(cmd, label) for _, cmd, label, what, _ in lines if what == "plot_data.csv"]
     assert sorted(plotted) == sorted(run for run in want if run[0] != "validate")
+
+
+_STUB = '''import json, sys
+from pathlib import Path
+here = Path(__file__).resolve().parent.parent
+log = here.parent / "log"
+runs = log.read_text().split() if log.exists() else []
+log.write_text(" ".join(runs + [here.name]))
+wall = {WALL}[sum(r == here.name for r in runs)]
+print(json.dumps({"correct": wall < 9, "attempted": 4, "failed": 0, "metrics": {
+    "wall_s": {"value": wall, "unit": "s"}, "peak_rss_mb": {"value": 40.0, "unit": "MB"}}}))
+'''
+
+
+def test_bench_pairs_alternates_and_flags(tmp_path, capsys):
+    """``tools/bench_pairs.py`` on two stub checkouts: the parent runs first
+    in odd pairs, the change wins where its run is lower, and a run that
+    reads ``correct: false`` is flagged and left out of the medians."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    for name, walls in (("parent", [3.0, 3.0, 5.0]), ("change", [2.0, 4.0, 9.5])):
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "perfbench" / "run.py").write_text(
+            _STUB.replace("{WALL}", repr(walls)), encoding="utf-8")
+    code = bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "opt-merge", "--pairs", "3", "--seconds", "1"])
+    assert code == 1
+    assert (tmp_path / "log").read_text().split() == [
+        "parent", "change", "change", "parent", "parent", "change"]
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "pair 1 (parent first)" and out[3] == "pair 2 (change first)"
+    assert out[8].endswith("FLAGGED: correct: false")
+    assert out[9] == ("wall_s (s): parent 3 [3-3], change 3 [2.5-3.5], "
+                      "change better in 1 of 2 pairs")
+    assert out[-1] == "1 flagged runs"
