@@ -257,20 +257,6 @@ def _emit_plot_data(loading, out_dir):
 # ---------------------------------------------------------------------
 
 
-def _common_options(f):
-    f = click.option("--scenario", "scenario_path", required=True,
-                     type=click.Path(), help="Scenario JSON file.")(f)
-    f = click.option("--out", "out_dir", default=".", type=click.Path(),
-                     help="Output directory.")(f)
-    f = click.option("--bins", type=int, default=None, help="Override solver bins.")(f)
-    f = click.option("--tol", type=float, default=None, help="Override solver tolerance.")(f)
-    f = click.option("--seed", type=int, default=None, help="Override solver seed.")(f)
-    f = click.option("--dump-curves", is_flag=True, help="Write per-arc curve CSVs.")(f)
-    f = click.option("--emit-plot-data", is_flag=True,
-                     help="Write tidy long-format plot_data.csv.")(f)
-    return f
-
-
 def _setup(scenario_path, out_dir, flags):
     """Parse the scenario, then override its solver settings by the given
     ``flags``, each checked like its ``solver`` key."""
@@ -288,28 +274,47 @@ def main():
     """Kinematic-wave network loading and departure-time equilibria."""
 
 
-def _command(body):
-    """Register ``body(scenario, out, dump_curves, emit_plot_data)`` as a
-    command; its return value is the exit code.  Input errors exit 2 before
-    ``timing.json`` is written; a library error from ``body`` is reported
-    as one of the scenario's."""
+def _command(*names):
+    """Register ``body(scenario, out, **flags)`` as a command that takes
+    ``--scenario``, ``--out`` and the options ``names``: ``bins``, ``tol``
+    and ``seed`` override solver settings, and the curve flags go to
+    ``body``, whose return value is the exit code.  Input errors exit 2
+    before ``timing.json`` is written; a library error from ``body`` is
+    reported as one of the scenario's."""
+    options = {
+        "scenario": click.option("--scenario", "scenario_path", required=True,
+                                 type=click.Path(), help="Scenario JSON file."),
+        "out": click.option("--out", "out_dir", default=".", type=click.Path(),
+                            help="Output directory."),
+        "bins": click.option("--bins", type=int, default=None, help="Override solver bins."),
+        "tol": click.option("--tol", type=float, default=None,
+                            help="Override solver tolerance."),
+        "seed": click.option("--seed", type=int, default=None, help="Override solver seed."),
+        "dump_curves": click.option("--dump-curves", is_flag=True,
+                                    help="Write per-arc curve CSVs."),
+        "emit_plot_data": click.option("--emit-plot-data", is_flag=True,
+                                       help="Write tidy long-format plot_data.csv."),
+    }
 
-    @main.command(name=body.__name__, help=body.__doc__)
-    @_common_options
-    def run(scenario_path, out_dir, bins, tol, seed, dump_curves, emit_plot_data):
-        t0 = time.perf_counter()
-        try:
-            scenario, out = _setup(scenario_path, out_dir,
-                                   {"bins": bins, "tol": tol, "seed": seed})
-            with _at("scenario"):
-                code = body(scenario, out, dump_curves, emit_plot_data)
-        except KinwaveError as e:
-            click.echo(f"error: {e}", err=True)
-            sys.exit(2)
-        _write_json(out / "timing.json", {"wall_time_s": time.perf_counter() - t0})
-        sys.exit(code)
+    def register(body):
+        def run(scenario_path, out_dir, **flags):
+            t0 = time.perf_counter()
+            solver = {key: flags.pop(key) for key in ("bins", "tol", "seed") if key in flags}
+            try:
+                scenario, out = _setup(scenario_path, out_dir, solver)
+                with _at("scenario"):
+                    code = body(scenario, out, **flags)
+            except KinwaveError as e:
+                click.echo(f"error: {e}", err=True)
+                sys.exit(2)
+            _write_json(out / "timing.json", {"wall_time_s": time.perf_counter() - t0})
+            sys.exit(code)
 
-    return run
+        for name in reversed(("scenario", "out") + names):
+            run = options[name](run)
+        return main.command(name=body.__name__, help=body.__doc__)(run)
+
+    return register
 
 
 def _write_results(out, doc, profile, loading, dump_curves, emit_plot_data):
@@ -323,8 +328,8 @@ def _write_results(out, doc, profile, loading, dump_curves, emit_plot_data):
         _emit_plot_data(loading, out)
 
 
-@_command
-def validate(scenario, out, dump_curves, emit_plot_data):
+@_command()
+def validate(scenario, out):
     """Check structural assumptions and report solver bounds."""
     try:
         bounds = compute_bounds(scenario.network)
@@ -347,7 +352,7 @@ def validate(scenario, out, dump_curves, emit_plot_data):
     return 0 if report.passed and "error" not in bounds_info else 1
 
 
-@_command
+@_command("dump_curves", "emit_plot_data")
 def load(scenario, out, dump_curves, emit_plot_data):
     """Run network loading on the scenario's embedded departure profile."""
     if scenario.profile is None:
@@ -367,7 +372,7 @@ def load(scenario, out, dump_curves, emit_plot_data):
     return 0
 
 
-@_command
+@_command("bins", "tol", "seed", "dump_curves", "emit_plot_data")
 def opt(scenario, out, dump_curves, emit_plot_data):
     """Search for a departure pattern minimizing the aggregate cost."""
     cfg = scenario.solver
@@ -382,7 +387,7 @@ def opt(scenario, out, dump_curves, emit_plot_data):
     return 0 if report.converged else 1
 
 
-@_command
+@_command("bins", "tol", "dump_curves", "emit_plot_data")
 def nash(scenario, out, dump_curves, emit_plot_data):
     """Search for a Nash-equilibrium departure pattern."""
     cfg = scenario.solver

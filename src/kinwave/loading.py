@@ -90,8 +90,9 @@ class LoadingResult:
     entry ``h`` is what the cell brings into hop ``h``, and the last entry
     is its arrivals.  A cell that departs nothing holds its zero departure
     curve alone.  ``splits[key]`` is an arc's last FIFO split: the time up to
-    which its shares are exact, the entry components it split and the
-    shares, both keyed by (k, p, hop).  ``windows`` is the number of loading
+    which its shares are exact and the entry components it split, keyed by
+    (k, p, hop).  Its shares are in ``curves``: the split is the only writer
+    of hop + 1 of each of its cells.  ``windows`` is the number of loading
     sweeps, 1 on an acyclic feeder graph.
     """
 
@@ -99,7 +100,7 @@ class LoadingResult:
     profile: DepartureProfile
     arc_flows: dict = field(default_factory=dict)      # key -> ExitComputation
     curves: dict = field(default_factory=dict)         # (k, p) -> tuple of curves
-    splits: dict = field(default_factory=dict)         # key -> (t_hi, comps, shares)
+    splits: dict = field(default_factory=dict)         # key -> (t_hi, comps)
     windows: int = 0
 
     @property
@@ -176,11 +177,10 @@ def network_load(network: Network, profile: DepartureProfile, *, check_mass=True
     ``reuse``, a loading of the same network (else ConfigurationError),
     lends what the new load would compute again, each as it is:
     - a cell's departure curve, when its rate row and the bin edges have the
-      same bytes as in ``reuse``'s profile;
-    - an arc's exit, when its entry has the same bytes as in ``reuse``,
-      since an exit depends on its entry and the network's ``dt`` alone;
-    - an arc's exit shares, when its exit is lent, its components are the
-      very curves ``reuse`` split and they are cut at the same time.
+      same bytes as in ``reuse``'s profile (bytes, since -0.0 == 0.0);
+    - an arc whole, its ``ExitComputation`` and its cells' exit shares, when
+      its components are the very curves ``reuse`` split and they are cut at
+      the same time: the exit and its split are functions of these alone.
     So a load that changes one bin of one cell rebuilds only the curves
     downstream of it.
     """
@@ -236,24 +236,19 @@ def network_load(network: Network, profile: DepartureProfile, *, check_mass=True
             t_hi = exact_until[arc.key] = arc.mu + min(
                 exact_until.get(path_arcs[(k, p)][h - 1].key, t_first) if h else np.inf
                 for (k, p, h) in fed)
+            result.splits[arc.key] = (t_hi, comps)
+            lent_split = reuse.splits.get(arc.key) if reuse is not None else None
+            if lent_split is not None and lent_split[0] == t_hi \
+                    and lent_split[1].keys() == comps.keys() \
+                    and all(c is lent_split[1][key] for key, c in comps.items()):
+                result.arc_flows[arc.key] = reuse.arc_flows[arc.key]
+                for k, p, h in comps:
+                    result.curves[(k, p)][h + 1] = reuse.curves[(k, p)][h + 1]
+                continue
             entry = CumulativeCurve.combine(list(comps.values()))
-            # bytes, not values: -0.0 == 0.0, and the exit must be the same bits
-            old = reuse.arc_flows.get(arc.key) if reuse is not None else None
-            shares = None
-            if old is not None and old.entry.t.tobytes() == entry.t.tobytes() \
-                    and old.entry.v.tobytes() == entry.v.tobytes():
-                exit_curve = old.exit
-                split = reuse.splits.get(arc.key)
-                if split is not None and split[0] == t_hi and split[1].keys() == comps.keys() \
-                        and all(c is split[1][key] for key, c in comps.items()):
-                    shares = split[2]
-            else:
-                exit_curve = lax_hopf_exit(entry, arc, dt=network.dt)
+            exit_curve = lax_hopf_exit(entry, arc, dt=network.dt)
             result.arc_flows[arc.key] = ExitComputation(entry, exit_curve, arc)
-            if shares is None:
-                shares = _split_exit(exit_curve, entry, comps, t_hi)
-            result.splits[arc.key] = (t_hi, comps, shares)
-            for (k, p, h), share in shares.items():
+            for (k, p, h), share in _split_exit(exit_curve, entry, comps, t_hi).items():
                 result.curves[(k, p)][h + 1] = share
         result.windows = sweep + 1
         if (short := short_path()) is None or min(exact_until.values()) == np.inf:

@@ -21,7 +21,8 @@ class CostFunction:
         side); the kink at the target is rounded over ``smoothing``.
 
     Every kind's derivative is monotone (nondecreasing for vickrey), so its
-    extremes on a window sit at the window's ends.
+    extremes on a window sit at the window's ends.  A value, derivative or
+    mean that overflows reads inf, without a warning.
     """
 
     KINDS = {   # parameter -> default, None for a required one
@@ -65,6 +66,7 @@ class CostFunction:
     def _smooth_relu_deriv(x, eps):
         return 0.5 * (1.0 + x / np.sqrt(x * x + eps * eps))
 
+    @np.errstate(over="ignore")
     def value(self, t):
         t_arr = np.asarray(t, dtype=float)
         p = self.params
@@ -79,6 +81,7 @@ class CostFunction:
             out = t_arr + pen
         return float(out) if np.isscalar(t) else out
 
+    @np.errstate(over="ignore")
     def deriv(self, t):
         t_arr = np.asarray(t, dtype=float)
         p = self.params
@@ -93,6 +96,7 @@ class CostFunction:
             out = 1.0 + dpen
         return float(out) if np.isscalar(t) else out
 
+    @np.errstate(over="ignore")
     def mean(self, a, b):
         """Exact mean of the cost over each interval [a, b], elementwise, a < b.
 

@@ -399,14 +399,18 @@ class OptimumReport:
         return self.stop_reason == "gap"
 
 
-def _mass_caps(network, bins, width):
+def _mass_caps(network, start, bins, width):
     """Each cell's mass cap F_1 * width, F_1 the capacity of the first arc on
-    the cell's path; a group whose cells cannot hold its size keeps cap G_k."""
+    the cell's path.  A group keeps cap G_k where its cells cannot hold its
+    size, or where its departure cost does not fall at both ends of the
+    window, the test of ``validate_assumptions``: departing early into a
+    queue can then be cheaper."""
     caps = np.zeros((len(network.groups), len(network.paths), bins))
     for k, p in network.cells:
         caps[k, p] = network.paths[p].arcs[0].flux.f_max * width
+    ends = np.array([start, start + bins * width])
     for k, g in enumerate(network.groups):
-        if caps[k].sum() < g.size:
+        if caps[k].sum() < g.size or not np.all(g.departure_cost.deriv(ends) < 0):
             caps[k, network.viable[k]] = g.size
     return caps
 
@@ -478,7 +482,8 @@ def solve_global(network: Network, *, bins=16, tol=1e-6, max_iter=100,
     Conditional gradient (Frank and Wolfe, Naval Res. Logist. Q. 3, 1956) on
     each group's mass simplex, boxed by the per-cell caps of _mass_caps:
     with phi decreasing, an optimum never queues where its drivers enter,
-    so the box holds it.  The starts are random points (plus ``init`` if
+    so the box holds it; a group whose phi does not fall is capped by its
+    size alone.  The starts are random points (plus ``init`` if
     given, e.g. an equilibrium profile), or the uniform rate if there are
     none, each projected into the box.  Each iteration takes the vertex s
     and gap of _vertex and stops once the gap is at most ``tol``; the gap
@@ -499,7 +504,7 @@ def solve_global(network: Network, *, bins=16, tol=1e-6, max_iter=100,
     start, width = _make_grid(bounds, bins)
     rng = np.random.default_rng(seed)
     viable = np.repeat(network.viable[..., None], bins, axis=2)
-    caps = _mass_caps(network, bins, width)
+    caps = _mass_caps(network, start, bins, width)
 
     def objective(mass, base=None):
         """J at ``mass`` and its loading, reusing the exits of ``base``."""

@@ -9,7 +9,7 @@ from kinwave import (AdmissibilityError, ArcDescriptor, ConfigurationError, Cost
                      GroupDescriptor, LoadingError, Network, arrival_time_path,
                      max_travel_time, modulus_of_continuity, network_load, per_driver_times,
                      total_cost)
-from kinwave import ExitComputation, curves, lax_hopf_exit, loading
+from kinwave import curves, lax_hopf_exit, loading
 from kinwave import network as network_module
 from kinwave.loading import _split_exit
 
@@ -318,9 +318,10 @@ def assert_same_bits(res, ref):
 
 
 class TestReuse:
-    """``network_load(reuse=...)`` takes departure curves, arc exits and exit
-    shares from an earlier loading where their inputs are the same, and must
-    load the same bits."""
+    """``network_load(reuse=...)`` takes a departure curve from an earlier
+    loading where its rate row and bin edges have the same bytes, and an arc
+    whole where its components are the very curves the earlier loading
+    split; it must load the same bits."""
 
     NET = make_network([("o", "a", 0.5, TRI), ("a", "m", 0.6, TRI), ("o", "b", 0.4, TRI),
                         ("b", "m", 0.7, TRI), ("m", "d", 0.5, TRI)], [(0.6, "o", "d")])
@@ -372,17 +373,61 @@ class TestReuse:
         for cell, record in res.curves.items():
             assert not any(c is o for c, o in zip(record, old.curves[cell])), cell
 
-    def test_an_equal_entry_of_other_components_is_split_again(self):
+    def test_a_lent_arc_is_lent_whole(self, monkeypatch):
+        base, probe = self.profiles()
+        old = network_load(self.NET, base)
+        calls = []
+
+        def counted(name, f):
+            return lambda *args, **kw: calls.append(name) or f(*args, **kw)
+
+        monkeypatch.setattr(CumulativeCurve, "combine",
+                            staticmethod(counted("combine", CumulativeCurve.combine)))
+        monkeypatch.setattr(loading, "lax_hopf_exit", counted("exit", lax_hopf_exit))
+        monkeypatch.setattr(loading, "_split_exit", counted("split", _split_exit))
+        again = network_load(self.NET, base, reuse=old)
+        assert calls == []
+        assert all(c is old.arc_flows[key] for key, c in again.arc_flows.items())
+        # the probe changes path 0 only: its 3 arcs are loaded anew, and
+        # o->b and b->m are lent whole
+        res = network_load(self.NET, probe, check_mass=False, reuse=old)
+        assert calls == ["combine", "exit", "split"] * 3
+        on_path = {a.key for a in self.NET.paths[0].arcs}
+        for key, comp in res.arc_flows.items():
+            assert (comp is old.arc_flows[key]) is (key not in on_path), key
+
+    def test_an_equal_entry_of_other_components_is_split_again(self, monkeypatch):
         # two groups on one arc swap their rates: the entry has the same bytes,
-        # so the exit is lent, but each group's share must be split anew
+        # but its components are other curves, so the exit is computed anew
         net = make_network([("a", "b", 1.0, TRI)], [(0.375, "a", "b"), (0.375, "a", "b")])
         base = DepartureProfile(0.0, 0.5, np.array([[[0.5, 0.25]], [[0.25, 0.5]]]))
         swap = DepartureProfile(0.0, 0.5, base.rates[::-1].copy())
         old = network_load(net, base)
+        calls = []
+        monkeypatch.setattr(loading, "lax_hopf_exit",
+                            lambda e, arc, dt: calls.append(e) or lax_hopf_exit(e, arc, dt=dt))
         res = network_load(net, swap, reuse=old)
         key = net.arcs[0].key
-        assert res.arc_flows[key].exit is old.arc_flows[key].exit
+        assert len(calls) == 1
+        assert res.arc_flows[key].entry.v.tobytes() == old.arc_flows[key].entry.v.tobytes()
+        assert res.arc_flows[key].exit is not old.arc_flows[key].exit
         assert_same_bits(res, network_load(net, swap))
+
+    def test_components_of_equal_bytes_are_split_again(self, monkeypatch):
+        net = single_arc()
+        prof = DepartureProfile(0.0, 0.5, np.array([[[0.2, 0.12]]]))
+        old = network_load(net, prof)
+        key = net.arcs[0].key
+        t_hi, comps = old.splits[key]
+        old.splits[key] = (t_hi, {cell: CumulativeCurve(c.t.copy(), c.v.copy())
+                                  for cell, c in comps.items()})
+        calls = []
+        monkeypatch.setattr(loading, "_split_exit",
+                            lambda *args: calls.append(args) or _split_exit(*args))
+        res = network_load(net, prof, reuse=old)
+        assert len(calls) == 1
+        assert res.arc_flows[key] is not old.arc_flows[key]
+        assert_same_bits(res, network_load(net, prof))
 
     def test_shares_cut_at_another_time_are_split_again(self, monkeypatch):
         net = single_arc()
@@ -394,9 +439,9 @@ class TestReuse:
         network_load(net, prof, reuse=old)
         assert calls == []
         key = net.arcs[0].key
-        t_hi, comps, shares = old.splits[key]
+        t_hi, comps = old.splits[key]
         assert t_hi == np.inf
-        old.splits[key] = (1e9, comps, shares)
+        old.splits[key] = (1e9, comps)
         network_load(net, prof, reuse=old)
         assert len(calls) == 1
 
@@ -431,30 +476,15 @@ class TestReuse:
         with pytest.raises(ConfigurationError):
             network_load(finer, probe, check_mass=False, reuse=old)
 
-    @pytest.mark.parametrize("side", ["v", "t"])
-    def test_only_equal_bytes_are_reused(self, monkeypatch, side):
-        # -0.0 == 0.0, but an exit computed from a -0.0 entry need not have
-        # the bits of one from +0.0; and an entry of equal values at other
-        # times has another exit
+    def test_a_negative_zero_rate_lends_no_departure_curve(self):
+        # -0.0 == 0.0, but a rate row of other bytes lends no departure curve
         net = single_arc()
-        prof = DepartureProfile(0.0, 0.5, np.array([[[0.2, 0.12]]]))
-        old = network_load(net, prof)
-        key = net.arcs[0].key
-        entry = old.arc_flows[key].entry
-        assert entry.v[0] == 0.0 and not np.signbit(entry.v[0])
-        calls = []
-        monkeypatch.setattr(loading, "lax_hopf_exit",
-                            lambda e, arc, dt: calls.append(e) or lax_hopf_exit(e, arc, dt=dt))
-        network_load(net, prof, reuse=old)
-        assert calls == []
-        if side == "v":
-            other = CumulativeCurve(entry.t, np.where(entry.v == 0.0, -0.0, entry.v),
-                                    validate=False)
-        else:
-            other = CumulativeCurve(entry.t + 1e-9, entry.v)
-        old.arc_flows[key] = ExitComputation(other, old.arc_flows[key].exit, net.arcs[0])
-        network_load(net, prof, reuse=old)
-        assert len(calls) == 1
+        rates = np.array([[[0.2, 0.12, 0.0]]])
+        old = network_load(net, DepartureProfile(0.0, 0.5, rates))
+        prof = DepartureProfile(0.0, 0.5, np.where(rates == 0.0, -0.0, rates))
+        res = network_load(net, prof, reuse=old)
+        assert res.curves[(0, 0)][0] is not old.curves[(0, 0)][0]
+        assert_same_bits(res, network_load(net, prof))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))

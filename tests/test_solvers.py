@@ -469,20 +469,32 @@ class TestSolveGlobal:
         assert report.stop_reason == "gap" and report.converged
         assert report.gap <= kwargs["tol"]
 
-    @pytest.mark.parametrize("name", ["arc", "arc_late", "arc_capped", "merge"])
+    @pytest.mark.parametrize("name", ["arc", "arc_late", "arc_capped", "merge",
+                                      "rising_phi_1_4", "rising_phi_2_4", "rising_phi_2_6"])
     def test_no_worse_than_an_uncapped_scan(self, name):
         # every split of G into eighths over the cells, caps ignored, so a
         # queue the cap excludes is scanned too.  In "arc_capped" a cell
         # holds 0.84 G, and J fills one cell to its cap and the next with
         # the rest.  J exceeded the scan by at most 6.7e-16 on these and 60
-        # other one-arc instances, so the bound is rounding
+        # other one-arc instances, so the bound is rounding.  In "rising_phi_*"
+        # phi falls only before t = 1, so departing early into a queue is
+        # cheaper; capped at F * width, J stopped 22-40% above the scan
         late = CostFunction.vickrey(1.3, 0.6, 0.6, 2.0)
         low = FluxDescriptor.triangular(1.0, 1.0, 0.1)
+        narrow = FluxDescriptor.triangular(1.0, 1.0, 0.4)
+
+        def rising(G):
+            phi, psi = CostFunction.quadratic(0.0, -1.0, 0.5), CostFunction.affine(0.0, 1.0)
+            return build([("a", "b", 1.0, narrow)], [(G, "a", "b", phi, psi)])
+
         instances = {
             "arc": (build([("a", "b", 1.0, TRI)], [(0.3, "a", "b", PHI, PSI_V)]), 3),
             "arc_late": (build([("a", "b", 1.0, TRI)], [(0.6, "a", "b", PHI, late)]), 4),
             "arc_capped": (build([("a", "b", 1.0, low)], [(0.5, "a", "b", PHI, late)]), 8),
             "merge": (reference_instances()["merge"][0], 2),
+            "rising_phi_1_4": (rising(1.0), 4),
+            "rising_phi_2_4": (rising(2.0), 4),
+            "rising_phi_2_6": (rising(2.0), 6),
         }
         net, bins = instances[name]
         prof, J, report = solve_global(net, bins=bins, restarts=2, seed=1)

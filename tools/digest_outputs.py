@@ -3,12 +3,12 @@
 Runs each scenario of ``perfbench/scenarios.py`` through the kinwave click
 entry point, imported from this checkout's ``src``: the ``nash``, ``load``
 and ``opt`` scenarios with their own command, each with ``--dump-curves``
-and ``--emit-plot-data``, and every scenario through ``validate`` as well,
-whose report rests on the cost derivatives and the a-priori bounds.  For
-every seed it prints one ``seed command scenario relpath sha256`` line per
-output file (``timing.json`` excepted, as it holds wall-clock times) and
-one ``seed command scenario exit <code>`` line per run.  A ``validate`` run
-names its scenario ``<command>/<scenario>``.
+and ``--emit-plot-data``, and every scenario through ``validate`` as well
+(which writes no curves), whose report rests on the cost derivatives and
+the a-priori bounds.  For every seed it prints one ``seed command scenario
+relpath sha256`` line per output file (``timing.json`` excepted, as it
+holds wall-clock times) and one ``seed command scenario exit <code>`` line
+per run.  A ``validate`` run names its scenario ``<command>/<scenario>``.
 
 Two checkouts produce byte-identical outputs exactly when their printouts
 are equal:
@@ -65,10 +65,10 @@ def digest_seed(seed, work):
         for name, doc in docs.items():
             path = work / f"{seed}_{command}_{name}.json"
             path.write_text(json.dumps(doc), encoding="utf-8")
-            for cmd, label in ((command, name), ("validate", f"{command}/{name}")):
+            for cmd, label, flags in ((command, name, ["--dump-curves", "--emit-plot-data"]),
+                                      ("validate", f"{command}/{name}", [])):
                 out = work / f"out_{seed}_{cmd}_{label.replace('/', '_')}"
-                code = run_cli([cmd, "--scenario", str(path), "--out", str(out),
-                                "--dump-curves", "--emit-plot-data"])
+                code = run_cli([cmd, "--scenario", str(path), "--out", str(out), *flags])
                 for p in sorted(out.rglob("*")):
                     if p.is_file() and p.name != "timing.json":
                         digest = hashlib.sha256(p.read_bytes()).hexdigest()
