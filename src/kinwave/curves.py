@@ -94,7 +94,6 @@ class CumulativeCurve:
     def combine(cls, curves):
         """Pointwise sum of curves (exact on the union of breakpoints); a
         single curve is returned as it is."""
-        curves = [c for c in curves if c is not None]
         if not curves:
             return cls.zero()
         if len(curves) == 1:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .curves import CumulativeCurve, ExitComputation, lax_hopf_exit
 from .errors import AdmissibilityError, ConfigurationError, DomainError, LoadingError
-from .network import Network, Path
+from .network import Network, Path, max_travel_time
 
 _MASS_TOL = 1e-9
 
@@ -163,14 +163,14 @@ def network_load(network: Network, profile: DepartureProfile, *, check_mass=True
                  reuse: LoadingResult | None = None) -> LoadingResult:
     """Propagate a departure profile through the network.
 
-    Sweeps the live arcs in feeder order (``Network.sweep_plan``): each arc
-    combines its component entries, computes its whole exit and splits it
-    among them.  Its exit components are exact up to its mu plus the least
-    exact-until time of its feeders: +inf for a departure or a final feeder,
-    the first live departure time for a hop not yet reached.  Sweeps stop
-    once every group's mass has reached its destination, after one sweep on
-    an acyclic feeder graph; at most as many run as windows of the shortest
-    mu would.
+    Sweeps the live arcs in feeder order, which each load reads from its own
+    live cells: each arc combines its component entries, computes its whole
+    exit and splits it among them.  Its exit components are exact up to its
+    mu plus the least exact-until time of its predecessors, the arcs its
+    cells ride just before it: +inf if it has none, the first live departure
+    time for one not yet swept.  Sweeps stop once every group's mass has
+    reached its destination, after one sweep on an acyclic feeder graph; at
+    most as many run as windows of the shortest mu would.
     ``check_mass=False`` skips the per-group mass-balance check (used for
     finite-difference cost probes, which perturb one bin at a time).
 
@@ -216,7 +216,18 @@ def network_load(network: Network, profile: DepartureProfile, *, check_mass=True
     if not path_arcs:
         return result
 
-    order, t_max = network.sweep_plan(tuple(sorted({p for _, p in path_arcs})))
+    # each swept arc's predecessors, the arcs its live cells ride just before
+    # it; the sweep takes the first arc, as listed, whose predecessors are
+    # placed, and where none is, the first pending arc, which breaks a cycle
+    preds = {key: {path_arcs[(k, p)][h - 1].key for k, p, h in fed if h}
+             for key, fed in feeders.items() if fed}
+    order, placed, pending = [], set(), [a for a in network.arcs if a.key in preds]
+    while pending:
+        order.append(next((a for a in pending if preds[a.key] <= placed), pending[0]))
+        placed.add(order[-1].key)
+        pending.remove(order[-1])
+    t_max = max(max_travel_time(network, network.paths[p], network.total_demand)
+                for p in {p for _, p in path_arcs})
     horizon = profile.end + t_max + 1.0
     exact_until = {}    # arc key -> time up to which its exit compositions are exact
 
@@ -234,8 +245,7 @@ def network_load(network: Network, profile: DepartureProfile, *, check_mass=True
             fed = feeders[arc.key]
             comps = {(k, p, h): result.curves[(k, p)][h] for (k, p, h) in fed}
             t_hi = exact_until[arc.key] = arc.mu + min(
-                exact_until.get(path_arcs[(k, p)][h - 1].key, t_first) if h else np.inf
-                for (k, p, h) in fed)
+                (exact_until.get(u, t_first) for u in preds[arc.key]), default=np.inf)
             result.splits[arc.key] = (t_hi, comps)
             lent_split = reuse.splits.get(arc.key) if reuse is not None else None
             if lent_split is not None and lent_split[0] == t_hi \

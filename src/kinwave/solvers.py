@@ -178,9 +178,7 @@ def _uniform_start(network, bounds, bins, start, width):
     edges = start + width * np.arange(bins + 1)
     lo = np.maximum(edges[:-1], -bounds.t0)
     hi = np.minimum(edges[1:], bounds.t0)
-    overlap = np.maximum(hi - lo, 0.0)
-    if overlap.sum() <= 0:
-        overlap = np.full(bins, width)
+    overlap = np.maximum(hi - lo, 0.0)     # sums to 2*T0 > 0: the grid spans +-horizon >= T0
     for k, g in enumerate(network.groups):
         viable = network.viable[k]
         rates[k, viable] = g.size / viable.sum() * overlap / (overlap.sum() * width)

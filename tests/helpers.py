@@ -4,7 +4,15 @@ from __future__ import annotations
 import numpy as np
 
 from kinwave import (ArcDescriptor, CostFunction, DepartureProfile, FluxDescriptor,
-                     GroupDescriptor, Network)
+                     GroupDescriptor, Network, solvers)
+
+
+def ascent_vertex(monkeypatch):
+    """Make ``solvers._vertex`` return the vertex of -J and its gap, which
+    is positive: the vertex lies up the slope, so no step toward it lowers J."""
+    vertex = solvers._vertex
+    monkeypatch.setattr(solvers, "_vertex", lambda network, mass, caps, J, cost:
+                        vertex(network, mass, caps, -J, lambda m: -cost(m)))
 
 
 def random_flux(rng, allow_greenshields=False):

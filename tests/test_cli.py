@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from kinwave import CostFunction, FluxDescriptor, ScenarioError, curves, network_load
 from kinwave.cli import main, parse_scenario
 
+from helpers import ascent_vertex
 from oracles import reference_csv_rows
 
 
@@ -238,6 +239,26 @@ class TestCommands:
                        "--out", str(tmp_path / "o0"))
         start = json.loads((tmp_path / "o0" / "report.json").read_text())["total_cost"]
         assert report["total_cost"] < start
+
+    def test_opt_without_a_lowering_step_exits_1_with_its_start(self, tmp_path, monkeypatch):
+        # no step toward an ascent vertex lowers J: opt stops on no_decrease
+        # and writes the best profile it has, its start, as max_iter 0 does
+        def opt(max_iter):
+            doc = minimal_doc(solver={"bins": 4, "max_iter": max_iter, "restarts": 1,
+                                      "tol": 1e-9})
+            out = tmp_path / f"o{max_iter}"
+            res = self.run("opt", "--scenario",
+                           write_scenario(tmp_path / f"s{max_iter}.json", doc), "--out", str(out))
+            return res.exit_code, json.loads((out / "report.json").read_text()), \
+                (out / "profile.json").read_bytes()
+
+        _, start, start_profile = opt(0)
+        ascent_vertex(monkeypatch)
+        code, report, profile = opt(5)
+        assert code == 1
+        assert report["stop_reason"] == "no_decrease" and report["converged"] is False
+        assert report["gap"] > 1e-9
+        assert (report["total_cost"], profile) == (start["total_cost"], start_profile)
 
     def test_opt_curves_match_load_of_its_profile(self, tmp_path):
         # opt writes its curve files from the loading of its best profile;
@@ -583,7 +604,7 @@ def test_overflowing_costs_warn_nothing(tmp_path, edits):
 # Fuzzing the input boundary
 # ---------------------------------------------------------------------
 
-FUZZ_VALUES = [NAN, INF, -INF, 10**400, -1, 2.5, "x", [1.0], None]
+FUZZ_VALUES = [NAN, INF, -INF, 10**400, 0.0, 1e-300, 1e300, -1e300, -1, 2.5, "x", [1.0], None]
 FUZZ_KINDS = sorted(FluxDescriptor.KINDS) + sorted(CostFunction.KINDS) + ["bogus"]
 LOCATION = re.compile(r"error: (scenario|arcs\[\d+\]|groups\[\d+\]|solver|profile"
                       r"|--(bins|tol))[.:]")

@@ -1,4 +1,6 @@
 """Network loading: propagation, FIFO splitting, conservation, per-driver maps."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,8 @@ from hypothesis import strategies as st
 from kinwave import (AdmissibilityError, ArcDescriptor, ConfigurationError, CostFunction,
                      CumulativeCurve, DepartureProfile, DomainError, FluxDescriptor,
                      GroupDescriptor, LoadingError, Network, arrival_time_path,
-                     max_travel_time, modulus_of_continuity, network_load, per_driver_times,
-                     total_cost)
+                     modulus_of_continuity, network_load, per_driver_times, total_cost)
 from kinwave import curves, lax_hopf_exit, loading
-from kinwave import network as network_module
 from kinwave.loading import _split_exit
 
 from helpers import random_flux, random_scenario
@@ -503,30 +503,38 @@ class TestReuse:
                 assert res.curves[cell][0] is old.curves[cell][0], cell
 
 
-class TestSweepPlan:
-    """The arcs in feeder order and the longest travel time are planned once
-    per network and set of live paths."""
+class TestSweepOrder:
+    """Each load sweeps the arcs its live cells ride, in the feeder order
+    those cells give."""
 
-    def test_planned_once_per_live_paths(self, monkeypatch):
-        calls = []
-        order = network_module._feeder_order
-        monkeypatch.setattr(network_module, "_feeder_order",
-                            lambda arcs, paths: calls.append(arcs) or order(arcs, paths))
-        net = Network(TestReuse.NET.nodes, TestReuse.NET.arcs, TestReuse.NET.groups)
-        base, probe = TestReuse.profiles()
-        for prof in (base, probe, base):
-            network_load(net, prof, check_mass=False)
-        assert len(calls) == 1
+    RING = [("a", "b", 1.0, TRI), ("b", "c", 1.0, TRI), ("c", "a", 1.0, TRI)]
+
+    def test_one_live_path(self):
+        # with path 1 empty, only path 0's arcs are swept, in feeder order
+        base, _ = TestReuse.profiles()
         one_path = base.rates.copy()
         one_path[0, 1] = 0.0
-        res = network_load(net, DepartureProfile(-1.0, 0.5, one_path), check_mass=False)
-        assert [[a.key for a in arcs] for arcs in calls] == [
-            [("o", "a"), ("a", "m"), ("o", "b"), ("b", "m"), ("m", "d")],
-            [("o", "a"), ("a", "m"), ("m", "d")]]
+        res = network_load(TestReuse.NET, DepartureProfile(-1.0, 0.5, one_path),
+                           check_mass=False)
         assert list(res.arc_flows) == [("o", "a"), ("a", "m"), ("m", "d")]
-        _, t_max = net.sweep_plan((0,))
-        assert t_max == max_travel_time(net, net.paths[0], net.total_demand)
-        assert net.sweep_plan((0,)) is net.sweep_plan((0,))
+
+    @pytest.mark.parametrize("listing", list(itertools.permutations(range(3))))
+    @pytest.mark.parametrize("live, windows", [((0,), 1), ((0, 1), 1), ((0, 1, 2), 4)])
+    def test_partly_live_ring(self, listing, live, windows):
+        # the ring's three groups each ride two arcs: the three paths feed
+        # one another in a cycle, but the paths of one or two live groups do
+        # not, and one sweep in the order their cells give loads them
+        groups = [(1.6 if k in live else 0.0, o, d)
+                  for k, (o, d) in enumerate([("a", "c"), ("b", "a"), ("c", "b")])]
+        net = make_network([self.RING[i] for i in listing], groups)
+        rates = np.zeros((3, len(net.paths), 4))
+        for k in live:
+            rates[k, net.paths_for_group(k)[0]] = 0.8
+        prof = DepartureProfile(0.0, 0.5, rates)
+        res = network_load(net, prof)
+        res.check_invariants()
+        assert res.windows == windows
+        assert_same_loading(res, window_network_load(net, prof))
 
 
 class TestLoneComponentSplit:

@@ -156,6 +156,16 @@ class TestCostFunction:
         assert CostFunction.vickrey(1.0, 0.2, 0.4).params == built.params
         assert list(built.params) == list(CostFunction.KINDS["vickrey"])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_vickrey_smoothing_whose_square_underflows(self):
+        # the formulas read smoothing**2: at 1e-300 it is 0, and the
+        # derivative at the target was 0/0
+        with pytest.raises(ConfigurationError, match="smoothing >= 1e-150"):
+            CostFunction.vickrey(1.0, 0.2, 0.4, smoothing=1e-300)
+        c = CostFunction.vickrey(1.0, 0.2, 0.4, smoothing=1e-150)
+        assert c.deriv(1.0) == pytest.approx(1.1)
+        assert np.isfinite(c.mean(np.array([0.0, 0.5]), np.array([1.0, 2.0]))).all()
+
     @pytest.mark.parametrize("make", [
         lambda: CostFunction.affine(NAN, -1.0),
         lambda: CostFunction.quadratic(0.0, 1.0, INF),

@@ -15,7 +15,7 @@ from kinwave import loading as kinwave_loading
 from kinwave import solvers
 from kinwave.solvers import _project_box_simplex
 
-from helpers import nash_certificate_instances
+from helpers import ascent_vertex, nash_certificate_instances
 from oracles import (bottleneck_equilibrium, greedy_fill_cost, riemann_cost,
                      scalar_best_cost)
 
@@ -468,6 +468,18 @@ class TestSolveGlobal:
         assert J == pytest.approx(0.26364167, rel=1e-3)
         assert report.stop_reason == "gap" and report.converged
         assert report.gap <= kwargs["tol"]
+
+    def test_a_start_no_step_lowers_stops_where_it_began(self, monkeypatch):
+        # each trial lies toward a vertex up the slope, so the start stops on
+        # no_decrease after one gap, with its own profile and J
+        net, kwargs = reference_instances()["two_bin"]
+        kwargs = dict(kwargs, restarts=1, tol=1e-6)
+        start, J_start, _ = solve_global(net, **dict(kwargs, max_iter=0))
+        ascent_vertex(monkeypatch)
+        prof, J, report = solve_global(net, **kwargs)
+        assert report.stop_reason == "no_decrease" and report.converged is False
+        assert report.iterations == 1 and report.gap > kwargs["tol"]
+        assert prof.rates.tobytes() == start.rates.tobytes() and J == J_start
 
     @pytest.mark.parametrize("name", ["arc", "arc_late", "arc_capped", "merge",
                                       "rising_phi_1_4", "rising_phi_2_4", "rising_phi_2_6"])

@@ -208,7 +208,8 @@ print(json.dumps({"correct": wall < 9, "attempted": 4, "failed": 0, "metrics": {
 def test_bench_pairs_alternates_and_flags(tmp_path, capsys):
     """``tools/bench_pairs.py`` on two stub checkouts: the parent runs first
     in odd pairs, the change wins where its run is lower, and a run that
-    reads ``correct: false`` is flagged and left out of the medians."""
+    reads ``correct: false`` is flagged and left out of the medians; each
+    checkout's ``src/kinwave`` line count is printed last but one."""
     path = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
     spec = importlib.util.spec_from_file_location("bench_pairs", path)
     bench_pairs = importlib.util.module_from_spec(spec)
@@ -217,6 +218,10 @@ def test_bench_pairs_alternates_and_flags(tmp_path, capsys):
         (tmp_path / name / "perfbench").mkdir(parents=True)
         (tmp_path / name / "perfbench" / "run.py").write_text(
             _STUB.replace("{WALL}", repr(walls)), encoding="utf-8")
+    for name, modules in (("parent", {"a.py": 3, "b.py": 1}), ("change", {"a.py": 3})):
+        (tmp_path / name / "src" / "kinwave").mkdir(parents=True)
+        for module, lines in modules.items():
+            (tmp_path / name / "src" / "kinwave" / module).write_text("x = 1\n" * lines)
     code = bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
                              "--workload", "opt-merge", "--pairs", "3", "--seconds", "1"])
     assert code == 1
@@ -227,4 +232,5 @@ def test_bench_pairs_alternates_and_flags(tmp_path, capsys):
     assert out[8].endswith("FLAGGED: correct: false")
     assert out[9] == ("wall_s (s): parent 3 [3-3], change 3 [2.5-3.5], "
                       "change better in 1 of 2 pairs")
+    assert out[-2] == "src/kinwave lines: parent 4, change 3"
     assert out[-1] == "1 flagged runs"

@@ -9,7 +9,9 @@ side always runs first.  Every run prints one line with its metrics and its
 operation counts.  Then, for each end-to-end metric, one line gives each
 side's median and quartiles and the number of pairs in which the change was
 better (ties count for neither), ``better`` read from the change's
-BENCHMARK.json, lower where it names none.  A run that exits non-zero,
+BENCHMARK.json, lower where it names none.  One more line gives each
+checkout's ``src/kinwave`` line count, as ``wc -l src/kinwave/*.py`` totals
+it: the design metric the ROADMAP tracks.  A run that exits non-zero,
 reads ``correct: false`` or has a failed operation is flagged; its metrics
 are left out, and the script exits 1.
 
@@ -89,6 +91,12 @@ def summarize(pairs, better):
     return lines
 
 
+def source_lines(checkout):
+    """Lines in ``checkout``'s ``src/kinwave/*.py``, as ``wc -l`` counts them."""
+    return sum(f.read_bytes().count(b"\n")
+               for f in (Path(checkout) / "src" / "kinwave").glob("*.py"))
+
+
 def describe(side, result):
     if result is None:
         return f"{side}: exited non-zero"
@@ -118,6 +126,8 @@ def main(argv=None):
                   flush=True)
     for line in summarize(pairs, directions(args.change)):
         print(line)
+    print(f"src/kinwave lines: parent {source_lines(args.parent)}, "
+          f"change {source_lines(args.change)}")
     if flagged:
         print(f"{flagged} flagged runs")
     return 1 if flagged else 0
