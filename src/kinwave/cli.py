@@ -11,7 +11,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import click
@@ -199,10 +199,21 @@ def parse_scenario(path) -> Scenario:
 # ---------------------------------------------------------------------
 
 
+def _nan_in(obj):
+    """Whether a float NaN sits anywhere among ``obj``'s values."""
+    if isinstance(obj, (dict, list, tuple)):
+        return any(map(_nan_in, obj.values() if isinstance(obj, dict) else obj))
+    return isinstance(obj, float) and obj != obj
+
+
 def _write_json(path, obj):
+    """Write ``obj`` as JSON.  An infinity is an overflow at the scenario's
+    extreme scales, an input error; a NaN is a defect, raised as ValueError."""
     try:
         text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as e:     # a result overflowed: the scenario's scales are extreme
+    except ValueError as e:
+        if _nan_in(obj):
+            raise ValueError(f"{path.name}: a result is NaN") from e
         raise DomainError(f"{path.name}: {e}") from e
     path.write_text(text + "\n", encoding="utf-8")
 
@@ -333,10 +344,7 @@ def validate(scenario, out):
     """Check structural assumptions and report solver bounds."""
     try:
         bounds = compute_bounds(scenario.network)
-        bounds_info = {
-            "t_max": bounds.t_max, "t0": bounds.t0, "kappa": bounds.kappa,
-            "horizon": bounds.horizon, "delta_min": bounds.delta_min,
-        }
+        bounds_info = asdict(bounds)
         window = (-bounds.t0, bounds.t0)
     except KinwaveError as e:
         bounds_info = {"error": str(e)}

@@ -165,7 +165,8 @@ class CumulativeCurve:
         tol = _REL * max(1.0, float(np.abs(v).max()))
         cross = (t[1:-1] - t[:-2]) * (v[2:] - v[:-2]) - (t[2:] - t[:-2]) * (v[1:-1] - v[:-2])
         span = np.maximum(t[2:] - t[:-2], 1e-300)
-        cands = np.flatnonzero(np.abs(cross) <= tol * span)   # anchors a with a+1 droppable
+        with np.errstate(over="ignore"):    # an infinite bound exceeds every finite cross
+            cands = np.flatnonzero(np.abs(cross) <= tol * span)   # anchors a with a+1 droppable
         if not len(cands):
             return self
         keep, end = np.ones(len(t), dtype=bool), 0
@@ -447,12 +448,6 @@ class ExitComputation:
         beta = np.minimum(self.entry(tv), self.exit.total)
         out = np.maximum(tv + self.arc.mu, self.exit.inverse(beta))
         return float(out[0]) if scalar else out
-
-
-def exit_time(entry: CumulativeCurve, arc: ArcDescriptor, t, dt: float = 1e-3):
-    """Convenience wrapper: exit time for a single query against ``entry``."""
-    comp = ExitComputation(entry, lax_hopf_exit(entry, arc, dt=dt), arc)
-    return comp.exit_time(t)
 
 
 # ---------------------------------------------------------------------

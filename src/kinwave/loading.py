@@ -33,8 +33,8 @@ class DepartureProfile:
         self.start = float(start)
         self.bin_width = float(bin_width)
         self.rates = np.asarray(rates, dtype=float)
-        if self.rates.ndim != 3:
-            raise AdmissibilityError("rates must have shape (groups, paths, bins)")
+        if self.rates.ndim != 3 or not self.rates.shape[2]:
+            raise AdmissibilityError("rates must have shape (groups, paths, bins), bins >= 1")
 
     @property
     def n_bins(self):
@@ -226,7 +226,7 @@ def network_load(network: Network, profile: DepartureProfile, *, check_mass=True
         order.append(next((a for a in pending if preds[a.key] <= placed), pending[0]))
         placed.add(order[-1].key)
         pending.remove(order[-1])
-    t_max = max(max_travel_time(network, network.paths[p], network.total_demand)
+    t_max = max(max_travel_time(network.paths[p], network.total_demand)
                 for p in {p for _, p in path_arcs})
     horizon = profile.end + t_max + 1.0
     exact_until = {}    # arc key -> time up to which its exit compositions are exact

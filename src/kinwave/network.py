@@ -58,13 +58,15 @@ class CostFunction:
              "smoothing": smoothing},
         )
 
-    @staticmethod
-    def _smooth_relu(x, eps):
-        return 0.5 * (x + np.sqrt(x * x + eps * eps))
-
-    @staticmethod
-    def _smooth_relu_deriv(x, eps):
-        return 0.5 * (1.0 + x / np.sqrt(x * x + eps * eps))
+    def _offset_root(self, t):
+        """x = t - target and the smoothed ramps' root sqrt(x*x + eps*eps),
+        taken by np.hypot where the square overflows: an infinite root would
+        make a zero rate's ramp read NaN.  The ramps are (x + root) / 2 late
+        and (root - x) / 2 early."""
+        x = t - self.params["target"]
+        eps = self.params["smoothing"]
+        s = np.sqrt(x * x + eps * eps)
+        return x, np.where(np.isinf(s), np.hypot(x, eps), s) if np.isinf(s).any() else s
 
     @np.errstate(over="ignore")
     def value(self, t):
@@ -73,12 +75,8 @@ class CostFunction:
         if self.kind != "vickrey":    # affine is the quadratic with c = 0
             out = p["a"] + p["b"] * t_arr + p.get("c", 0.0) * t_arr * t_arr
         else:
-            x = t_arr - p["target"]
-            eps = p["smoothing"]
-            pen = p["early_rate"] * self._smooth_relu(-x, eps) + p[
-                "late_rate"
-            ] * self._smooth_relu(x, eps)
-            out = t_arr + pen
+            x, s = self._offset_root(t_arr)
+            out = t_arr + (p["early_rate"] * (0.5 * (s - x)) + p["late_rate"] * (0.5 * (x + s)))
         return float(out) if np.isscalar(t) else out
 
     @np.errstate(over="ignore")
@@ -88,12 +86,9 @@ class CostFunction:
         if self.kind != "vickrey":
             out = p["b"] + 2.0 * p.get("c", 0.0) * t_arr
         else:
-            x = t_arr - p["target"]
-            eps = p["smoothing"]
-            dpen = -p["early_rate"] * self._smooth_relu_deriv(-x, eps) + p[
-                "late_rate"
-            ] * self._smooth_relu_deriv(x, eps)
-            out = 1.0 + dpen
+            x, s = self._offset_root(t_arr)
+            out = 1.0 + (-p["early_rate"] * (0.5 * (1.0 - x / s))
+                         + p["late_rate"] * (0.5 * (1.0 + x / s)))
         return float(out) if np.isscalar(t) else out
 
     @np.errstate(over="ignore")
@@ -109,8 +104,8 @@ class CostFunction:
         have opposite signs and are summed, with R taken as eps**2/(2*(s - x))
         for x < 0.  On one side R is max(x, 0) + R(-|x|), and the mean of
         R(-|x|) is written by difference formulas, so that short segments far
-        from the target keep their digits.  Where x**2 overflows, as it does in
-        ``value``, the mean is inf.
+        from the target keep their digits.  Where x**2 overflows the mean is
+        inf, though ``value`` there takes its root by np.hypot.
         """
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         m, w = 0.5 * (a + b), b - a
@@ -131,9 +126,6 @@ class CostFunction:
             ramp = np.where((x0 < 0) & (x1 > 0), (anti[1] - anti[0]) / (x1 - x0), ramp)
         ramp = np.where(np.isinf(s0 + s1), np.inf, ramp)
         return (1.0 - early) * m + early * p["target"] + (early + p["late_rate"]) * ramp
-
-    def __call__(self, t):
-        return self.value(t)
 
     def __repr__(self):
         args = ", ".join(f"{k}={v:g}" for k, v in self.params.items())
@@ -240,24 +232,22 @@ class Network:
             seen_pairs.add(arc.key)
         self.arcs = list(arcs)
         self.groups = list(groups)
+        if not self.groups:
+            raise ConfigurationError("a network needs at least one group")
         for g in self.groups:
             if g.origin not in node_set or g.destination not in node_set:
                 raise ConfigurationError("group references unknown node")
         self.paths = enumerate_paths(self)
-        self._paths_by_od = {}
-        for i, p in enumerate(self.paths):
-            self._paths_by_od.setdefault((p.origin, p.destination), []).append(i)
+        # the (group, path) cells as a mask, and listed group-major, paths ascending
+        self.viable = np.array([[(p.origin, p.destination) == (g.origin, g.destination)
+                                 for p in self.paths] for g in self.groups], dtype=bool)
+        self.viable.flags.writeable = False
         for k, g in enumerate(self.groups):
-            if (g.origin, g.destination) not in self._paths_by_od:
+            if not self.viable[k].any():
                 raise ConfigurationError(
                     f"group {k} has no viable path {g.origin}->{g.destination}"
                 )
-        # the (group, path) cells: group-major, paths ascending, and as a mask
-        self.cells = tuple((k, p) for k in range(len(self.groups))
-                           for p in self.paths_for_group(k))
-        self.viable = np.zeros((len(self.groups), len(self.paths)), dtype=bool)
-        self.viable[tuple(zip(*self.cells))] = True
-        self.viable.flags.writeable = False
+        self.cells = tuple(map(tuple, np.argwhere(self.viable).tolist()))
 
     @property
     def total_demand(self):
@@ -265,8 +255,7 @@ class Network:
 
     def paths_for_group(self, k):
         """Indices into self.paths of the viable paths of group k."""
-        g = self.groups[k]
-        return self._paths_by_od[(g.origin, g.destination)]
+        return np.flatnonzero(self.viable[k]).tolist()
 
     @property
     def f_max(self):
@@ -298,7 +287,7 @@ def enumerate_paths(network) -> list:
     return paths
 
 
-def max_travel_time(network: Network, path: Path, total_demand: float) -> float:
+def max_travel_time(path: Path, total_demand: float) -> float:
     """Worst-case traversal time of a path under total demand.
 
     Per arc: queueing bounded by demand over capacity, driving bounded by
@@ -376,7 +365,7 @@ def compute_bounds(network: Network) -> SolverBounds:
     G = network.total_demand
     live = _bounded_groups(network)
     paths = {p for k, p in network.cells if k in live}
-    t_max = max(max_travel_time(network, network.paths[p], G) for p in paths)
+    t_max = max(max_travel_time(network.paths[p], G) for p in paths)
     t0 = scan_window(network, t_max)
 
     # conservative derivative window: intermediate iterates may arrive up to

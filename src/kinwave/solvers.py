@@ -52,21 +52,12 @@ def total_cost(network: Network, profile: DepartureProfile, *,
     return J
 
 
-@dataclass
-class CostProfile:
-    """Per-(group, path) driver cost sampled on the profile's bin grid.
-
-    ``times`` interleaves the bin edges (``times[0::2]``) with the bin
-    midpoints (``times[1::2]``); ``values[k, p]`` holds the cost
-    phi_k(t) + psi_k(arrival at destination) for a departure at each time,
-    NaN on the paths group k cannot take.
-    """
-
-    times: np.ndarray
-    values: np.ndarray   # (groups, paths, times)
-
-
-def cost_profile(network: Network, loading: LoadingResult) -> CostProfile:
+def cost_profile(network: Network, loading: LoadingResult) -> np.ndarray:
+    """Per-(group, path) driver cost on the profile's bin grid, shaped
+    (groups, paths, 2 * bins + 1): entry ``[k, p, i]`` is the cost
+    phi_k(t) + psi_k(arrival at destination) of a departure at the i-th of
+    the bin edges and midpoints interleaved, so ``[..., 1::2]`` holds the
+    midpoints; NaN on the paths group k cannot take."""
     prof = loading.profile
     edges = prof.bin_edges
     times = np.empty(2 * prof.n_bins + 1)
@@ -77,7 +68,7 @@ def cost_profile(network: Network, loading: LoadingResult) -> CostProfile:
         g = network.groups[k]
         arr = arrival_time_path(loading, network.paths[p], times)
         values[k, p] = g.departure_cost.value(times) + g.arrival_cost.value(arr)
-    return CostProfile(times, values)
+    return values
 
 
 @dataclass
@@ -126,12 +117,12 @@ class EquilibriumReport:
         }
 
 
-def _gap_from_costs(network, profile, costs: CostProfile) -> EquilibriumReport:
+def _gap_from_costs(network, profile, costs) -> EquilibriumReport:
     width = profile.bin_width
     used, sup_min, best, gaps = [], [], [], []
     for k, g in enumerate(network.groups):
         viable = network.viable[k]
-        values = costs.values[k, viable]
+        values = costs[k, viable]
         c_best = float(np.min(values))
         live = profile.rates[k, viable] * width > _EMPTY_FRAC * max(1.0, g.size)
         support = values[:, 1::2][live]
@@ -287,7 +278,7 @@ def _descend(network, profile, *, cap, tol, loads, step, history):
             best_profile, best_report = predictor, report
         if report.gap <= tol or it >= loads:
             break
-        y, F = predictor.rates[cells] * per_rate, costs.values[cells][:, 1::2]
+        y, F = predictor.rates[cells] * per_rate, costs[cells][:, 1::2]
         if F_prev is not None:
             dF = float(np.linalg.norm(F - F_prev))
             step *= _STEP_GROWTH
@@ -352,7 +343,7 @@ def _swap_step(network, profile, costs, step, cap):
     """
     width = profile.bin_width
     alpha = step * np.array([max(g.size, 1e-12) for g in network.groups])
-    F = costs.values[..., 1::2]
+    F = costs[..., 1::2]
     excess = F - np.nanmin(F, axis=(1, 2), keepdims=True)
     mass = profile.rates * width - alpha[:, None, None] * excess
     new = _project_groups(network, mass, cap * width)

@@ -619,7 +619,7 @@ def window_network_load(network, profile, *, check_mass=True):
         result.curves = {cell: (CumulativeCurve.zero(profile.start),) for cell in network.cells}
         return result
 
-    t_max = max(max_travel_time(network, network.paths[p], G) for (_, p) in path_arcs)
+    t_max = max(max_travel_time(network.paths[p], G) for (_, p) in path_arcs)
     horizon = profile.end + t_max + 1.0
     delta = min(a.mu for a in network.arcs)
     # start the recursion at the first actual departure, not the grid start

@@ -12,7 +12,8 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kinwave import CostFunction, FluxDescriptor, ScenarioError, curves, network_load
+from kinwave import (CostFunction, DomainError, FluxDescriptor, KinwaveError, ScenarioError,
+                     cli, curves, network_load)
 from kinwave.cli import main, parse_scenario
 
 from helpers import ascent_vertex
@@ -584,7 +585,14 @@ def test_load_at_extreme_scales_exits_2(tmp_path, arc, solver, message):
     # and a quadratic arrival cost's
     [("groups", 0, "size", 1e300),
      ("groups", 0, "arrival_cost", {"kind": "quadratic", "a": 0.0, "b": 0.0, "c": 1.0})],
-], ids=["vickrey-size-1e300", "w-back-1e-300", "quadratic-size-1e300"])
+    # a zero rate times the Vickrey ramp, once the root under it overflowed,
+    # read NaN: from the square of the smoothing, or of the distance to the target
+    [("groups", 0, "arrival_cost", "smoothing", 1e300),
+     ("groups", 0, "arrival_cost", "early_rate", 0.0)],
+    [("groups", 0, "arrival_cost", "target", 1e300),
+     ("groups", 0, "arrival_cost", "late_rate", 0.0)],
+], ids=["vickrey-size-1e300", "w-back-1e-300", "quadratic-size-1e300",
+        "vickrey-smoothing-1e300-early-0", "vickrey-target-1e300-late-0"])
 def test_overflowing_costs_warn_nothing(tmp_path, edits):
     doc = minimal_doc()
     for *where, value in edits:
@@ -600,6 +608,58 @@ def test_overflowing_costs_warn_nothing(tmp_path, edits):
         assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("edits, codes", [
+    # no group: the solver bounds took a max over no paths
+    ([("groups", [])], (2, 2, 2, 2)),
+    # a profile of no bins: the loader found its first live bin by an argmax over none
+    ([("groups", 0, "size", 0.0),
+      ("profile", {"start": 0.0, "bin_width": 1.0, "rates": [[[]]]})], (2, 2, 2, 2)),
+    # simplify's drop bound overflowed on the exit of 1e300 vehicles before the
+    # infinite cost exited 2; validate reports its bounds' failure and exits 1
+    ([("groups", 0, "size", 1e300),
+      ("profile", {"start": 0.0, "bin_width": 1.0, "rates": [[[1e300]]]})], (1, 2, 2, 2)),
+], ids=["no-groups", "no-bins", "size-1e300-loaded"])
+def test_degenerate_documents_exit_with_location(tmp_path, edits, codes):
+    doc = minimal_doc()
+    for *where, value in edits:
+        _set(*where, value)(doc)
+    path = write_scenario(tmp_path / "s.json", doc)
+    for command, code in zip(("validate", "load", "nash", "opt"), codes):
+        out = tmp_path / command
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = CliRunner().invoke(main, [command, "--scenario", path, "--out", str(out)])
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == code, res.output
+        assert "Traceback" not in res.output
+        if code == 2:
+            assert LOCATION.search(res.output), res.output
+            assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("cost", [NAN, INF])
+def test_only_an_infinite_result_exits_2(tmp_path, monkeypatch, cost):
+    # an infinity is an overflow at the scenario's extreme scales, an input
+    # error; a NaN is a defect, and must not be reported as the scenario's
+    monkeypatch.setattr(cli, "total_cost", lambda *args, **kwargs: cost)
+    path = write_scenario(tmp_path / "s.json", minimal_doc(
+        profile={"start": 0.0, "bin_width": 1.0, "rates": [[[0.1]]]}))
+    res = CliRunner().invoke(main, ["load", "--scenario", path, "--out", str(tmp_path / "o")])
+    if np.isnan(cost):
+        assert isinstance(res.exception, ValueError), res.output
+        assert not isinstance(res.exception, KinwaveError)
+        assert str(res.exception) == "report.json: a result is NaN"
+        assert "scenario:" not in res.output
+    else:
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "error: scenario: report.json: Out of range float" in res.output
+        with pytest.raises(DomainError):    # a string spelled NaN is no NaN
+            cli._write_json(tmp_path / "r.json", {"paths": ["NaN->b"], "gap": [[0.0, cost]]})
+    assert not (tmp_path / "o" / "report.json").exists()
+    assert not (tmp_path / "r.json").exists()
+
+
 # ---------------------------------------------------------------------
 # Fuzzing the input boundary
 # ---------------------------------------------------------------------
@@ -607,7 +667,7 @@ def test_overflowing_costs_warn_nothing(tmp_path, edits):
 FUZZ_VALUES = [NAN, INF, -INF, 10**400, 0.0, 1e-300, 1e300, -1e300, -1, 2.5, "x", [1.0], None]
 FUZZ_KINDS = sorted(FluxDescriptor.KINDS) + sorted(CostFunction.KINDS) + ["bogus"]
 LOCATION = re.compile(r"error: (scenario|arcs\[\d+\]|groups\[\d+\]|solver|profile"
-                      r"|--(bins|tol))[.:]")
+                      r"|--(bins|tol|seed))[.:]")
 
 
 def _nodes(obj, path=()):
@@ -639,7 +699,7 @@ def fuzzed_docs(draw):
         else:
             parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
     # the solver section stays small so that every run is short; its keys
-    # go through the same check as the flags drawn below, which only nash reads
+    # go through the same check as the flags drawn below, which nash and opt read
     doc["solver"] = {"bins": draw(st.integers(2, 8)), "max_iter": draw(st.integers(0, 3))}
     return doc
 
@@ -648,21 +708,24 @@ def _reject_constant(name):
     raise ValueError(f"report.json holds {name}")
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(doc=fuzzed_docs(),
        bins=st.none() | st.integers(-1, 8) | st.just(10**12),
-       tol=st.none() | st.sampled_from([NAN, INF, -1.0, 0.0, 1e-300, 1e-3, 1e3]))
-def test_fuzzed_input_exits_cleanly(doc, bins, tol):
-    flags = [arg for name, v in (("--bins", bins), ("--tol", tol))
-             if v is not None for arg in (name, repr(v))]
+       tol=st.none() | st.sampled_from([NAN, INF, -1.0, 0.0, 1e-300, 1e-3, 1e3]),
+       seed=st.none() | st.integers(-2, 3) | st.just(2**70))
+def test_fuzzed_input_exits_cleanly(doc, bins, tol, seed):
+    drawn = [(name, v) for name, v in (("--bins", bins), ("--tol", tol), ("--seed", seed))
+             if v is not None]
     with tempfile.TemporaryDirectory() as tmp:
         path = write_scenario(Path(tmp) / "s.json", doc)
-        for command in ("validate", "load", "nash"):
+        for command, takes in (("validate", ()), ("load", ()), ("nash", ("--bins", "--tol")),
+                               ("opt", ("--bins", "--tol", "--seed"))):
             out = Path(tmp) / command
+            flags = [arg for name, v in drawn if name in takes for arg in (name, repr(v))]
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 res = CliRunner().invoke(main, [command, "--scenario", path, "--out", str(out),
-                                                *(flags if command == "nash" else [])])
+                                                *flags])
             assert not caught, [str(w.message) for w in caught]
             assert res.exit_code in (0, 1, 2), res.output
             assert res.exception is None or isinstance(res.exception, SystemExit), \

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from kinwave import (ArcDescriptor, CostFunction, CumulativeCurve, DepartureProfile,
                      DomainError, ExitComputation, FluxDescriptor, GroupDescriptor,
-                     LoadingError, Network, arrival_time_path, exit_time, lax_hopf_exit,
+                     LoadingError, Network, arrival_time_path, lax_hopf_exit,
                      modulus_of_continuity, network_load)
 from kinwave import curves
 from kinwave.curves import (_REL, _exact_minplus, _grid_minplus, _monge_row_minima,
@@ -847,11 +847,14 @@ class TestGreenshieldsTable:
 
 class TestExitTime:
     def test_free_flow(self):
-        assert exit_time(CumulativeCurve.zero(), GS_ARC, 4.0) == pytest.approx(5.0)
+        entry = CumulativeCurve.zero()
+        comp = ExitComputation(entry, lax_hopf_exit(entry, GS_ARC), GS_ARC)
+        assert comp.exit_time(4.0) == pytest.approx(5.0)
 
     def test_steady_state(self):
         entry = CumulativeCurve.from_step_rates([0.0, 10.0], [0.16])
-        assert exit_time(entry, GS_ARC, 2.0, dt=1e-3) == pytest.approx(3.25, abs=2e-3)
+        comp = ExitComputation(entry, lax_hopf_exit(entry, GS_ARC, dt=1e-3), GS_ARC)
+        assert comp.exit_time(2.0) == pytest.approx(3.25, abs=2e-3)
 
     def test_consistency_with_exit_curve(self):
         # U+(exit_time(t)) = U-(t) wherever the entry is strictly increasing

@@ -38,7 +38,7 @@ def single_arc_network(flux=TRI, length=1.0, size=0.1, psi=None):
 class TestCostFunction:
     def test_affine(self):
         c = CostFunction.affine(1.0, -2.0)
-        assert c(3.0) == pytest.approx(-5.0)
+        assert c.value(3.0) == pytest.approx(-5.0)
         assert c.deriv(3.0) == pytest.approx(-2.0)
 
     @settings(max_examples=60, deadline=None)
@@ -57,14 +57,14 @@ class TestCostFunction:
 
     def test_quadratic(self):
         c = CostFunction.quadratic(1.0, 0.0, 2.0)
-        assert c(2.0) == pytest.approx(9.0)
+        assert c.value(2.0) == pytest.approx(9.0)
         assert c.deriv(2.0) == pytest.approx(8.0)
 
     def test_vickrey_limits(self):
         c = CostFunction.vickrey(1.0, 0.5, 2.0, smoothing=1e-4)
         # far from the target the smoothing is invisible
-        assert c(-9.0) == pytest.approx(-9.0 + 0.5 * 10.0, abs=1e-3)
-        assert c(11.0) == pytest.approx(11.0 + 2.0 * 10.0, abs=1e-3)
+        assert c.value(-9.0) == pytest.approx(-9.0 + 0.5 * 10.0, abs=1e-3)
+        assert c.value(11.0) == pytest.approx(11.0 + 2.0 * 10.0, abs=1e-3)
         assert c.deriv(-9.0) == pytest.approx(1.0 - 0.5, abs=1e-3)
         assert c.deriv(11.0) == pytest.approx(1.0 + 2.0, abs=1e-3)
 
@@ -300,16 +300,16 @@ class TestMaxTravelTime:
     def test_single_greenshields_arc(self):
         net = single_arc_network(flux=GS, size=0.25)
         # queueing G/F_max = 1, driving L/v(rho_star) = 2
-        assert max_travel_time(net, net.paths[0], 0.25) == pytest.approx(3.0)
+        assert max_travel_time(net.paths[0], 0.25) == pytest.approx(3.0)
 
     def test_zero_demand(self):
         net = single_arc_network(flux=GS)
-        assert max_travel_time(net, net.paths[0], 0.0) == pytest.approx(2.0)
+        assert max_travel_time(net.paths[0], 0.0) == pytest.approx(2.0)
 
     def test_two_arc_additivity(self):
         arcs = [ArcDescriptor("a", "m", 1.0, GS), ArcDescriptor("m", "b", 1.0, GS)]
         net = Network(["a", "m", "b"], arcs, [simple_group(size=0.25)])
-        assert max_travel_time(net, net.paths[0], 0.25) == pytest.approx(6.0)
+        assert max_travel_time(net.paths[0], 0.25) == pytest.approx(6.0)
 
 
 class TestBounds:
@@ -317,7 +317,7 @@ class TestBounds:
         # symmetric quadratic arrival cost with a known coercive structure
         net = single_arc_network(flux=GS, size=0.1,
                                  psi=CostFunction.quadratic(4.0, -3.0, 1.0))
-        t_max = max_travel_time(net, net.paths[0], 0.1)
+        t_max = max_travel_time(net.paths[0], 0.1)
         t0 = scan_window(net, t_max)
         g = net.groups[0]
         rhs = g.departure_cost.value(0.0) + g.arrival_cost.value(t_max)
@@ -418,7 +418,7 @@ class TestBounds:
         # t0 would lie past the grid's last point
         def net(late):
             return single_arc_network(psi=CostFunction.vickrey(1.0, 0.2, late, 0.25))
-        t_max = max_travel_time(net(1e-5), net(1e-5).paths[0], 0.1)
+        t_max = max_travel_time(net(1e-5).paths[0], 0.1)
         assert scan_window(net(1e-5), t_max) == 121203.0
         with pytest.raises(ConfigurationError, match="coercivity"):
             scan_window(net(1e-7), t_max)

@@ -72,17 +72,20 @@ class TestCostProfile:
         prof = DepartureProfile(0.0, 0.5, np.full((1, 1, 4), 0.4))
         loading = network_load(net, prof)
         costs = cost_profile(net, loading)
-        for i, t in enumerate(costs.times):
+        times = np.linspace(0.0, 2.0, 9)    # the bin edges and midpoints, interleaved
+        assert costs.shape == (1, 1, times.size)
+        for i, t in enumerate(times):
             arr = arrival_time_path(loading, net.paths[0], t)
             want = PHI.value(t) + PSI_Q.value(arr)
-            assert costs.values[(0, 0)][i] == pytest.approx(want, abs=1e-12)
+            assert costs[0, 0, i] == pytest.approx(want, abs=1e-12)
 
     def test_midpoints_indexing(self):
         net = build([("a", "b", 1.0, TRI)], [(0.4, "a", "b", PHI, PSI_Q)])
         prof = DepartureProfile(0.0, 0.5, np.full((1, 1, 4), 0.2))
-        costs = cost_profile(net, network_load(net, prof))
+        loading = network_load(net, prof)
         mids = prof.bin_edges[:-1] + 0.25
-        assert np.allclose(costs.times[1::2], mids)
+        want = PHI.value(mids) + PSI_Q.value(arrival_time_path(loading, net.paths[0], mids))
+        assert np.allclose(cost_profile(net, loading)[0, 0, 1::2], want)
 
 
 class TestNashGap:
@@ -213,7 +216,7 @@ def _step_coordinates(network, profile, costs):
     for k, g in enumerate(network.groups):
         for p in network.paths_for_group(k):
             y.append(profile.rates[k, p] * profile.bin_width / g.size)
-            F.append(costs.values[k, p, 1::2])
+            F.append(costs[k, p, 1::2])
     return np.concatenate(y), np.concatenate(F)
 
 
@@ -745,7 +748,7 @@ class TestEmptyGroupBounds:
     def test_all_empty_reads_every_path(self):
         net = build(self.ARCS, [(0.0, "a", "b", PHI, PSI_V), (0.0, "a", "c", PHI, PSI_V)])
         assert compute_bounds(net).t_max == max(
-            max_travel_time(net, path, 0.0) for path in net.paths) == 2.0
+            max_travel_time(path, 0.0) for path in net.paths) == 2.0
 
 
 def test_swap_with_huge_step_is_an_exact_best_response():
@@ -760,8 +763,7 @@ def test_swap_with_huge_step_is_an_exact_best_response():
     values = np.full((1, 1, 33), np.nan)
     excess = np.maximum(np.maximum(5 - np.arange(16), np.arange(16) - 6), 0)
     values[0, 0, 1::2] = 2.0 + 1e-3 * excess ** 2
-    costs = solvers.CostProfile(np.linspace(-4.0, 4.0, 33), values)
-    new = solvers._swap_step(net, prof, costs, 1e9, np.inf)
+    new = solvers._swap_step(net, prof, values, 1e9, np.inf)
     theta = (m[5] + m[6] - 0.3) / 2
     want = np.zeros(16)
     want[5:7] = m[5:7] - theta

@@ -209,7 +209,8 @@ def test_bench_pairs_alternates_and_flags(tmp_path, capsys):
     """``tools/bench_pairs.py`` on two stub checkouts: the parent runs first
     in odd pairs, the change wins where its run is lower, and a run that
     reads ``correct: false`` is flagged and left out of the medians; each
-    checkout's ``src/kinwave`` line count is printed last but one."""
+    checkout's ``src/kinwave`` line count is printed last but two, and the
+    change side's BENCH entry last."""
     path = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
     spec = importlib.util.spec_from_file_location("bench_pairs", path)
     bench_pairs = importlib.util.module_from_spec(spec)
@@ -232,5 +233,9 @@ def test_bench_pairs_alternates_and_flags(tmp_path, capsys):
     assert out[8].endswith("FLAGGED: correct: false")
     assert out[9] == ("wall_s (s): parent 3 [3-3], change 3 [2.5-3.5], "
                       "change better in 1 of 2 pairs")
-    assert out[-2] == "src/kinwave lines: parent 4, change 3"
-    assert out[-1] == "1 flagged runs"
+    assert out[-3] == "src/kinwave lines: parent 4, change 3"
+    assert out[-2] == "1 flagged runs"
+    assert json.loads(out[-1]) == {
+        "correct": False, "attempted": 4, "failed": 0, "src_kinwave_lines": 3,
+        "metrics": {"wall_s": {"value": 3.0, "unit": "s"},
+                    "peak_rss_mb": {"value": 40.0, "unit": "MB"}}}

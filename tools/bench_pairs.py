@@ -13,7 +13,8 @@ BENCHMARK.json, lower where it names none.  One more line gives each
 checkout's ``src/kinwave`` line count, as ``wc -l src/kinwave/*.py`` totals
 it: the design metric the ROADMAP tracks.  A run that exits non-zero,
 reads ``correct: false`` or has a failed operation is flagged; its metrics
-are left out, and the script exits 1.
+are left out, and the script exits 1.  The last line is the change side as
+one workload's entry of a ``BENCH_<pr>.json`` file (see ``bench_entry``).
 
 The script only reads ``perfbench/``: each run writes what it writes in its
 own checkout, as a run by hand would.
@@ -97,6 +98,25 @@ def source_lines(checkout):
                for f in (Path(checkout) / "src" / "kinwave").glob("*.py"))
 
 
+def bench_entry(pairs, checkout):
+    """The change side of ``pairs`` as a JSON object shaped like one workload's
+    entry of a ``BENCH_<pr>.json`` file: each end-to-end metric's median and
+    the median operations (the lower one of an even count) over the pairs
+    where both runs count, whether every change run exited 0 and read
+    correct, its failed operations in total, and ``checkout``'s line count."""
+    ran = [b for _, b in pairs if b is not None]
+    good = [b for a, b in pairs if flaw(a) is None and flaw(b) is None]
+    return {
+        "correct": len(ran) == len(pairs) and all(r["correct"] for r in ran),
+        "attempted": statistics.median_low([r["attempted"] for r in good]) if good else 0,
+        "failed": sum(r["failed"] for r in ran),
+        "metrics": {name: {"value": statistics.median(r["metrics"][name]["value"]
+                                                      for r in good), "unit": m["unit"]}
+                    for name, m in (good[0]["metrics"].items() if good else ())},
+        "src_kinwave_lines": source_lines(checkout),
+    }
+
+
 def describe(side, result):
     if result is None:
         return f"{side}: exited non-zero"
@@ -130,6 +150,7 @@ def main(argv=None):
           f"change {source_lines(args.change)}")
     if flagged:
         print(f"{flagged} flagged runs")
+    print(json.dumps(bench_entry(pairs, args.change)))
     return 1 if flagged else 0
 
 
