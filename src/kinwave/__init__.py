@@ -10,8 +10,7 @@ from .curves import (CumulativeCurve, ExitComputation, lax_hopf_exit,
 from .errors import (AdmissibilityError, CapacityError, ConfigurationError,
                      DomainError, KinwaveError, LoadingError, ScenarioError)
 from .flux import ArcDescriptor, FluxDescriptor
-from .loading import (DepartureProfile, LoadingResult, arrival_time_path,
-                      network_load, per_driver_times)
+from .loading import DepartureProfile, LoadingResult, arrival_time_path, network_load
 from .network import (CostFunction, GroupDescriptor, Network, Path, SolverBounds,
                       compute_bounds, enumerate_paths, max_travel_time,
                       validate_assumptions)
@@ -28,6 +27,6 @@ __all__ = [
     "OptimumReport", "Path", "ScenarioError", "SolverBounds", "arrival_time_path", "compute_bounds",
     "cost_profile", "enumerate_paths", "lax_hopf_exit",
     "max_travel_time", "modulus_of_continuity", "nash_gap", "network_load",
-    "per_driver_times", "solve_global", "solve_nash", "total_cost",
+    "solve_global", "solve_nash", "total_cost",
     "validate_assumptions", "write_curve_csv",
 ]

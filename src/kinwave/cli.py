@@ -349,15 +349,15 @@ def validate(scenario, out):
     except KinwaveError as e:
         bounds_info = {"error": str(e)}
         window = (-1.0, 1.0)
-    report = validate_assumptions(scenario.network, window)
+    assumptions = validate_assumptions(scenario.network, window)
     doc = {
-        "assumptions": report.as_dict(),
+        "assumptions": assumptions,
         "bounds": bounds_info,
         "paths": ["->".join(p.nodes) for p in scenario.network.paths],
     }
     _write_json(out / "report.json", doc)
     click.echo(json.dumps(doc, indent=2, sort_keys=True))
-    return 0 if report.passed and "error" not in bounds_info else 1
+    return 0 if assumptions["passed"] and "error" not in bounds_info else 1
 
 
 @_command("dump_curves", "emit_plot_data")

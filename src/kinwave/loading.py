@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import CumulativeCurve, ExitComputation, lax_hopf_exit
-from .errors import AdmissibilityError, ConfigurationError, DomainError, LoadingError
+from .errors import AdmissibilityError, ConfigurationError, LoadingError
 from .network import Network, Path, max_travel_time
 
 _MASS_TOL = 1e-9
@@ -289,15 +289,3 @@ def arrival_time_path(loading: LoadingResult, path: Path, t):
         else:
             out = comp.exit_time(out)
     return float(out[0]) if scalar else out
-
-
-def per_driver_times(loading: LoadingResult, k, p):
-    """Generalized-inverse time maps (β -> departure time, β -> arrival time).
-
-    β indexes drivers of group k on path p in departure order; both maps
-    raise DomainError beyond the (k, p) mass.
-    """
-    record = loading.curves.get((k, p))
-    if record is None:
-        raise DomainError(f"no loading data for group {k}, path {p}")
-    return record[0].inverse, record[-1].inverse

@@ -1,7 +1,7 @@
 """Network topology, driver groups, cost functions, and a-priori bounds."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,6 +113,8 @@ class CostFunction:
         if self.kind != "vickrey":
             return self.value(m) + p.get("c", 0.0) * w * w / 12.0
         early, eps = p["early_rate"], p["smoothing"]
+        if early == p["late_rate"] == 0:     # c(t) = t; its ramp term may read 0 * inf
+            return m
         x = np.stack([a, b]) - p["target"]
         s = np.sqrt(x * x + eps * eps)
         (x0, x1), (s0, s1) = x, s
@@ -387,38 +389,20 @@ def compute_bounds(network: Network) -> SolverBounds:
                         delta_min=delta_min)
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of the structural-assumption checks, item by item."""
-
-    items: list = field(default_factory=list)
-
-    def add(self, name, passed, detail=""):
-        self.items.append({"name": name, "passed": bool(passed), "detail": detail})
-
-    @property
-    def passed(self):
-        return all(item["passed"] for item in self.items)
-
-    def as_dict(self):
-        return {"passed": self.passed, "items": self.items}
-
-
-def validate_assumptions(network: Network, window) -> ValidationReport:
+def validate_assumptions(network: Network, window) -> dict:
     """Check cost monotonicity and growth on a window (fluxes check
     their own concavity and positivity when built).  Cost derivatives are
-    monotone, so their signs are checked at the window's ends."""
+    monotone, so their signs are checked at the window's ends.  Returns
+    ``{"passed": all items passed, "items": [{"name", "passed", "detail"}]}``."""
     lo, hi = window
-    report = ValidationReport()
     ends = np.array([lo, hi])
+    items = []
     for k, g in enumerate(network.groups):
-        dphi = g.departure_cost.deriv(ends)
-        dpsi = g.arrival_cost.deriv(ends)
-        report.add(f"group[{k}] departure cost decreasing", bool(np.all(dphi < 0)))
-        report.add(f"group[{k}] arrival cost increasing", bool(np.all(dpsi > 0)))
         mid = g.combined_cost(0.5 * (lo + hi))
-        report.add(
-            f"group[{k}] combined cost grows at window edges",
-            g.combined_cost(lo) >= mid - 1e-9 and g.combined_cost(hi) >= mid - 1e-9,
-        )
-    return report
+        for name, ok in (
+                ("departure cost decreasing", np.all(g.departure_cost.deriv(ends) < 0)),
+                ("arrival cost increasing", np.all(g.arrival_cost.deriv(ends) > 0)),
+                ("combined cost grows at window edges",
+                 g.combined_cost(lo) >= mid - 1e-9 and g.combined_cost(hi) >= mid - 1e-9)):
+            items.append({"name": f"group[{k}] {name}", "passed": bool(ok), "detail": ""})
+    return {"passed": all(item["passed"] for item in items), "items": items}

@@ -75,10 +75,9 @@ def cost_profile(network: Network, loading: LoadingResult) -> np.ndarray:
 class EquilibriumReport:
     """Equilibrium-gap diagnostics for a departure profile."""
 
-    group_used_cost: list          # realized cost on each group's support (max)
-    group_support_min: list        # min cost over the support
-    group_best_cost: list          # cheapest alternative anywhere on the grid
-    group_gap: list
+    # per group: "used_cost" (max cost on its support), "support_min_cost",
+    # "best_cost" (cheapest anywhere on the grid) and "gap" (used less best)
+    groups: list
     gap: float
     iterations: int = 0
     converged: bool = True
@@ -93,33 +92,13 @@ class EquilibriumReport:
     loading: LoadingResult | None = None     # the profile's, after a solve
 
     def as_dict(self):
-        return {
-            "gap": self.gap,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "stop_reason": self.stop_reason,
-            "step": self.step,
-            "groups": [
-                {
-                    "used_cost": self.group_used_cost[k],
-                    "support_min_cost": self.group_support_min[k],
-                    "best_cost": self.group_best_cost[k],
-                    "gap": self.group_gap[k],
-                }
-                for k in range(len(self.group_gap))
-            ],
-            "gap_history": self.gap_history,
-            "rate_bound": self.rate_bound,
-            "max_rate": self.max_rate,
-            "support_window": list(self.support_window) if self.support_window else None,
-            "support_ok": self.support_ok,
-            "rates_ok": self.rates_ok,
-        }
+        """The report as ``report.json`` writes it: every field but ``loading``."""
+        return {k: v for k, v in vars(self).items() if k != "loading"}
 
 
 def _gap_from_costs(network, profile, costs) -> EquilibriumReport:
     width = profile.bin_width
-    used, sup_min, best, gaps = [], [], [], []
+    groups = []
     for k, g in enumerate(network.groups):
         viable = network.viable[k]
         values = costs[k, viable]
@@ -131,14 +110,9 @@ def _gap_from_costs(network, profile, costs) -> EquilibriumReport:
             c_sup_min = float(np.min(support))
         else:                           # zero-mass group
             c_used = c_sup_min = c_best
-        used.append(c_used)
-        sup_min.append(c_sup_min)
-        best.append(c_best)
-        gaps.append(max(c_used - c_best, 0.0))
-    return EquilibriumReport(
-        group_used_cost=used, group_support_min=sup_min, group_best_cost=best,
-        group_gap=gaps, gap=max(gaps) if gaps else 0.0,
-    )
+        groups.append({"used_cost": c_used, "support_min_cost": c_sup_min,
+                       "best_cost": c_best, "gap": max(c_used - c_best, 0.0)})
+    return EquilibriumReport(groups, max(r["gap"] for r in groups))
 
 
 def nash_gap(network: Network, profile: DepartureProfile) -> EquilibriumReport:

@@ -266,12 +266,8 @@ def test_criterion_6_nash_certificates(capsys):
     instances = _nash_instances()
     details, ok = [], True
     for name, (net, prof, report) in instances.items():
-        spread = max(
-            u - s for u, s in zip(report.group_used_cost, report.group_support_min)
-        )
-        no_better = max(
-            u - b for u, b in zip(report.group_used_cost, report.group_best_cost)
-        )
+        spread = max(r["used_cost"] - r["support_min_cost"] for r in report.groups)
+        no_better = max(r["used_cost"] - r["best_cost"] for r in report.groups)
         good = (report.gap <= 1e-3 and spread <= 1e-3 and no_better <= 1e-3
                 and report.rates_ok and report.support_ok)
         if name == "diamond":

@@ -126,6 +126,14 @@ class TestCommands:
     def run(self, *args):
         return CliRunner().invoke(main, list(args))
 
+    def check_assumptions(self, out, passed):
+        """report.json's ``assumptions``: the items, each with exactly a name,
+        a verdict and a detail, and ``passed``, their conjunction."""
+        assumptions = json.loads((out / "report.json").read_text())["assumptions"]
+        assert set(assumptions) == {"passed", "items"}
+        assert [set(item) for item in assumptions["items"]] == [{"name", "passed", "detail"}] * 3
+        assert assumptions["passed"] is all(i["passed"] for i in assumptions["items"]) is passed
+
     def test_validate_ok(self, tmp_path):
         path = write_scenario(tmp_path / "s.json", minimal_doc())
         res = self.run("validate", "--scenario", path, "--out", str(tmp_path / "o"))
@@ -133,6 +141,7 @@ class TestCommands:
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert report["assumptions"]["passed"] is True
         assert report["bounds"]["kappa"] > 0
+        self.check_assumptions(tmp_path / "o", True)
 
     def test_validate_failing_assumptions(self, tmp_path):
         doc = minimal_doc()
@@ -140,6 +149,7 @@ class TestCommands:
         path = write_scenario(tmp_path / "s.json", doc)
         res = self.run("validate", "--scenario", path, "--out", str(tmp_path / "o"))
         assert res.exit_code == 1
+        self.check_assumptions(tmp_path / "o", False)
 
     def test_load_zero_profile(self, tmp_path):
         doc = minimal_doc(profile={"start": 0.0, "bin_width": 1.0,
@@ -618,7 +628,13 @@ def test_overflowing_costs_warn_nothing(tmp_path, edits):
     # infinite cost exited 2; validate reports its bounds' failure and exits 1
     ([("groups", 0, "size", 1e300),
       ("profile", {"start": 0.0, "bin_width": 1.0, "rates": [[[1e300]]]})], (1, 2, 2, 2)),
-], ids=["no-groups", "no-bins", "size-1e300-loaded"])
+    # a Vickrey cost with both rates 0 far from its target took 0 * inf in its
+    # mean; the combined cost -t + t is flat, so only load has a result
+    ([("groups", 0, "arrival_cost", "target", 1e300),
+      ("groups", 0, "arrival_cost", "early_rate", 0.0),
+      ("groups", 0, "arrival_cost", "late_rate", 0.0),
+      ("profile", {"start": 0.0, "bin_width": 1.0, "rates": [[[0.1]]]})], (1, 0, 2, 2)),
+], ids=["no-groups", "no-bins", "size-1e300-loaded", "vickrey-rates-0-target-1e300"])
 def test_degenerate_documents_exit_with_location(tmp_path, edits, codes):
     doc = minimal_doc()
     for *where, value in edits:
@@ -629,7 +645,8 @@ def test_degenerate_documents_exit_with_location(tmp_path, edits, codes):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = CliRunner().invoke(main, [command, "--scenario", path, "--out", str(out)])
-        assert isinstance(res.exception, SystemExit), res.exception
+        # click reads an exit 0 as no exception
+        assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
         assert res.exit_code == code, res.output
         assert "Traceback" not in res.output
         if code == 2:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from kinwave import (AdmissibilityError, ArcDescriptor, ConfigurationError, CostFunction,
                      CumulativeCurve, DepartureProfile, DomainError, FluxDescriptor,
                      GroupDescriptor, LoadingError, Network, arrival_time_path,
-                     modulus_of_continuity, network_load, per_driver_times, total_cost)
+                     modulus_of_continuity, network_load, total_cost)
 from kinwave import curves, lax_hopf_exit, loading
 from kinwave.loading import _split_exit
 
@@ -594,14 +594,16 @@ class TestPerDriverTimes:
         net = single_arc(size=0.5)
         prof = DepartureProfile(0.0, 1.0, np.full((1, 1, 1), 0.5))
         res = network_load(net, prof)
-        dep_inv, arr_inv = per_driver_times(res, 0, 0)
+        record = res.curves[(0, 0)]     # a driver's times: its curves' inverses
+        dep_inv, arr_inv = record[0].inverse, record[-1].inverse
         assert dep_inv(0.25) == pytest.approx(0.5)
 
     def test_free_flow_shift(self):
         net = single_arc(size=0.1)
         prof = DepartureProfile(0.0, 1.0, np.full((1, 1, 1), 0.1))
         res = network_load(net, prof)
-        dep_inv, arr_inv = per_driver_times(res, 0, 0)
+        record = res.curves[(0, 0)]     # a driver's times: its curves' inverses
+        dep_inv, arr_inv = record[0].inverse, record[-1].inverse
         for beta in (0.0, 0.03, 0.09):
             assert arr_inv(beta) == pytest.approx(dep_inv(beta) + 1.0, abs=1e-9)
 
@@ -609,7 +611,8 @@ class TestPerDriverTimes:
         net = single_arc(size=1.2)
         prof = DepartureProfile(0.0, 1.0, np.full((1, 1, 1), 1.2))
         res = network_load(net, prof)
-        dep_inv, arr_inv = per_driver_times(res, 0, 0)
+        record = res.curves[(0, 0)]     # a driver's times: its curves' inverses
+        dep_inv, arr_inv = record[0].inverse, record[-1].inverse
         betas = np.linspace(0.0, 1.2, 13)
         arr = arr_inv(betas)
         assert np.all(np.diff(arr) >= -1e-12)
@@ -622,6 +625,6 @@ class TestPerDriverTimes:
         net = single_arc(size=0.5)
         prof = DepartureProfile(0.0, 1.0, np.full((1, 1, 1), 0.5))
         res = network_load(net, prof)
-        dep_inv, _ = per_driver_times(res, 0, 0)
+        dep_inv = res.curves[(0, 0)][0].inverse
         with pytest.raises(DomainError):
             dep_inv(0.6)

@@ -460,14 +460,14 @@ class TestValidateAssumptions:
     def test_passing_setup(self):
         net = single_arc_network(flux=GS)
         report = validate_assumptions(net, (-2.0, 2.0))
-        assert report.passed
+        assert report["passed"]
 
     def test_cubic_arrival_cost_fails(self):
         net = single_arc_network(psi=CostFunction.quadratic(0.0, 0.0, 1.0))
         # psi'(t) = 2t vanishes at 0 and is negative below
         report = validate_assumptions(net, (-1.0, 1.0))
-        assert not report.passed
-        failed = [i["name"] for i in report.items if not i["passed"]]
+        assert not report["passed"]
+        failed = [i["name"] for i in report["items"] if not i["passed"]]
         assert any("arrival cost increasing" in n for n in failed)
 
     def test_vickrey_items_match_affine(self):
@@ -475,7 +475,7 @@ class TestValidateAssumptions:
         # kind: "arrival cost increasing" already covers its penalty slope
         names = [
             [i["name"] for i in validate_assumptions(single_arc_network(psi=psi),
-                                                     (-2.0, 2.0)).items]
+                                                     (-2.0, 2.0))["items"]]
             for psi in (CostFunction.affine(0.0, 1.0),
                         CostFunction.vickrey(1.0, 0.4, 0.9, 0.3))
         ]
@@ -488,4 +488,4 @@ class TestValidateAssumptions:
                              CostFunction.quadratic(0.0, 1.0, 0.2))],
         )
         report = validate_assumptions(net, (-1.0, 1.0))
-        assert not report.passed
+        assert not report["passed"]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from kinwave import (ArcDescriptor, ConfigurationError, CostFunction,
                      DepartureProfile, FluxDescriptor, GroupDescriptor, Network,
                      arrival_time_path, compute_bounds, cost_profile, max_travel_time,
-                     nash_gap, network_load, per_driver_times, solve_global, solve_nash,
+                     nash_gap, network_load, solve_global, solve_nash,
                      total_cost)
 from kinwave import loading as kinwave_loading
 from kinwave import solvers
@@ -59,8 +59,9 @@ class TestTotalCost:
         net = build([("a", "b", 1.0, TRI)], [(1.2, "a", "b", PHI, PSI_Q)])
         prof = DepartureProfile(0.0, 1.0, np.full((1, 1, 1), 1.2))
         loading = network_load(net, prof)
-        dep_inv, arr_inv = per_driver_times(loading, 0, 0)
-        oracle = riemann_cost(dep_inv, arr_inv, 1.2, PHI.value, PSI_Q.value)
+        record = loading.curves[(0, 0)]     # per-driver times: its curves' inverses
+        oracle = riemann_cost(record[0].inverse, record[-1].inverse, 1.2, PHI.value,
+                              PSI_Q.value)
         assert total_cost(net, prof, loading=loading) == pytest.approx(
             oracle, abs=1e-5
         )
@@ -147,14 +148,17 @@ class TestSolveNash:
         centers = prof.bin_edges[:-1] + 0.5 * prof.bin_width
         assert np.all(np.abs(centers[live] - t_star) < 0.5)
         oracle = scalar_best_cost(PHI.value, PSI_V.value, 1.0, -8.0, 8.0)
-        assert min(report.group_best_cost) == pytest.approx(oracle, abs=5e-3)
+        assert min(r["best_cost"] for r in report.groups) == pytest.approx(oracle, abs=5e-3)
 
     def test_diagnostics_and_report_shape(self):
         net = build([("a", "b", 1.0, TRI)], [(0.05, "a", "b", PHI, PSI_V)])
         prof, report = solve_nash(net, bins=32, tol=5e-3, max_iter=500)
         d = report.as_dict()
-        assert set(d) >= {"gap", "converged", "iterations", "stop_reason", "step",
-                          "groups", "rate_bound", "support_window"}
+        assert set(d) == {"gap", "converged", "iterations", "stop_reason", "step",
+                          "groups", "gap_history", "rate_bound", "max_rate",
+                          "support_window", "support_ok", "rates_ok"}
+        assert [set(r) for r in d["groups"]] == [
+            {"used_cost", "support_min_cost", "best_cost", "gap"}]
         assert d["stop_reason"] == "tol"
         assert report.rates_ok and report.support_ok
         assert len(report.gap_history) == report.iterations
@@ -371,7 +375,7 @@ class TestBottleneckCertificate:
         D = np.concatenate(([0.0], np.cumsum(prof.rates[0, 0] * prof.bin_width)))
         tol = net.arcs[0].flux.f_max * prof.bin_width / 16
         assert np.max(np.abs(D - eq.departures(prof.bin_edges))) <= tol
-        for cost in (report.group_used_cost[0], report.group_support_min[0]):
+        for cost in (report.groups[0]["used_cost"], report.groups[0]["support_min_cost"]):
             assert cost == pytest.approx(eq.cost, abs=kwargs["tol"])
 
 
@@ -634,7 +638,8 @@ class TestTwoGroups:
         assert report.iterations > 1
         self.check_masses(prof)
         assert report.gap == nash_gap(self.NET, prof).gap
-        assert report.group_gap == nash_gap(self.NET, prof).group_gap
+        assert [r["gap"] for r in report.groups] == [
+            r["gap"] for r in nash_gap(self.NET, prof).groups]
 
     def test_global(self):
         prof, J, _ = solve_global(self.NET, bins=4, max_iter=2, restarts=1)
@@ -662,7 +667,8 @@ class TestEmptyGroup:
         assert report.iterations > 1
         self.check_masses(prof)
         assert report.gap == nash_gap(self.NET, prof).gap
-        assert report.group_gap == nash_gap(self.NET, prof).group_gap
+        assert [r["gap"] for r in report.groups] == [
+            r["gap"] for r in nash_gap(self.NET, prof).groups]
 
     def test_global(self):
         prof, J, _ = solve_global(self.NET, bins=4, max_iter=2, restarts=1)
@@ -741,7 +747,7 @@ class TestEmptyGroupBounds:
         assert both.rates[0, p].tobytes() == prof.rates[0, 0].tobytes()
         assert not np.any(np.delete(both.rates.reshape(-1, 32), p, axis=0))
         assert both_report.gap_history == report.gap_history
-        assert both_report.group_gap == report.group_gap + [0.0]
+        assert [r["gap"] for r in both_report.groups] == [r["gap"] for r in report.groups] + [0.0]
         assert both_report.iterations == report.iterations
         assert both_report.stop_reason == report.stop_reason == "tol"
 
