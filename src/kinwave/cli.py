@@ -226,29 +226,31 @@ def _profile_dict(profile):
     }
 
 
-def _dump_curves(loading, out_dir):
-    """One CSV per arc flow, component curve and arrival curve.  A curve
-    object can back several files (a cell's exit share of one hop is its
-    entry into the next, and its last share its arrivals; on a chain an
-    arc's exit is also a lone cell's share), so the files are grouped by
-    curve and each curve is formatted once."""
-    cdir = out_dir / "curves"
-    cdir.mkdir(parents=True, exist_ok=True)
-    files = {}      # id(curve) -> (curve, [paths])
-
-    def add(curve, name):
-        files.setdefault(id(curve), (curve, []))[1].append(cdir / name)
-
+def _named_curves(loading):
+    """(name, curve) for each arc's entry and exit by key, then each cell's
+    entry into and exit share of each hop, and its arrivals."""
     for key, comp in sorted(loading.arc_flows.items()):
-        stem = f"arc_{key[0]}_{key[1]}"
-        add(comp.entry, f"{stem}_entry.csv")
-        add(comp.exit, f"{stem}_exit.csv")
+        yield f"arc_{key[0]}_{key[1]}_entry", comp.entry
+        yield f"arc_{key[0]}_{key[1]}_exit", comp.exit
     for (k, p), record in loading.curves.items():
         for arc, entry, share in zip(loading.network.paths[p].arcs, record, record[1:]):
             stem = f"comp_g{k}_p{p}_{arc.key[0]}_{arc.key[1]}"
-            add(entry, f"{stem}_entry.csv")
-            add(share, f"{stem}_exit.csv")
-        add(record[-1], f"arrivals_g{k}_p{p}.csv")
+            yield f"{stem}_entry", entry
+            yield f"{stem}_exit", share
+        yield f"arrivals_g{k}_p{p}", record[-1]
+
+
+def _dump_curves(loading, out_dir):
+    """One CSV per named curve.  A curve object can back several files (a
+    cell's exit share of one hop is its entry into the next, and its last
+    share its arrivals; on a chain an arc's exit is also a lone cell's
+    share), so the files are grouped by curve and each curve is formatted
+    once."""
+    cdir = out_dir / "curves"
+    cdir.mkdir(parents=True, exist_ok=True)
+    files = {}      # id(curve) -> (curve, [paths])
+    for name, curve in _named_curves(loading):
+        files.setdefault(id(curve), (curve, []))[1].append(cdir / f"{name}.csv")
     for curve, paths in files.values():
         write_curve_csv(curve, *paths)
 
@@ -256,11 +258,9 @@ def _dump_curves(loading, out_dir):
 def _emit_plot_data(loading, out_dir):
     with open(out_dir / "plot_data.csv", "w", encoding="utf-8") as f:
         f.write("series,t,value\n")
-        for key, comp in sorted(loading.arc_flows.items()):
-            for name, curve in (("entry", comp.entry), ("exit", comp.exit)):
-                f.write(csv_rows(curve, f"arc_{key[0]}_{key[1]}_{name},"))
-        for (k, p), record in loading.curves.items():
-            f.write(csv_rows(record[-1], f"arrivals_g{k}_p{p},"))
+        for name, curve in _named_curves(loading):
+            if not name.startswith("comp_"):
+                f.write(csv_rows(curve, f"{name},"))
 
 
 # ---------------------------------------------------------------------
@@ -328,11 +328,11 @@ def _command(*names):
     return register
 
 
-def _write_results(out, doc, profile, loading, dump_curves, emit_plot_data):
-    """Write report.json and profile.json, then the requested curve files
-    from ``loading``, the loading of ``profile``."""
+def _write_results(out, doc, loading, dump_curves, emit_plot_data):
+    """Write report.json, then profile.json and the requested curve files
+    from ``loading``."""
     _write_json(out / "report.json", doc)
-    _write_json(out / "profile.json", _profile_dict(profile))
+    _write_json(out / "profile.json", _profile_dict(loading.profile))
     if dump_curves:
         _dump_curves(loading, out)
     if emit_plot_data:
@@ -375,7 +375,7 @@ def load(scenario, out, dump_curves, emit_plot_data):
             loading.arrival_total(k) for k in range(len(scenario.network.groups))
         ],
     }
-    _write_results(out, doc, scenario.profile, loading, dump_curves, emit_plot_data)
+    _write_results(out, doc, loading, dump_curves, emit_plot_data)
     click.echo(f"total_cost {J:.12g}")
     return 0
 
@@ -384,13 +384,13 @@ def load(scenario, out, dump_curves, emit_plot_data):
 def opt(scenario, out, dump_curves, emit_plot_data):
     """Search for a departure pattern minimizing the aggregate cost."""
     cfg = scenario.solver
-    profile, J, report = solve_global(
+    _, J, report = solve_global(
         scenario.network, bins=cfg["bins"], tol=cfg["tol"],
         max_iter=cfg["max_iter"], restarts=cfg["restarts"], seed=cfg["seed"],
     )
     doc = {"total_cost": J, "converged": report.converged, "gap": report.gap,
            "stop_reason": report.stop_reason, "solver": cfg}
-    _write_results(out, doc, profile, report.loading, dump_curves, emit_plot_data)
+    _write_results(out, doc, report.loading, dump_curves, emit_plot_data)
     click.echo(f"total_cost {J:.12g}")
     return 0 if report.converged else 1
 
@@ -405,7 +405,7 @@ def nash(scenario, out, dump_curves, emit_plot_data):
     )
     J = total_cost(scenario.network, profile, loading=report.loading)
     doc = {"equilibrium": report.as_dict(), "total_cost": J, "solver": cfg}
-    _write_results(out, doc, profile, report.loading, dump_curves, emit_plot_data)
+    _write_results(out, doc, report.loading, dump_curves, emit_plot_data)
     click.echo(f"gap {report.gap:.12g} total_cost {J:.12g}")
     return 0 if report.converged else 1
 

@@ -114,8 +114,6 @@ class CumulativeCurve:
 
     @property
     def slopes(self):
-        if len(self.t) < 2:
-            return np.zeros(0)
         return np.diff(self.v) / np.diff(self.t)
 
     @property
@@ -423,19 +421,6 @@ class ExitComputation:
     entry: CumulativeCurve
     exit: CumulativeCurve
     arc: ArcDescriptor
-
-    def validate(self, tol=1e-9):
-        """Causality, capacity slope and conservation, to ``tol`` times
-        max(1, entry mass)."""
-        ts = np.unique(np.concatenate((self.entry.t, self.exit.t)))
-        scale = max(1.0, self.entry.total)
-        key = self.arc.key
-        if np.any(self.exit(ts) > self.entry(ts) + tol * scale):
-            raise LoadingError(f"exit curve exceeds entry curve on arc {key}")
-        if self.exit.max_slope > self.arc.flux.f_max + 1e-9:
-            raise LoadingError(f"exit curve steeper than capacity on arc {key}")
-        if abs(self.exit.total - self.entry.total) > tol * scale:
-            raise LoadingError(f"exit and entry totals differ on arc {key}")
 
     def exit_time(self, t):
         """Exit time of a driver entering (possibly queueing) at time t.

@@ -63,17 +63,15 @@ class DepartureProfile:
             raise AdmissibilityError("departure rates must be finite")
         if np.any(self.rates < 0):
             raise AdmissibilityError("departure rates must be nonnegative")
-        for k, viable in enumerate(network.viable):
-            for p, ok in enumerate(viable):
-                if not ok and np.any(self.rates[k, p] > 0):   # the loader would drop it
-                    raise AdmissibilityError(
-                        f"group {k} assigns flow to non-connecting path {p}"
-                    )
-            mass = self.rates[k].sum() * self.bin_width
-            G_k = network.groups[k].size
-            if check_mass and abs(mass - G_k) > _MASS_TOL * max(1.0, G_k):
+        stray = (self.rates.any(axis=2) & ~network.viable).tolist()   # the loader would drop it
+        for k, (row, mass, g) in enumerate(zip(stray, self.group_masses(), network.groups)):
+            if any(row):
                 raise AdmissibilityError(
-                    f"group {k} departs mass {mass:.12g}, expected {G_k:.12g}"
+                    f"group {k} assigns flow to non-connecting path {row.index(True)}"
+                )
+            if check_mass and abs(mass - g.size) > _MASS_TOL * max(1.0, g.size):
+                raise AdmissibilityError(
+                    f"group {k} departs mass {mass:.12g}, expected {g.size:.12g}"
                 )
 
     def departure_curve(self, k, p) -> CumulativeCurve:
@@ -111,22 +109,27 @@ class LoadingResult:
     def arrival_total(self, k):
         return sum(self.curves[(k, p)][-1].total for p in self.network.paths_for_group(k))
 
-    def check_invariants(self, tol=1e-6):
-        """Causality, capacity, composition, and conservation checks."""
-        G = max(1.0, self.network.total_demand)
+    def check_invariants(self):
+        """Causality, capacity, composition and conservation, to 1e-6 * max(1, total demand)."""
+        tol = 1e-6 * max(1.0, self.network.total_demand)
         shares = {}     # arc key -> [(a cell's entry, its exit share)]
         for (_, p), record in self.curves.items():
             for arc, entry, share in zip(self.network.paths[p].arcs, record, record[1:]):
                 shares.setdefault(arc.key, []).append((entry, share))
         for key, comp in self.arc_flows.items():
-            comp.validate(tol * G / max(1.0, comp.entry.total))
             ts = np.unique(np.concatenate((comp.entry.t, comp.exit.t)))
+            if np.any(comp.exit(ts) > comp.entry(ts) + tol):
+                raise LoadingError(f"exit curve exceeds entry curve on arc {key}")
+            if comp.exit.max_slope > comp.arc.flux.f_max + 1e-9:
+                raise LoadingError(f"exit curve steeper than capacity on arc {key}")
+            if abs(comp.exit.total - comp.entry.total) > tol:
+                raise LoadingError(f"exit and entry totals differ on arc {key}")
             for side, parts in zip(("entry", "exit"), zip(*shares.get(key, []))):
                 s = sum(c(ts) for c in parts)
-                if np.max(np.abs(s - getattr(comp, side)(ts))) > tol * G:
+                if np.max(np.abs(s - getattr(comp, side)(ts))) > tol:
                     raise LoadingError(f"{side} compositions do not sum on arc {key}")
         for k, g in enumerate(self.network.groups):
-            if abs(self.arrival_total(k) - g.size) > tol * G:
+            if abs(self.arrival_total(k) - g.size) > tol:
                 raise LoadingError(f"group {k} arrivals do not match its size")
 
 

@@ -104,8 +104,9 @@ class CostFunction:
         have opposite signs and are summed, with R taken as eps**2/(2*(s - x))
         for x < 0.  On one side R is max(x, 0) + R(-|x|), and the mean of
         R(-|x|) is written by difference formulas, so that short segments far
-        from the target keep their digits.  Where x**2 overflows the mean is
-        inf, though ``value`` there takes its root by np.hypot.
+        from the target keep their digits; s is taken as in ``value``.  Where
+        x1 - x0 overflows, or x**2 does at the late end of a segment across
+        the target, the mean reads inf.
         """
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         m, w = 0.5 * (a + b), b - a
@@ -115,18 +116,17 @@ class CostFunction:
         early, eps = p["early_rate"], p["smoothing"]
         if early == p["late_rate"] == 0:     # c(t) = t; its ramp term may read 0 * inf
             return m
-        x = np.stack([a, b]) - p["target"]
-        s = np.sqrt(x * x + eps * eps)
-        (x0, x1), (s0, s1) = x, s
+        x, s = self._offset_root(np.stack([a, b]))
+        (x0, x1), (s0, s1), (h0, h1) = x, s, 0.5 * x     # h0 + h1 does not overflow
         with np.errstate(divide="ignore", invalid="ignore"):
             # one side: R(-|x|) has antiderivative eps**2*(|x|/(s + |x|) + asinh(|x|/eps))/4
-            u = (x0 + x1) / (x1 * s0 + x0 * s1)
-            ramp = np.maximum(0.5 * (x0 + x1), 0.0) + 0.25 * eps * eps * (
-                eps * eps * u / np.prod(s + np.abs(x), axis=0) + np.arcsinh(w * u) / w)
+            u = (h0 + h1) / (h1 * s0 + h0 * s1)
+            ramp = np.maximum(h0 + h1, 0.0) + 0.25 * eps * eps * (
+                eps * eps * u / np.multiply(*(s + np.abs(x))) + np.arcsinh(w * u) / w)
             anti = 0.25 * (x * np.where(x >= 0, x + s, eps * eps / (s - x))
                            + eps * eps * np.arcsinh(x / eps))
             ramp = np.where((x0 < 0) & (x1 > 0), (anti[1] - anti[0]) / (x1 - x0), ramp)
-        ramp = np.where(np.isinf(s0 + s1), np.inf, ramp)
+        ramp = np.where(np.isfinite(x1 - x0), ramp, np.inf)    # an overflowed width reads inf
         return (1.0 - early) * m + early * p["target"] + (early + p["late_rate"]) * ramp
 
     def __repr__(self):

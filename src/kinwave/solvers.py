@@ -28,10 +28,11 @@ _COARSEST_BINS = 32
 _COARSE_LOADS = 8
 
 
+@np.errstate(over="ignore")
 def _integrate_against(curve: CumulativeCurve, cost) -> float:
     """Stieltjes integral of a cost against a curve: the curve is linear
     between breakpoints, so each segment's mass times the cost's exact mean
-    over it."""
+    over it; a sum past the float range reads inf, without a warning."""
     dm = np.diff(curve.v)
     live = dm > 0
     return float(np.dot(dm[live], cost.mean(curve.t[:-1][live], curve.t[1:][live])))
@@ -490,7 +491,7 @@ def solve_global(network: Network, *, bins=16, tol=1e-6, max_iter=100,
         sizes = np.array([g.size for g in network.groups])[:, None, None]
         starts.append(np.where(viable, sizes / viable.sum(axis=(1, 2), keepdims=True), 0.0))
 
-    best_mass, best_J, best_report = None, np.inf, None
+    best_J, best_report = np.inf, None
     for mass in starts:
         mass = _project_groups(network, mass, caps)
         J, base = objective(mass)
@@ -518,6 +519,5 @@ def solve_global(network: Network, *, bins=16, tol=1e-6, max_iter=100,
                 break
             J, mass, base = trial
         if J < best_J:
-            best_mass, best_J = mass, J
-            best_report = OptimumReport(it, gap, reason, base)
-    return DepartureProfile(start, width, best_mass / width), best_J, best_report
+            best_J, best_report = J, OptimumReport(it, gap, reason, base)
+    return best_report.loading.profile, best_J, best_report

@@ -562,12 +562,15 @@ def test_dt_past_the_knot_cap_exits_2(tmp_path, command):
     assert not (tmp_path / "o" / "report.json").exists()
 
 
-@pytest.mark.parametrize("arc, solver, message", [
-    # free-flow time 2.5e300: the total cost overflows to inf (w_back matches v_free,
-    # so rho_star = rho_jam / 2 stays clear of rho_jam)
-    ({"length": 2.5,
-      "flux": {"kind": "triangular", "v_free": 1e-300, "w_back": 1e-300, "rho_jam": 1e-3}},
-     {}, "error: scenario: report.json: Out of range float"),
+# free-flow time 2.5e300 (w_back matches v_free, so rho_star = rho_jam / 2 stays
+# clear of rho_jam): the 0.1 vehicles arrive by 2e302
+SLOW_ARC = {"length": 2.5,
+            "flux": {"kind": "triangular", "v_free": 1e-300, "w_back": 1e-300, "rho_jam": 1e-3}}
+
+
+@pytest.mark.parametrize("arc, arrival_cost, message", [
+    # a late rate of 1e10 takes the total cost of SLOW_ARC's arrivals past the float range
+    (SLOW_ARC, {"late_rate": 1e10}, "error: scenario: report.json: Out of range float"),
     # free-flow time 1e-300: the sweep bound overflows, and the capacity 2.5e-300
     # drains the 0.1 vehicles at 4e298, where the total cost overflows to inf
     ({"length": 1e-300,
@@ -575,10 +578,10 @@ def test_dt_past_the_knot_cap_exits_2(tmp_path, command):
      {}, "error: scenario: report.json: Out of range float"),
 ], ids=["cost-overflow", "sweep-bound-overflow"])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_load_at_extreme_scales_exits_2(tmp_path, arc, solver, message):
-    doc = minimal_doc(solver=solver,
-                      profile={"start": 0.0, "bin_width": 1.0, "rates": [[[0.1]]]})
+def test_load_at_extreme_scales_exits_2(tmp_path, arc, arrival_cost, message):
+    doc = minimal_doc(profile={"start": 0.0, "bin_width": 1.0, "rates": [[[0.1]]]})
     doc["arcs"][0].update(arc)
+    doc["groups"][0]["arrival_cost"].update(arrival_cost)
     path = write_scenario(tmp_path / "s.json", doc)
     res = CliRunner().invoke(main, ["load", "--scenario", path, "--out", str(tmp_path / "o")])
     assert res.exit_code == 2
@@ -634,7 +637,12 @@ def test_overflowing_costs_warn_nothing(tmp_path, edits):
       ("groups", 0, "arrival_cost", "early_rate", 0.0),
       ("groups", 0, "arrival_cost", "late_rate", 0.0),
       ("profile", {"start": 0.0, "bin_width": 1.0, "rates": [[[0.1]]]})], (1, 0, 2, 2)),
-], ids=["no-groups", "no-bins", "size-1e300-loaded", "vickrey-rates-0-target-1e300"])
+    # SLOW_ARC's arrivals by 2e302 cost 1.435e301, which the Vickrey mean read
+    # inf; the solver bounds find the combined cost not growing at their horizon
+    ([("arcs", 0, "length", SLOW_ARC["length"]), ("arcs", 0, "flux", SLOW_ARC["flux"]),
+      ("profile", {"start": 0.0, "bin_width": 1.0, "rates": [[[0.1]]]})], (1, 0, 2, 2)),
+], ids=["no-groups", "no-bins", "size-1e300-loaded", "vickrey-rates-0-target-1e300",
+        "slow-arc-finite-cost"])
 def test_degenerate_documents_exit_with_location(tmp_path, edits, codes):
     doc = minimal_doc()
     for *where, value in edits:

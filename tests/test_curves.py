@@ -482,9 +482,15 @@ class TestLaxHopfExit:
         for _ in range(4):
             rates = rng.uniform(0.0, 1.5 * arc.flux.f_max, size=3)
             entry = CumulativeCurve.from_step_rates(np.linspace(0.0, 1.5, 4), rates)
-            exit_c = lax_hopf_exit(entry, arc, dt=1e-3)
-            comp = ExitComputation(entry, exit_c, arc)
-            comp.validate(tol=1e-6)
+            # the entry as a one-arc loading, whose checker runs the arc's
+            # causality, capacity and conservation checks
+            net = Network(["a", "b"], [arc], [GroupDescriptor(
+                entry.total, "a", "b", CostFunction.affine(0.0, -1.0),
+                CostFunction.affine(0.0, 1.0))], dt=1e-3)
+            loaded = network_load(net, DepartureProfile(0.0, 0.5, rates[None, None]))
+            comp = loaded.arc_flows[arc.key]
+            assert np.array_equal(comp.entry.t, entry.t) and np.array_equal(comp.entry.v, entry.v)
+            loaded.check_invariants()
 
 
 @st.composite

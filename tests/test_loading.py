@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinwave import (AdmissibilityError, ArcDescriptor, ConfigurationError, CostFunction,
-                     CumulativeCurve, DepartureProfile, DomainError, FluxDescriptor,
-                     GroupDescriptor, LoadingError, Network, arrival_time_path,
-                     modulus_of_continuity, network_load, total_cost)
+                     CumulativeCurve, DepartureProfile, DomainError, ExitComputation,
+                     FluxDescriptor, GroupDescriptor, LoadingError, Network,
+                     arrival_time_path, modulus_of_continuity, network_load, total_cost)
 from kinwave import curves, lax_hopf_exit, loading
 from kinwave.loading import _split_exit
 
@@ -91,6 +91,22 @@ class TestProfileValidation:
         with pytest.raises(AdmissibilityError,
                            match=f"group 0 assigns flow to non-connecting path {p1}"):
             DepartureProfile(0.0, 1.0, rates).validate(net, check_mass=check_mass)
+
+    def test_first_fault_in_group_order(self):
+        # group 0 strays onto group 1's and group 2's paths, which also puts its
+        # mass off, and group 1 departs nothing: group 0's first stray path
+        # is named, before its own mass and before group 1
+        net = make_network(
+            [("a", "b", 1.0, TRI), ("b", "c", 1.0, TRI), ("c", "d", 1.0, TRI)],
+            [(0.1, "a", "b"), (0.1, "b", "c"), (0.1, "c", "d")],
+        )
+        (p0,), (p1,), (p2,) = (net.paths_for_group(k) for k in range(3))
+        rates = np.zeros((3, len(net.paths), 1))
+        rates[0, [p0, p1, p2], 0] = 0.1
+        rates[2, p2, 0] = 0.1
+        with pytest.raises(AdmissibilityError,
+                           match=f"group 0 assigns flow to non-connecting path {min(p1, p2)}$"):
+            DepartureProfile(0.0, 1.0, rates).validate(net)
 
 
 class TestNetworkLoad:
@@ -207,7 +223,7 @@ class TestNetworkLoad:
         for _ in range(6):
             net, prof = random_scenario(rng)
             res = network_load(net, prof)
-            res.check_invariants(tol=1e-6)
+            res.check_invariants()
 
     def test_perturbation_continuity(self):
         # shrinking a one-bin perturbation shrinks every arrival-time change
@@ -227,6 +243,47 @@ class TestNetworkLoad:
         assert sups[1] <= sups[0] + 1e-9
         phi = modulus_of_continuity(net.arcs[0], M=2.0, G=1.0)
         assert sups[0] <= phi(1e-2 / 0.5) + 1e-6
+
+
+class TestCheckInvariants:
+    """Each check of ``LoadingResult.check_invariants`` fails on a loading
+    doctored to break it, and names the arc or group."""
+
+    ARC = r"on arc \('a', 'b'\)"
+
+    @staticmethod
+    def fifo_loading(size_0=0.6):
+        # two groups on one arc, entering at up to twice its capacity 0.5
+        net = make_network([("a", "b", 1.0, TRI)], [(size_0, "a", "b"), (0.3, "a", "b")])
+        rates = np.array([[[0.8, 0.4]], [[0.2, 0.4]]])
+        res = network_load(net, DepartureProfile(0.0, 0.5, rates), check_mass=False)
+        return res, res.arc_flows[("a", "b")]
+
+    @pytest.mark.parametrize("doctor, match", [
+        # the entry moved 1 earlier
+        (lambda c: CumulativeCurve(c.entry.t - 1.0, c.entry.v), "exit curve exceeds entry curve"),
+        # the entry moved 1 later, at its own rate of up to 1
+        (lambda c: CumulativeCurve(c.entry.t + 1.0, c.entry.v), "steeper than capacity"),
+        (lambda c: CumulativeCurve(c.exit.t, 0.5 * c.exit.v), "exit and entry totals differ"),
+    ], ids=["exit-above-entry", "exit-too-steep", "exit-short"])
+    def test_doctored_exit(self, doctor, match):
+        res, comp = self.fifo_loading()
+        res.arc_flows[("a", "b")] = ExitComputation(comp.entry, doctor(comp), comp.arc)
+        with pytest.raises(LoadingError, match=f"{match} {self.ARC}"):
+            res.check_invariants()
+
+    def test_shares_that_do_not_sum(self):
+        res, _ = self.fifo_loading()
+        departures, share = res.curves[(0, 0)]
+        res.curves[(0, 0)] = (departures, CumulativeCurve(share.t, 0.5 * share.v))
+        with pytest.raises(LoadingError, match=f"exit compositions do not sum {self.ARC}"):
+            res.check_invariants()
+
+    def test_arrivals_short_of_the_group_size(self):
+        # a probe loading: group 0 departs 0.6 of its size 0.7
+        res, _ = self.fifo_loading(size_0=0.7)
+        with pytest.raises(LoadingError, match="group 0 arrivals do not match its size"):
+            res.check_invariants()
 
 
 def cell_curves(loading):

@@ -116,6 +116,22 @@ class TestCostFunction:
         for lo, hi, mean in zip(a, b, cost.mean(a, b)):
             assert mean == pytest.approx(cost_mean_by_quad(cost, lo, hi), rel=1e-15, abs=1e-15)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_vickrey_mean_far_from_the_target(self):
+        # past |x| = 1.3e154, x = t - target, the square under the root
+        # overflows; one side of the target the cost is linear there, so the
+        # mean is the value at the midpoint
+        cost = CostFunction.vickrey(1.0, 0.2, 0.4, 0.25)
+        a, b = np.array([1e200, -2e200, -1e155]), np.array([2e200, -1e200, -9e154])
+        assert cost.mean(a, b) == pytest.approx(cost.value(0.5 * (a + b)), rel=1e-15)
+        # before a target of 1e308, x0 + x1 overflows too: the cost is
+        # 0.8 t + 0.2 target, which ``value`` reads inf once s - x overflows
+        a, b = np.array([-7e307, 0.0]), np.array([-6e307, 1.0])
+        mean = CostFunction.vickrey(1e308, 0.2, 0.4, 0.25).mean(a, b)
+        assert mean == pytest.approx(0.8 * (0.5 * a + 0.5 * b) + 0.2e308, rel=1e-15)
+        # across the target the mean still reads inf (a finite cost), not NaN
+        assert np.isposinf(CostFunction.vickrey(1.0, 0.2, 0.4).mean([-1.0], [1e200])).all()
+
     @settings(max_examples=200, deadline=None)
     @given(st.data(), st.sampled_from(sorted(CostFunction.KINDS)),
            st.floats(-1e3, 1e3), st.floats(-12.0, 3.0))
